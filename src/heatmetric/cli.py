@@ -34,7 +34,8 @@ from . import heat as heat_mod
 from . import tangent as tangent_mod
 from . import transport as transport_mod
 from .geometry import SphereGeometry, TorusGeometry, model_sphere
-from .spaces import SpaceError, build_space, model_circle, model_torus
+from .spaces import (SpaceError, build_space, circle_geometry, model_circle, model_torus,
+                     torus_geometry)
 
 __all__ = ["main", "run"]
 
@@ -123,27 +124,32 @@ def parse_pairs(text):
 
 
 def build_geometry(args):
+    """The validated --geometry, without building a discrete space."""
     kind = args.geometry
     if kind == "circle":
-        geom, space = model_circle(args.L, args.n)
-        return geom, space
+        return circle_geometry(args.L, args.n)
     if kind == "torus":
-        geom, space = model_torus(args.L1, args.L2, args.n1, args.n2)
-        return geom, space
+        return torus_geometry(args.L1, args.L2, args.n1, args.n2)
     if kind == "sphere":
-        return model_sphere(args.r, args.ntheta, args.lmax), None
+        return model_sphere(args.r, args.ntheta, args.lmax)
     raise InputError(f"unknown geometry {kind!r}")
 
 
 def resolve_input(args):
-    """Exactly one of --space / --geometry."""
+    """Exactly one of --space / --geometry, as (space, geometry). Grid
+    geometries come with their discrete space, the sphere with None."""
     has_space = getattr(args, "space", None) is not None
     has_geom = getattr(args, "geometry", None) is not None
     if has_space == has_geom:
         raise InputError("provide exactly one input: --space file or --geometry")
     if has_space:
         return load_space(args.space), None
-    geom, space = build_geometry(args)
+    if args.geometry == "circle":
+        geom, space = model_circle(args.L, args.n)
+    elif args.geometry == "torus":
+        geom, space = model_torus(args.L1, args.L2, args.n1, args.n2)
+    else:
+        geom, space = build_geometry(args), None
     return space, geom
 
 
@@ -197,7 +203,7 @@ def cmd_flow(args, out: Path):
 def cmd_tangency(args, out: Path):
     if args.geometry is None:
         raise InputError("tangency needs --geometry")
-    geom, _ = build_geometry(args)
+    geom = build_geometry(args)
     if args.times:
         t_grid = parse_times(args.times)
     else:
@@ -365,8 +371,13 @@ def cmd_selftest(args, out: Path):
     phi_cc = transport_mod.c_transform(transport_mod.c_transform(phi, sub.dist), sub.dist)
     inv = float(np.abs(phi_cc - phi).max())
     checks.append(check("c_transform_involution", inv, 1e-9, inv <= 1e-9))
-    sink = transport_mod.w2_sinkhorn(mu, nu, sub.dist, eps_final=1e-3 * sub.dist.max() ** 2)
-    rel = abs(sink - res.value) / res.value
+    try:
+        sink = transport_mod.w2_sinkhorn(mu, nu, sub.dist, eps_final=1e-3 * sub.dist.max() ** 2)
+        rel = abs(sink - res.value) / res.value
+    except transport_mod.SinkhornNonConvergence as exc:
+        # a failed check, not a crash: the entropic solve has no value to compare
+        print(f"INFO sinkhorn_vs_exact: {exc}")
+        rel = np.inf
     checks.append(check("sinkhorn_vs_exact", rel, 0.01, rel <= 0.01))
     # contraction on the circle
     rep = flow_mod.contraction_report(space, hs, [0.1, 0.5], [(0, 12), (3, 10)])

@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
 from .geometry import SphereGeometry, legendre_table
-from .heat import heat_measure_from_point, spectral_decompose
-from .spaces import model_circle
+from .heat import heat_apply, heat_measure_from_point, spectral_decompose
+from .spaces import _adjacency, model_circle
 from .transport import w2_exact
 
 __all__ = [
@@ -128,12 +127,7 @@ def dt_arc_matrix(space, dtilde) -> np.ndarray:
     dtilde edge weights. Dominates dtilde entrywise by its triangle
     inequality; at t = 0 it reproduces the original metric exactly."""
     dtilde = np.asarray(dtilde)
-    i, j = space.edges[:, 0], space.edges[:, 1]
-    w = dtilde[i, j]
-    adj = sp.coo_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(space.n, space.n),
-    ).tocsr()
+    adj = _adjacency(space.n, space.edges, dtilde[space.edges[:, 0], space.edges[:, 1]])
     dt = shortest_path(adj, directed=False)
     dt = np.minimum(dt, dt.T)
     np.fill_diagonal(dt, 0.0)
@@ -208,19 +202,13 @@ def contraction_report(space, hs, times, pairs, K=None, rel_tol=1e-6) -> Contrac
             if t < 0:
                 raise FlowError("negative time")
             wt = w0 if t == 0 else w2_exact(
-                _heat_measure(hs, t, mu), _heat_measure(hs, t, nu), space.dist
+                heat_apply(hs, t, mu), heat_apply(hs, t, nu), space.dist
             ).value
             records.append(ContractionRecord(
                 t=float(t), pair=label, w2_initial=w0, w2_evolved=wt,
                 bound=float(np.exp(-K * t)),
             ))
     return ContractionReport(K=float(K), records=records, rel_tol=rel_tol)
-
-
-def _heat_measure(hs, t, mu):
-    from .heat import heat_apply
-
-    return heat_apply(hs, t, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +269,7 @@ class ZonalMeasure:
                 i = min(np.searchsorted(faces, theta0, side="right") - 1, geom.n_theta - 1)
                 masses[max(i, 0)] += mass
             return masses
-        xf = np.cos(geom.faces())
-        lmax = geom.l_max
-        Pf = legendre_table(lmax + 1, xf)
-        anti = np.empty((lmax + 1, xf.size))
-        anti[0] = xf
-        for l in range(1, lmax + 1):
-            anti[l] = (Pf[l + 1] - Pf[l - 1]) / (2 * l + 1)
-        masses = 2 * np.pi * geom.r**2 * (self.coeffs @ (anti[:, :-1] - anti[:, 1:]))
-        return np.clip(masses, 0.0, None)
+        return np.clip(geom.zone_integrals(self.coeffs), 0.0, None)
 
 
 def w2_zonal(mu: ZonalMeasure, nu: ZonalMeasure, levels=200000) -> float:

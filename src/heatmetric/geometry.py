@@ -76,6 +76,11 @@ class CircleGeometry:
     def h(self) -> float:
         return self.L / self.n
 
+    @property
+    def periodic_axes(self):
+        """(L, n) of each periodic grid axis: one axis."""
+        return ((self.L, self.n),)
+
     def nodes(self) -> np.ndarray:
         return np.arange(self.n) * self.h
 
@@ -110,6 +115,11 @@ class TorusGeometry:
     @property
     def h(self):
         return (self.L1 / self.n1, self.L2 / self.n2)
+
+    @property
+    def periodic_axes(self):
+        """(L, n) of each periodic grid axis: two axes."""
+        return ((self.L1, self.n1), (self.L2, self.n2))
 
     def nodes(self):
         h1, h2 = self.h
@@ -161,6 +171,17 @@ class SphereGeometry:
 
     def total_volume(self) -> float:
         return 4.0 * np.pi * self.r**2
+
+    def zone_integrals(self, coeffs) -> np.ndarray:
+        """Exact integrals of the zonal series sum_l c_l P_l(cos theta) over
+        the colatitude cells, from int P_l dx = (P_{l+1} - P_{l-1})/(2l+1)."""
+        xf = np.cos(self.faces())
+        Pf = legendre_table(self.l_max + 1, xf)
+        anti = np.empty_like(Pf[:-1])
+        anti[0] = xf
+        for l in range(1, self.l_max + 1):
+            anti[l] = (Pf[l + 1] - Pf[l - 1]) / (2 * l + 1)
+        return 2 * np.pi * self.r**2 * (coeffs @ (anti[:, :-1] - anti[:, 1:]))
 
     def ricci(self, x, v) -> float:
         """Ric(v, v) = |v|^2 / r^2 (classical (n-1)/r^2 with n = 2)."""

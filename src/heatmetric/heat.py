@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .geometry import TruncationError, legendre_table
-from .spaces import FiniteMetricMeasureSpace
+from .spaces import FiniteMetricMeasureSpace, _adjacency
 
 __all__ = [
     "HeatError",
@@ -86,12 +86,7 @@ def conductance_matrix(space: FiniteMetricMeasureSpace) -> sp.csr_matrix:
         w = np.array([
             min(m[i], m[j]) / ell**2 for i, j, ell in space.edge_pairs()
         ])
-    i, j = space.edges[:, 0], space.edges[:, 1]
-    W = sp.coo_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(space.n, space.n),
-    )
-    return W.tocsr()
+    return _adjacency(space.n, space.edges, w)
 
 
 def spectral_decompose(space: FiniteMetricMeasureSpace) -> HeatStructure:

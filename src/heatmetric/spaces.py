@@ -25,6 +25,8 @@ __all__ = [
     "FiniteMetricMeasureSpace",
     "Curve",
     "build_space",
+    "circle_geometry",
+    "torus_geometry",
     "model_circle",
     "model_torus",
     "curve_length",
@@ -194,6 +196,27 @@ def build_space(points, edges, measure, K=None, conductances=None) -> FiniteMetr
     )
 
 
+def circle_geometry(L, n) -> CircleGeometry:
+    """The geometry of model_circle(L, n), validated, without its space."""
+    if L <= 0:
+        raise SpaceError("L must be > 0")
+    n = int(n)
+    if n < 8:
+        raise SpaceError("circle grid needs n >= 8")
+    return CircleGeometry(L=float(L), n=n)
+
+
+def torus_geometry(L1, L2, n1, n2) -> TorusGeometry:
+    """The geometry of model_torus(L1, L2, n1, n2), validated, without its
+    space."""
+    if L1 <= 0 or L2 <= 0:
+        raise SpaceError("torus side lengths must be > 0")
+    n1, n2 = int(n1), int(n2)
+    if n1 < 8 or n2 < 8:
+        raise SpaceError("torus grid needs n1, n2 >= 8")
+    return TorusGeometry(L1=float(L1), L2=float(L2), n1=n1, n2=n2)
+
+
 def model_circle(L, n):
     """Equispaced circle grid of circumference L with n nodes.
 
@@ -202,12 +225,8 @@ def model_circle(L, n):
     mean(m)/h^2, so the spectral generator is the standard second-order
     periodic Laplacian. K = 0, Ricci = 0.
     """
-    if L <= 0:
-        raise SpaceError("L must be > 0")
-    n = int(n)
-    if n < 8:
-        raise SpaceError("circle grid needs n >= 8")
-    geom = CircleGeometry(L=float(L), n=n)
+    geom = circle_geometry(L, n)
+    n = geom.n
     h = L / n
     edges = [(i, (i + 1) % n, h) for i in range(n)]
     measure = np.full(n, h)
@@ -227,12 +246,8 @@ def model_torus(L1, L2, n1, n2):
     grid rule on diagonals as well would double the generator and break the
     second-order consistency with the flat Laplacian.
     """
-    if L1 <= 0 or L2 <= 0:
-        raise SpaceError("torus side lengths must be > 0")
-    n1, n2 = int(n1), int(n2)
-    if n1 < 8 or n2 < 8:
-        raise SpaceError("torus grid needs n1, n2 >= 8")
-    geom = TorusGeometry(L1=float(L1), L2=float(L2), n1=n1, n2=n2)
+    geom = torus_geometry(L1, L2, n1, n2)
+    n1, n2 = geom.n1, geom.n2
     h1, h2 = L1 / n1, L2 / n2
     hd = float(np.hypot(h1, h2))
     cell = h1 * h2

@@ -13,32 +13,33 @@ its exact time derivative is the quadrature
 
     d/dt (1/2) g_t(v, v) = int (-|Hess(phi)|^2 - Ric(grad, grad)) rho dvol,
 
-and the small-t slope of g_t recovers -2 Ric(v, v).
+and the small-t slope of g_t recovers -2 Ric(v, v). Every model geometry has
+constant curvature K, so Ric(w, w) = K |w|^2 throughout.
 
-Geometries are handled by symmetry reduction: the circle and flat torus keep
-periodic grids (conservative second-order flux stencils, constant mode
-deflated); on the sphere the source and solution of a unit tangent at the
-pole are pure first-azimuthal modes, eta = G(theta) cos(psi),
-phi = u(theta) cos(psi), which collapses the PDE to a tridiagonal ODE on the
-colatitude grid with natural pole regularity (the sin(theta) flux factor
-vanishes at both poles).
+Two discretizations serve the three geometries, picked in one place
+(_discretization). The circle and the flat torus are periodic product grids
+with one and two axes (``geometry.periodic_axes``) and share one path: the
+kernel and its source are products of circle_kernel factors, the flux
+operator is a conservative second-order stencil with one face family per
+axis (constant mode deflated), the plan is staggered on those faces, and the
+Hessian is a central-difference stencil. On the sphere the source and
+solution of a unit tangent at the pole are pure first-azimuthal modes,
+eta = G(theta) cos(psi), phi = u(theta) cos(psi), which collapses the PDE to
+a tridiagonal ODE on the colatitude grid with natural pole regularity (the
+sin(theta) flux factor vanishes at both poles).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from . import transport
-from .geometry import (
-    CircleGeometry,
-    SphereGeometry,
-    TorusGeometry,
-    legendre_table,
-    legendre_table_with_derivative,
-)
+from .geometry import CircleGeometry, SphereGeometry, legendre_table_with_derivative
 from .heat import circle_kernel, sphere_kernel_coefficients
 from .spaces import model_circle
 
@@ -107,7 +108,8 @@ class TangentPlan:
 
     weights sum to 1 (kernel mass), grad_sq holds |grad(phi)|^2 at the
     quadrature nodes (azimuthally averaged on the sphere), so the second
-    moment equals g_t(v, v) exactly by construction.
+    moment equals g_t(v, v) exactly by construction. nodes has shape (m, d)
+    on a periodic grid with d axes and holds colatitudes on the sphere.
     """
 
     nodes: np.ndarray
@@ -161,48 +163,7 @@ class MetricSpeedReport:
 
 
 # ---------------------------------------------------------------------------
-# discrete solvers (conservative flux stencils)
-
-def _faces_avg_periodic(rho):
-    return 0.5 * (rho + np.roll(rho, -1, axis=0))
-
-
-def _circle_operator(geom, rho_f):
-    n, h = geom.n, geom.h
-    idx = np.arange(n)
-    main = -(rho_f + np.roll(rho_f, 1)) / h**2
-    A = sp.coo_matrix(
-        (np.concatenate([main, rho_f / h**2, np.roll(rho_f, 1) / h**2]),
-         (np.concatenate([idx, idx, idx]),
-          np.concatenate([idx, (idx + 1) % n, (idx - 1) % n]))),
-        shape=(n, n),
-    ).tocsr()
-    return A
-
-
-def _torus_operator(geom, rho):
-    n1, n2 = geom.n1, geom.n2
-    h1, h2 = geom.h
-    rf1 = 0.5 * (rho + np.roll(rho, -1, axis=0))  # faces in direction 1
-    rf2 = 0.5 * (rho + np.roll(rho, -1, axis=1))
-    N = n1 * n2
-    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-    c = (ii * n2 + jj).ravel()
-    e = ((ii + 1) % n1 * n2 + jj).ravel()
-    w = ((ii - 1) % n1 * n2 + jj).ravel()
-    nn = (ii * n2 + (jj + 1) % n2).ravel()
-    ss = (ii * n2 + (jj - 1) % n2).ravel()
-    we = (rf1 / h1**2).ravel()
-    ww = (np.roll(rf1, 1, axis=0) / h1**2).ravel()
-    wn = (rf2 / h2**2).ravel()
-    ws = (np.roll(rf2, 1, axis=1) / h2**2).ravel()
-    A = sp.coo_matrix(
-        (np.concatenate([-(we + ww + wn + ws), we, ww, wn, ws]),
-         (np.concatenate([c] * 5), np.concatenate([c, e, w, nn, ss]))),
-        shape=(N, N),
-    ).tocsr()
-    return A, rf1, rf2
-
+# shared numerics
 
 def _solve_deflated(A, rhs, weights):
     """Solve the singular system A phi = rhs (constants in the kernel) by
@@ -227,35 +188,258 @@ def _solve_deflated(A, rhs, weights):
     return phi, float(np.linalg.norm(res) / scale) if scale > 0 else 0.0
 
 
-def _sphere_m1_system(geom, rho_profile):
-    n, h = geom.n_theta, geom.h
-    theta = geom.nodes()
-    faces = geom.faces()
-    sc, sf = np.sin(theta), np.sin(faces)
-    rho_f = np.empty(n + 1)
+def _floor_density(rho):
+    # kernel densities fall hundreds of orders of magnitude below their peak
+    # at small times; the floor (mass fraction < 1e-13) keeps the solve
+    # well scaled without touching any resolved region
+    return np.maximum(rho, rho.max() * 1e-13)
+
+
+# ---------------------------------------------------------------------------
+# periodic product grids: the circle (one axis) and the flat torus (two)
+
+def _product(factors):
+    """Tensor product of one 1-D factor per axis."""
+    return reduce(np.multiply.outer, factors)
+
+
+class _PeriodicGrid:
+    """Circle and flat torus: conservative flux stencils on the periodic
+    product grid of geometry.periodic_axes, one (L, n) pair per axis."""
+
+    def __init__(self, geometry):
+        self.geometry = geometry
+        self.lengths = [L for L, _ in geometry.periodic_axes]
+        self.h = [L / n for L, n in geometry.periodic_axes]
+        self.coords = [np.arange(n) * h for (_, n), h in zip(geometry.periodic_axes, self.h)]
+
+    def check_resolution(self, t):
+        hmax = max(self.h)
+        if t < 4 * hmax**2:
+            raise UnresolvedTime(f"t={t} below 4 h^2 = {4 * hmax**2:.3e}")
+
+    def _point(self, x):
+        x0 = np.zeros(len(self.h)) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
+        if x0.shape != (len(self.h),):
+            raise TangentError(f"points need one coordinate per grid axis ({len(self.h)})")
+        return x0
+
+    def _kernels(self, t, x0, deriv=0, shift=0.0):
+        """circle_kernel factor of each axis at the nodes shifted by
+        shift * h, relative to the kernel center x0."""
+        return [circle_kernel(t, L, y + shift * h - c, deriv=deriv)
+                for L, h, y, c in zip(self.lengths, self.h, self.coords, x0)]
+
+    def operator(self, rho):
+        """Flux operator div(rho grad .): face densities are the averages of
+        the two adjacent nodes, one face family per axis."""
+        idx = np.arange(rho.size).reshape(rho.shape)
+        cols, vals = [], []
+        for a, h in enumerate(self.h):
+            face = 0.5 * (rho + np.roll(rho, -1, axis=a)) / h**2
+            cols += [np.roll(idx, -1, axis=a), np.roll(idx, 1, axis=a)]
+            vals += [face, np.roll(face, 1, axis=a)]
+        vals.insert(0, -sum(vals))
+        cols.insert(0, idx)
+        return sp.coo_matrix(
+            (np.concatenate([v.ravel() for v in vals]),
+             (np.tile(idx.ravel(), len(cols)), np.concatenate([c.ravel() for c in cols]))),
+            shape=(rho.size, rho.size),
+        ).tocsr()
+
+    def solve(self, rho, eta, azimuthal_mode):
+        if azimuthal_mode != 0:
+            raise TangentError("azimuthal modes only apply to the sphere")
+        w = self.geometry.volume_weights()
+        total = float(np.abs(eta).ravel() @ w.ravel())
+        mean = float(eta.ravel() @ w.ravel())
+        if total > 0 and abs(mean) > 1e-10 * total:
+            raise NonzeroMeanSource(f"source mean {mean:.2e} exceeds 1e-10 * ||eta||_1")
+        eta = eta - mean / w.sum()
+        phi, residual = _solve_deflated(self.operator(rho), eta.ravel(), w.ravel())
+        return VelocityPotential(self.geometry, phi.reshape(eta.shape), rho, eta, residual)
+
+    def energy_gradient(self, vp, direction):
+        A = self.operator(vp.rho)
+        grad = (-(A @ vp.phi.ravel()) + vp.eta.ravel()) * self.geometry.volume_weights().ravel()
+        return float(grad @ np.asarray(direction, dtype=float).ravel())
+
+    def potential(self, t, x, v):
+        x0 = self._point(x)
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        if v.shape != x0.shape:
+            raise TangentError(f"tangent vectors need one component per grid axis ({len(self.h)})")
+        k = self._kernels(t, x0)
+        dk = self._kernels(t, x0, deriv=1)
+        # eta = -grad_x rho . v: the offset derivative of one factor per axis
+        eta = sum(v[a] * _product(k[:a] + [dk[a]] + k[a + 1:]) for a in range(len(k)))
+        return solve_weighted_poisson(self.geometry, _floor_density(_product(k)), eta)
+
+    def plan(self, t, x, vp):
+        # staggered quadrature: each face family carries one gradient
+        # component; splitting the kernel mass evenly between the d families
+        # (and scaling the squared component by d) keeps the total weight at
+        # 1 while reproducing the energy sum exactly
+        x0 = self._point(x)
+        d = len(self.h)
+        k = self._kernels(t, x0)
+        kf = self._kernels(t, x0, shift=0.5)
+        w = self.geometry.volume_weights()
+        nodes, weights, grads = [], [], []
+        for a, h in enumerate(self.h):
+            weights.append((_product(k[:a] + [kf[a]] + k[a + 1:]) * w / d).ravel())
+            grads.append(d * ((np.roll(vp.phi, -1, axis=a) - vp.phi) / h).ravel() ** 2)
+            faces = self.coords[:a] + [self.coords[a] + h / 2] + self.coords[a + 1:]
+            nodes.append(np.stack([g.ravel() for g in np.meshgrid(*faces, indexing="ij")], axis=1))
+        return TangentPlan(np.concatenate(nodes), np.concatenate(weights), np.concatenate(grads))
+
+    def hessian_mass(self, t, x, vp):
+        # |Hess phi|^2 = sum over axis pairs of squared second differences
+        # (pure) and nested central differences (mixed)
+        phi, hess2 = vp.phi, 0.0
+        for a, ha in enumerate(self.h):
+            for b, hb in enumerate(self.h):
+                if a == b:
+                    hab = (np.roll(phi, -1, axis=a) - 2 * phi + np.roll(phi, 1, axis=a)) / ha**2
+                else:
+                    da = (np.roll(phi, -1, axis=a) - np.roll(phi, 1, axis=a)) / (2 * ha)
+                    hab = (np.roll(da, -1, axis=b) - np.roll(da, 1, axis=b)) / (2 * hb)
+                hess2 = hess2 + hab**2
+        return float(np.sum(hess2 * vp.rho * self.geometry.volume_weights()))
+
+
+# ---------------------------------------------------------------------------
+# the sphere's first-azimuthal-mode reduction
+
+def _solve_sphere_m1(geom, rho_profile, rhs):
+    h = geom.h
+    sc, sf = np.sin(geom.nodes()), np.sin(geom.faces())
+    rho_f = np.empty(geom.n_theta + 1)
     rho_f[1:-1] = 0.5 * (rho_profile[:-1] + rho_profile[1:])
     rho_f[0] = rho_f[-1] = 0.0  # multiplied by sin(0) = sin(pi) = 0 anyway
     a = sf[:-1] * rho_f[:-1] / h**2 / sc
     b = sf[1:] * rho_f[1:] / h**2 / sc
     diag = -(a + b) - rho_profile / sc**2
-    return a, diag, b
-
-
-def _solve_sphere_m1(geom, rho_profile, rhs):
-    a, diag, b = _sphere_m1_system(geom, rho_profile)
-    n = geom.n_theta
-    ab = np.zeros((3, n))
+    ab = np.zeros((3, geom.n_theta))
     ab[0, 1:] = b[:-1]
     ab[1] = diag
     ab[2, :-1] = a[1:]
-    from scipy.linalg import solve_banded
-
     u = solve_banded((1, 1), ab, rhs)
     res = a * np.concatenate([[0.0], u[:-1]]) + diag * u + b * np.concatenate([u[1:], [0.0]]) - rhs
     scale = np.linalg.norm(rhs)
     residual = float(np.linalg.norm(res) / scale) if scale > 0 else 0.0
     return u, residual
 
+
+def _centered_gradient(u, h):
+    du = np.empty_like(u)
+    du[1:-1] = (u[2:] - u[:-2]) / (2 * h)
+    du[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
+    du[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
+    return du
+
+
+class _SphereMode:
+    """Round sphere: the first azimuthal mode on the colatitude grid. The
+    sphere is homogeneous, so every potential is computed at the north pole
+    and x is ignored."""
+
+    def __init__(self, geometry):
+        self.geometry = geometry
+
+    def check_resolution(self, t):
+        self.geometry.check_truncation(t)
+
+    def solve(self, rho, eta, azimuthal_mode):
+        geometry = self.geometry
+        if azimuthal_mode != 1:
+            raise TangentError("sphere solves support azimuthal_mode=1 only")
+        if rho.shape != (geometry.n_theta,) or eta.shape != rho.shape:
+            raise TangentError("sphere profiles must live on the colatitude grid")
+        # reduced ODE: (sin F u')'/sin - F u / sin^2 = r^2 G
+        u, residual = _solve_sphere_m1(geometry, rho, geometry.r**2 * eta)
+        return VelocityPotential(geometry, u, rho, eta, residual, azimuthal_mode=1)
+
+    def energy_gradient(self, vp, direction):
+        raise TangentError("energy gradient check is defined on periodic grids")
+
+    def profiles(self, t):
+        """Kernel profile K(theta), its theta-derivative, and exact cell masses.
+
+        At small t the kernel is exponentially small near the antipode, below
+        the roundoff noise of the Legendre series; the profile is floored at
+        max(K) * 1e-13 so the solver density stays positive and well scaled.
+        The floored region carries a mass fraction below 1e-13, negligible in
+        every quadrature.
+        """
+        geometry = self.geometry
+        c = sphere_kernel_coefficients(t, geometry.r, geometry.l_max)
+        theta = geometry.nodes()
+        P, dP = legendre_table_with_derivative(geometry.l_max, np.cos(theta))
+        K = c @ P
+        K = np.maximum(K, K.max() * 1e-13)
+        dK = c @ (-np.sin(theta) * dP)
+        return K, dK, geometry.zone_integrals(c)
+
+    def potential(self, t, x, v):
+        # G(theta) = |v| K'(theta) / r, sign fixed by finite-difference
+        # validation of grad_x rho . v
+        speed = float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
+        K, dK, _ = self.profiles(t)
+        G = speed * dK / self.geometry.r
+        return solve_weighted_poisson(self.geometry, K, G, azimuthal_mode=1)
+
+    def plan(self, t, x, vp):
+        geometry = self.geometry
+        theta = geometry.nodes()
+        _, _, masses = self.profiles(t)
+        u = vp.phi
+        du = _centered_gradient(u, geometry.h)
+        grad2 = (du**2 + (u / np.sin(theta)) ** 2) / (2 * geometry.r**2)
+        return TangentPlan(theta, masses, grad2)
+
+    def hessian_mass(self, t, x, vp):
+        r, h = self.geometry.r, self.geometry.h
+        theta = self.geometry.nodes()
+        sc = np.sin(theta)
+        cot = np.cos(theta) / sc
+        u = vp.phi
+        du = _centered_gradient(u, h)
+        ddu = np.empty_like(u)
+        ddu[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
+        ddu[0] = ddu[1]
+        ddu[-1] = ddu[-2]
+        # orthonormal-frame Hessian of u(theta) cos(psi); the psi-average of
+        # each squared component contributes a factor 1/2
+        H11 = ddu / r**2
+        H12 = (u * cot - du) / (r**2 * sc)
+        H22 = (du * cot - u / sc**2) / r**2
+        hess2_avg = 0.5 * (H11**2 + 2 * H12**2 + H22**2)
+        _, _, masses = self.profiles(t)
+        return float(masses @ hess2_avg)
+
+
+def _discretization(geometry):
+    """The discretization of a model geometry: the periodic grid or the
+    sphere reduction."""
+    if isinstance(geometry, SphereGeometry):
+        return _SphereMode(geometry)
+    if hasattr(geometry, "periodic_axes"):
+        return _PeriodicGrid(geometry)
+    raise TangentError(f"unsupported geometry {type(geometry).__name__}")
+
+
+def _resolved(geometry, t):
+    """The geometry's discretization, once it is checked to resolve t."""
+    if t <= 0:
+        raise TangentError("velocity potentials require t > 0")
+    disc = _discretization(geometry)
+    disc.check_resolution(t)
+    return disc
+
+
+# ---------------------------------------------------------------------------
+# public entry points
 
 def solve_weighted_poisson(geometry, rho, eta, azimuthal_mode=0) -> VelocityPotential:
     """Solve div(rho grad(phi)) = eta with the zero-mean gauge.
@@ -281,40 +465,10 @@ def solve_weighted_poisson(geometry, rho, eta, azimuthal_mode=0) -> VelocityPote
     eta = np.asarray(eta, dtype=float)
     if np.any(rho <= 0):
         raise NonpositiveDensity("rho must be strictly positive")
-
-    if isinstance(geometry, SphereGeometry):
-        if azimuthal_mode != 1:
-            raise TangentError("sphere solves support azimuthal_mode=1 only")
-        if rho.shape != (geometry.n_theta,) or eta.shape != rho.shape:
-            raise TangentError("sphere profiles must live on the colatitude grid")
-        # reduced ODE: (sin F u')'/sin - F u / sin^2 = r^2 G
-        u, residual = _solve_sphere_m1(geometry, rho, geometry.r**2 * eta)
-        if residual > RESIDUAL_TOL:  # pragma: no cover
-            raise TangentError(f"linear solve residual {residual:.2e}")
-        return VelocityPotential(geometry, u, rho, eta, residual, azimuthal_mode=1)
-
-    if azimuthal_mode != 0:
-        raise TangentError("azimuthal modes only apply to the sphere")
-
-    w = geometry.volume_weights()
-    total = float(np.abs(eta).ravel() @ w.ravel())
-    mean = float(eta.ravel() @ w.ravel())
-    if total > 0 and abs(mean) > 1e-10 * total:
-        raise NonzeroMeanSource(f"source mean {mean:.2e} exceeds 1e-10 * ||eta||_1")
-    eta = eta - mean / w.sum()
-
-    if isinstance(geometry, CircleGeometry):
-        A = _circle_operator(geometry, _faces_avg_periodic(rho))
-        phi, residual = _solve_deflated(A, eta, w)
-    elif isinstance(geometry, TorusGeometry):
-        A, _, _ = _torus_operator(geometry, rho)
-        phi_flat, residual = _solve_deflated(A, eta.ravel(), w.ravel())
-        phi = phi_flat.reshape(geometry.n1, geometry.n2)
-    else:
-        raise TangentError(f"unsupported geometry {type(geometry).__name__}")
-    if residual > RESIDUAL_TOL:  # pragma: no cover
-        raise TangentError(f"linear solve residual {residual:.2e}")
-    return VelocityPotential(geometry, phi, rho, eta, residual)
+    vp = _discretization(geometry).solve(rho, eta, azimuthal_mode)
+    if vp.residual > RESIDUAL_TOL:  # pragma: no cover
+        raise TangentError(f"linear solve residual {vp.residual:.2e}")
+    return vp
 
 
 def poisson_energy_gradient(vp: VelocityPotential, direction) -> float:
@@ -323,167 +477,28 @@ def poisson_energy_gradient(vp: VelocityPotential, direction) -> float:
 
     First-order optimality of the linear solve: vanishes within 1e-8 for any
     direction (the sign convention on eta only flips the stationary point's
-    identity, not stationarity itself).
+    identity, not stationarity itself). Defined on the periodic grids.
     """
-    geom = vp.geometry
-    d = np.asarray(direction, dtype=float)
-    if isinstance(geom, CircleGeometry):
-        A = _circle_operator(geom, _faces_avg_periodic(vp.rho))
-        grad = (-(A @ vp.phi) + vp.eta) * geom.volume_weights()
-        return float(grad @ d)
-    if isinstance(geom, TorusGeometry):
-        A, _, _ = _torus_operator(geom, vp.rho)
-        grad = (-(A @ vp.phi.ravel()) + vp.eta.ravel()) * geom.volume_weights().ravel()
-        return float(grad @ d.ravel())
-    raise TangentError("energy gradient check is defined on periodic grids")
-
-
-# ---------------------------------------------------------------------------
-# velocity potentials of moving heat kernels
-
-def _check_resolution(geometry, t):
-    if t <= 0:
-        raise TangentError("velocity potentials require t > 0")
-    if isinstance(geometry, CircleGeometry):
-        if t < 4 * geometry.h**2:
-            raise UnresolvedTime(f"t={t} below 4 h^2 = {4 * geometry.h**2:.3e}")
-    elif isinstance(geometry, TorusGeometry):
-        hmax = max(geometry.h)
-        if t < 4 * hmax**2:
-            raise UnresolvedTime(f"t={t} below 4 h^2 = {4 * hmax**2:.3e}")
-    elif isinstance(geometry, SphereGeometry):
-        geometry.check_truncation(t)
-
-
-def _sphere_profiles(geometry, t):
-    """Kernel profile K(theta), its theta-derivative, and exact cell masses.
-
-    At small t the kernel is exponentially small near the antipode, below the
-    roundoff noise of the Legendre series; the profile is floored at
-    max(K) * 1e-13 so the solver density stays positive and well scaled. The
-    floored region carries a mass fraction below 1e-13, negligible in every
-    quadrature.
-    """
-    c = sphere_kernel_coefficients(t, geometry.r, geometry.l_max)
-    theta = geometry.nodes()
-    P, dP = legendre_table_with_derivative(geometry.l_max, np.cos(theta))
-    K = c @ P
-    K = np.maximum(K, K.max() * 1e-13)
-    dK = c @ (-np.sin(theta) * dP)
-    # exact cell integrals of the series against the zone measure:
-    # int P_l dx over [x_r, x_l] with int P_l = (P_{l+1} - P_{l-1})/(2l+1)
-    xf = np.cos(geometry.faces())
-    Pf = legendre_table(geometry.l_max + 1, xf)
-    anti = np.empty_like(Pf[:-1])
-    anti[0] = xf
-    for l in range(1, geometry.l_max + 1):
-        anti[l] = (Pf[l + 1] - Pf[l - 1]) / (2 * l + 1)
-    masses = 2 * np.pi * geometry.r**2 * (c @ (anti[:, :-1] - anti[:, 1:]))
-    return K, dK, masses
-
-
-def _floor_density(rho):
-    # kernel densities fall hundreds of orders of magnitude below their peak
-    # at small times; the floor (mass fraction < 1e-13) keeps the solve
-    # well scaled without touching any resolved region
-    return np.maximum(rho, rho.max() * 1e-13)
+    return _discretization(vp.geometry).energy_gradient(vp, direction)
 
 
 def velocity_potential(geometry, t, x=None, v=1.0) -> VelocityPotential:
-    """Potential phi_{t,x,v} of the moving heat kernel, per geometry.
+    """Potential phi_{t,x,v} of the moving heat kernel.
 
     eta(y) = -grad_x rho(t, x, y) . v is built analytically (circle/torus:
     kernel offset derivative; sphere: the first-azimuthal reduction with
-    G(theta) = |v| K'(theta)/r, sign fixed by finite-difference validation of
-    grad_x rho . v). The sphere is homogeneous, so x is ignored there and the
+    G(theta) = |v| K'(theta)/r). x and v have one component per axis on the
+    periodic grids; the sphere is homogeneous, so x is ignored there and the
     potential is computed at the north pole. Solver densities are floored at
     max(rho) * 1e-13 for conditioning.
     """
-    _check_resolution(geometry, t)
-    if isinstance(geometry, CircleGeometry):
-        x0 = 0.0 if x is None else float(x)
-        v = float(v)
-        s = geometry.nodes() - x0
-        rho = circle_kernel(t, geometry.L, s)
-        eta = v * circle_kernel(t, geometry.L, s, deriv=1)
-        return solve_weighted_poisson(geometry, _floor_density(rho), eta)
-    if isinstance(geometry, TorusGeometry):
-        x0 = (0.0, 0.0) if x is None else (float(x[0]), float(x[1]))
-        v = np.asarray(v, dtype=float)
-        if v.shape != (2,):
-            raise TangentError("torus tangent vectors are 2-vectors")
-        y1, y2 = geometry.nodes()
-        s1, s2 = y1 - x0[0], y2 - x0[1]
-        k1 = circle_kernel(t, geometry.L1, s1)
-        k2 = circle_kernel(t, geometry.L2, s2)
-        d1 = circle_kernel(t, geometry.L1, s1, deriv=1)
-        d2 = circle_kernel(t, geometry.L2, s2, deriv=1)
-        rho = np.outer(k1, k2)
-        eta = v[0] * np.outer(d1, k2) + v[1] * np.outer(k1, d2)
-        return solve_weighted_poisson(geometry, _floor_density(rho), eta)
-    if isinstance(geometry, SphereGeometry):
-        speed = float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
-        K, dK, _ = _sphere_profiles(geometry, t)
-        G = speed * dK / geometry.r
-        return solve_weighted_poisson(geometry, K, G, azimuthal_mode=1)
-    raise TangentError(f"unsupported geometry {type(geometry).__name__}")
-
-
-def _speed_sq(geometry, v):
-    if isinstance(geometry, TorusGeometry):
-        v = np.asarray(v, dtype=float)
-        return float(v @ v)
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float)))) ** 2
+    return _resolved(geometry, t).potential(t, x, v)
 
 
 def tangent_plan(geometry, t, x=None, v=1.0, potential=None) -> TangentPlan:
     """Quadrature plan (nodes, kernel weights, |grad phi|^2) for (t, x, v)."""
     vp = potential if potential is not None else velocity_potential(geometry, t, x, v)
-    if isinstance(geometry, CircleGeometry):
-        x0 = 0.0 if x is None else float(x)
-        faces = geometry.faces()
-        rho_f = circle_kernel(t, geometry.L, faces - x0)
-        dphi = (np.roll(vp.phi, -1) - vp.phi) / geometry.h
-        return TangentPlan(faces, rho_f * geometry.h, dphi**2)
-    if isinstance(geometry, TorusGeometry):
-        x0 = (0.0, 0.0) if x is None else (float(x[0]), float(x[1]))
-        h1, h2 = geometry.h
-        y1, y2 = geometry.nodes()
-        k1 = circle_kernel(t, geometry.L1, y1 - x0[0])
-        k2 = circle_kernel(t, geometry.L2, y2 - x0[1])
-        k1f = circle_kernel(t, geometry.L1, y1 + h1 / 2 - x0[0])
-        k2f = circle_kernel(t, geometry.L2, y2 + h2 / 2 - x0[1])
-        d1 = (np.roll(vp.phi, -1, axis=0) - vp.phi) / h1
-        d2 = (np.roll(vp.phi, -1, axis=1) - vp.phi) / h2
-        # staggered quadrature: each face family carries one gradient
-        # component; splitting the kernel mass evenly between the families
-        # (and doubling the squared component) keeps the total weight at 1
-        # while reproducing the energy sum exactly
-        w1 = (np.outer(k1f, k2) * h1 * h2).ravel()
-        w2 = (np.outer(k1, k2f) * h1 * h2).ravel()
-        weights = np.concatenate([0.5 * w1, 0.5 * w2])
-        grads = np.concatenate([2.0 * d1.ravel() ** 2, 2.0 * d2.ravel() ** 2])
-        g1, g2 = np.meshgrid(y1 + h1 / 2, y2, indexing="ij")
-        f1 = np.stack([g1.ravel(), g2.ravel()], axis=1)
-        g1, g2 = np.meshgrid(y1, y2 + h2 / 2, indexing="ij")
-        f2 = np.stack([g1.ravel(), g2.ravel()], axis=1)
-        return TangentPlan(np.concatenate([f1, f2]), weights, grads)
-    if isinstance(geometry, SphereGeometry):
-        theta = geometry.nodes()
-        _, _, masses = _sphere_profiles(geometry, t)
-        u = vp.phi
-        du = _centered_gradient(u, geometry.h)
-        grad2 = (du**2 + (u / np.sin(theta)) ** 2) / (2 * geometry.r**2)
-        return TangentPlan(theta, masses, grad2)
-    raise TangentError(f"unsupported geometry {type(geometry).__name__}")
-
-
-def _centered_gradient(u, h):
-    du = np.empty_like(u)
-    du[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-    du[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
-    du[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
-    return du
+    return _discretization(geometry).plan(t, x, vp)
 
 
 def metric_gt(geometry, t, x=None, v=1.0) -> float:
@@ -494,64 +509,25 @@ def metric_gt(geometry, t, x=None, v=1.0) -> float:
     I_t the loop integral of 1/rho_t, used as an independent oracle in tests.
     """
     if t == 0:
-        return _speed_sq(geometry, v)
-    plan = tangent_plan(geometry, t, x, v)
-    return plan.second_moment()
+        return float(np.sum(np.square(v)))
+    return tangent_plan(geometry, t, x, v).second_moment()
 
 
 def ric_pairing(geometry, t, x=None, v=1.0) -> float:
     """int Ric(grad phi, grad phi) rho dvol via the tangent plan.
 
-    Identically zero on the flat circle and torus; on the sphere the Ricci
-    form is |w|^2 / r^2, so the pairing is g_t(v, v) / r^2.
+    The Ricci form is K |w|^2 on every model geometry, so the pairing is
+    K g_t(v, v): zero on the flat circle and torus, g_t(v, v) / r^2 on the
+    sphere.
     """
-    if isinstance(geometry, (CircleGeometry, TorusGeometry)):
-        return 0.0
-    if isinstance(geometry, SphereGeometry):
-        plan = tangent_plan(geometry, t, x, v)
-        return plan.second_moment() / geometry.r**2
-    raise TangentError(f"unsupported geometry {type(geometry).__name__}")
+    return geometry.K * tangent_plan(geometry, t, x, v).second_moment()
 
 
 def squared_hessian_mass(geometry, t, x=None, v=1.0, potential=None) -> float:
     """Reported quantity int |Hess(phi)|^2 rho dvol (no assertion attached:
     whether it vanishes as t -> 0 is left open)."""
     vp = potential if potential is not None else velocity_potential(geometry, t, x, v)
-    if isinstance(geometry, CircleGeometry):
-        h = geometry.h
-        x0 = 0.0 if x is None else float(x)
-        rho_c = circle_kernel(t, geometry.L, geometry.nodes() - x0)
-        dd = (np.roll(vp.phi, -1) - 2 * vp.phi + np.roll(vp.phi, 1)) / h**2
-        return float(np.sum(dd**2 * rho_c) * h)
-    if isinstance(geometry, TorusGeometry):
-        h1, h2 = geometry.h
-        phi = vp.phi
-        pxx = (np.roll(phi, -1, 0) - 2 * phi + np.roll(phi, 1, 0)) / h1**2
-        pyy = (np.roll(phi, -1, 1) - 2 * phi + np.roll(phi, 1, 1)) / h2**2
-        pxy = (np.roll(np.roll(phi, -1, 0), -1, 1) - np.roll(np.roll(phi, -1, 0), 1, 1)
-               - np.roll(np.roll(phi, 1, 0), -1, 1) + np.roll(np.roll(phi, 1, 0), 1, 1)) / (4 * h1 * h2)
-        hess2 = pxx**2 + 2 * pxy**2 + pyy**2
-        return float(np.sum(hess2 * vp.rho) * h1 * h2)
-    if isinstance(geometry, SphereGeometry):
-        r, h = geometry.r, geometry.h
-        theta = geometry.nodes()
-        sc = np.sin(theta)
-        cot = np.cos(theta) / sc
-        u = vp.phi
-        du = _centered_gradient(u, h)
-        ddu = np.empty_like(u)
-        ddu[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-        ddu[0] = ddu[1]
-        ddu[-1] = ddu[-2]
-        # orthonormal-frame Hessian of u(theta) cos(psi); the psi-average of
-        # each squared component contributes a factor 1/2
-        H11 = ddu / r**2
-        H12 = (u * cot - du) / (r**2 * sc)
-        H22 = (du * cot - u / sc**2) / r**2
-        hess2_avg = 0.5 * (H11**2 + 2 * H12**2 + H22**2)
-        K, _, masses = _sphere_profiles(geometry, t)
-        return float(masses @ hess2_avg)
-    raise TangentError(f"unsupported geometry {type(geometry).__name__}")
+    return _discretization(geometry).hessian_mass(t, x, vp)
 
 
 def gt_derivative_bochner(geometry, t, x=None, v=1.0) -> float:
@@ -563,10 +539,8 @@ def gt_derivative_bochner(geometry, t, x=None, v=1.0) -> float:
     """
     vp = velocity_potential(geometry, t, x, v)
     hess = squared_hessian_mass(geometry, t, x, v, potential=vp)
-    if isinstance(geometry, (CircleGeometry, TorusGeometry)):
-        return -hess
     plan = tangent_plan(geometry, t, x, v, potential=vp)
-    return -hess - plan.second_moment() / geometry.r**2
+    return -hess - geometry.K * plan.second_moment()
 
 
 def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
@@ -583,7 +557,7 @@ def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
     """
     if not isinstance(geometry, CircleGeometry):
         raise TangentError("metric speed check is implemented on the circle")
-    _check_resolution(geometry, t)
+    _resolved(geometry, t)
     grid_h = geometry.h
     k = max(1, int(round(h / grid_h)))
     h_eff = k * grid_h
@@ -601,13 +575,6 @@ def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
     g = metric_gt(geometry, t, x=0.0, v=1.0)
     return MetricSpeedReport(t=t, h_requested=float(h), h_effective=h_eff,
                              gt_value=g, w2_quotient_sq=(w2 / h_eff) ** 2)
-
-
-def ricci_of(geometry, v) -> float:
-    """Ric(v, v) for a tangent vector on the model geometry."""
-    if isinstance(geometry, SphereGeometry):
-        return _speed_sq(geometry, v) / geometry.r**2
-    return 0.0
 
 
 def tangency_experiment(geometry, x=None, v=1.0, t_grid=None, slope_tol=0.05) -> TangencyReport:
@@ -628,9 +595,9 @@ def tangency_experiment(geometry, x=None, v=1.0, t_grid=None, slope_tol=0.05) ->
     if np.any(ratios < 0.25) or np.any(ratios > 0.85):
         raise TangentError("t_grid should decrease geometrically (ratio about 1/2)")
     for t in ts:
-        _check_resolution(geometry, t)
+        _resolved(geometry, t)
 
-    sp2 = _speed_sq(geometry, v)
+    sp2 = float(np.sum(np.square(v)))
     gts, hms = [], []
     for t in ts:
         vp = velocity_potential(geometry, t, x, v)
@@ -643,7 +610,7 @@ def tangency_experiment(geometry, x=None, v=1.0, t_grid=None, slope_tol=0.05) ->
 
     # one Richardson level on the halving grid kills the O(t) term
     extrapolated = float(2 * slopes[-1] - slopes[-2])
-    target = -2.0 * ricci_of(geometry, v)
+    target = -2.0 * geometry.ricci(x, v)
     deviation = abs(extrapolated - target) / max(abs(target), sp2)
     bound = target * (1 - 0.05) + 0.05 * sp2
     one_sided = bool(np.all(slopes[-2:] <= bound + 1e-9))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from heatmetric import cli
+from heatmetric import cli, spaces, transport
 
 
 @pytest.fixture()
@@ -86,6 +86,24 @@ class TestTangencyCommand:
         assert text.startswith("t,g_t,slope")
         assert "extrapolated" in text
 
+    def test_torus_builds_no_space(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tangency must not build a discrete space")
+
+        monkeypatch.setattr(cli, "model_torus", refuse)
+        monkeypatch.setattr(spaces, "build_space", refuse)
+        out = tmp_path / "tantor"
+        code = cli.run(["tangency", "--geometry", "torus", "--n1", "64", "--n2", "64",
+                        "--v=0.6,0.8", "--tmax", "0.4", "--tmin", "0.1", "--out", str(out)])
+        assert code == 0
+        assert (out / "tangency.csv").exists()
+
+    def test_invalid_grid_exits_2(self, tmp_path, capsys):
+        code = cli.run(["tangency", "--geometry", "circle", "--n", "4",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert "circle grid needs n >= 8" in capsys.readouterr().err
+
     def test_sphere_exit_zero_within_tolerance(self, tmp_path):
         out = tmp_path / "tansph"
         code = cli.run(["tangency", "--geometry", "sphere", "--r", "1",
@@ -138,3 +156,15 @@ class TestOtherCommands:
         assert code == 0
         summary = json.loads((out / "selftest_summary.json").read_text())
         assert all(c["pass"] for c in summary["checks"])
+
+    def test_selftest_sinkhorn_failure_is_a_failed_check(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise transport.SinkhornNonConvergence("marginal violation 1e-3 after 4000 iterations")
+
+        monkeypatch.setattr(transport, "w2_sinkhorn", diverge)
+        out = tmp_path / "self"
+        code = cli.run(["selftest", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        checks = json.loads((out / "selftest_summary.json").read_text())["checks"]
+        failed = [c["name"] for c in checks if not c["pass"]]
+        assert failed == ["sinkhorn_vs_exact"]

@@ -201,6 +201,21 @@ class TestMetricGt:
             assert hm.metric_gt(sph, t, v=1.0) <= np.exp(-2 * t) * (1 + 1e-6)
 
 
+class TestPeriodicGrid:
+    def test_torus_axis_reproduces_circle(self):
+        # the circle is the one-axis case of the periodic grid: a torus
+        # tangent (v, 0) solves the same problem on every slice of axis 2
+        circle = hm.CircleGeometry(L=2 * np.pi, n=64)
+        torus = hm.TorusGeometry(L1=2 * np.pi, L2=1.0, n1=64, n2=16)
+        for t in (0.2, 0.1):
+            g_c = hm.metric_gt(circle, t, v=0.7)
+            g_t = hm.metric_gt(torus, t, v=(0.7, 0.0))
+            assert abs(g_t - g_c) <= 1e-12 * abs(g_c)
+            m_c = hm.squared_hessian_mass(circle, t, v=0.7)
+            m_t = hm.squared_hessian_mass(torus, t, v=(0.7, 0.0))
+            assert abs(m_t - m_c) <= 1e-12 * abs(m_c)
+
+
 class TestTangentPlan:
     def test_mass_and_moment_circle(self):
         plan = hm.tangent_plan(CIRCLE, 0.2, x=0.0, v=1.0)
