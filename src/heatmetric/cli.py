@@ -13,7 +13,8 @@ inputs and CSV/JSON outputs:
 Matrices are written as CSV (row-major, header row of point ids), check
 records as CSV lines (name, t, value, bound, pass), and every run emits a
 JSON summary {command, config, checks, wall_time_seconds}. Exit code 0 iff
-all enabled assertions pass, 1 on assertion failure, 2 on input error.
+all enabled assertions pass, 1 on assertion failure or an uncertified
+transport solve, 2 on input error.
 All tolerances default to the library's documented values and are echoed
 into the summary; there is no unseeded randomness anywhere (the one random
 fixture, the 16-point Sinkhorn comparison, takes --seed).
@@ -475,15 +476,19 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         checks, files = COMMANDS[args.command](args, out)
+    except transport_mod.SolverFailure as exc:
+        # valid input the solver could not certify: a failed run, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (InputError, SpaceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     summary = {
         "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "command"},

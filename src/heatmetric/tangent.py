@@ -31,7 +31,7 @@ sin(theta) flux factor vanishes at both poles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -364,22 +364,7 @@ class _SphereMode:
         raise TangentError("energy gradient check is defined on periodic grids")
 
     def profiles(self, t):
-        """Kernel profile K(theta), its theta-derivative, and exact cell masses.
-
-        At small t the kernel is exponentially small near the antipode, below
-        the roundoff noise of the Legendre series; the profile is floored at
-        max(K) * 1e-13 so the solver density stays positive and well scaled.
-        The floored region carries a mass fraction below 1e-13, negligible in
-        every quadrature.
-        """
-        geometry = self.geometry
-        c = sphere_kernel_coefficients(t, geometry.r, geometry.l_max)
-        theta = geometry.nodes()
-        P, dP = legendre_table_with_derivative(geometry.l_max, np.cos(theta))
-        K = c @ P
-        K = np.maximum(K, K.max() * 1e-13)
-        dK = c @ (-np.sin(theta) * dP)
-        return K, dK, geometry.zone_integrals(c)
+        return _sphere_profiles(self.geometry, t)
 
     def potential(self, t, x, v):
         # G(theta) = |v| K'(theta) / r, sign fixed by finite-difference
@@ -417,6 +402,29 @@ class _SphereMode:
         hess2_avg = 0.5 * (H11**2 + 2 * H12**2 + H22**2)
         _, _, masses = self.profiles(t)
         return float(masses @ hess2_avg)
+
+
+@lru_cache(maxsize=32)
+def _sphere_profiles(geometry, t):
+    """Kernel profile K(theta), its theta-derivative, and exact cell masses,
+    computed once per (sphere, t) for the potential, the plan and the Hessian.
+
+    At small t the kernel is exponentially small near the antipode, below
+    the roundoff noise of the Legendre series; the profile is floored at
+    max(K) * 1e-13 so the solver density stays positive and well scaled.
+    The floored region carries a mass fraction below 1e-13, negligible in
+    every quadrature.
+    """
+    c = sphere_kernel_coefficients(t, geometry.r, geometry.l_max)
+    theta = geometry.nodes()
+    P, dP = legendre_table_with_derivative(geometry.l_max, np.cos(theta))
+    K = c @ P
+    K = np.maximum(K, K.max() * 1e-13)
+    dK = c @ (-np.sin(theta) * dP)
+    out = (K, dK, geometry.zone_integrals(c))
+    for arr in out:  # shared by every caller at this (geometry, t)
+        arr.flags.writeable = False
+    return out
 
 
 def _discretization(geometry):

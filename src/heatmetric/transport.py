@@ -1,11 +1,26 @@
 """Quadratic optimal transport on finite spaces.
 
-The exact solver formulates the transportation problem as a linear program
-over the complete bipartite coupling polytope and hands it to HiGHS, whose
-equality-constraint duals are turned into Kantorovich potentials for the
-halved-cost convention phi(x) + phi^c(y) <= d^2(x, y)/2. Every solve returns
-a duality-gap certificate; potentials are always made c-concave by one extra
-c-transform pass. Primal objective uses d^2 (so value = W_2), duals use d^2/2.
+w2_exact takes its optimal plan from one of two sources and certifies both
+in the same way.
+
+* On the metric of an equispaced circle, dist[i, j] = h min(|i - j|,
+  n - |i - j|) within 1e-12 n h for n >= 3 (a model_circle grid, or any
+  space that happens to be such a cycle), transport is a 1-D problem over
+  one mass shift theta between the unrolled quantile functions (Delon,
+  Salomon & Sobolevski 2010; Rabin, Delon & Gousseau 2011). Bisection on
+  the sign of the lifted cost's slope finds the optimal shift, and one walk
+  over the masses builds the periodic quantile coupling and its potentials,
+  instead of an LP with n^2 variables.
+* Every other metric goes to HiGHS as a linear program over the complete
+  bipartite coupling polytope, whose equality-constraint duals become the
+  potentials.
+
+Either way, the value comes from the plan on the given dist, and the
+potentials, for the halved-cost convention phi(x) + phi^c(y) <= d^2(x, y)/2,
+are extended off the support and made c-concave by a double c-transform.
+Every solve returns a duality-gap certificate; a solve whose gap leaves the
+window raises SolverFailure. Primal objective uses d^2 (so value = W_2),
+duals use d^2/2.
 
 Values are unique; plans need not be. The LP pivot order is HiGHS's
 deterministic default (not lowest-index), and w2_exact canonicalizes its
@@ -14,6 +29,7 @@ argument order internally so that w2(mu, nu) == w2(nu, mu) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -34,10 +50,17 @@ __all__ = [
 
 MASS_TOL = 1e-9
 GAP_TOL = 1e-8
+# quantile levels closer than this fraction of the mass coincide on circles
+_LEVEL_TOL = 1e-13
 
 
 class TransportError(ValueError):
     """Invalid optimal-transport input."""
+
+
+class SolverFailure(TransportError):
+    """The solver ran on valid input but returned no certified optimum: the
+    LP failed, or the duality gap left the certificate window."""
 
 
 class SinkhornNonConvergence(RuntimeError):
@@ -92,6 +115,8 @@ def _validate_pair(mu, nu):
         raise TransportError("marginals must be vectors on the same space")
     if np.any(mu < 0) or np.any(nu < 0):
         raise TransportError("negative masses")
+    if not (mu.sum() > 0 and nu.sum() > 0):
+        raise TransportError("marginals carry no mass")
     if abs(mu.sum() - nu.sum()) > MASS_TOL:
         raise TransportError(
             f"marginal mass mismatch {abs(mu.sum() - nu.sum()):.2e} > {MASS_TOL}"
@@ -99,21 +124,157 @@ def _validate_pair(mu, nu):
     return mu, nu
 
 
-def _solve_lp(mu, nu, cost):
-    n, m = len(mu), len(nu)
-    A = vstack([
+@lru_cache(maxsize=8)
+def _marginal_constraints(n, m):
+    """Row-sum and column-sum equality matrix of an n x m coupling."""
+    return vstack([
         kron(eye(n, format="csr"), np.ones((1, m))),
         kron(np.ones((1, n)), eye(m, format="csr")),
     ]).tocsr()
+
+
+def _solve_lp(mu, nu, cost):
+    """Coupling LP on the supports: plan and potentials phi on mu's atoms."""
+    n, m = len(mu), len(nu)
     res = linprog(
-        cost.ravel(), A_eq=A, b_eq=np.concatenate([mu, nu]),
+        cost.ravel(), A_eq=_marginal_constraints(n, m), b_eq=np.concatenate([mu, nu]),
         bounds=(0, None), method="highs",
     )
     if res.status != 0:  # pragma: no cover
-        raise TransportError(f"LP solver failed: {res.message}")
-    gamma = res.x.reshape(n, m)
-    duals = res.eqlin.marginals
-    return gamma, duals[:n], duals[n:]
+        raise SolverFailure(f"LP solver failed: {res.message}")
+    # duals for cost d^2 -> potentials for cost d^2/2
+    return res.x.reshape(n, m), 0.5 * res.eqlin.marginals[:n]
+
+
+def _circle_spacing(dist):
+    """Grid step h when dist is the metric of an equispaced circle,
+    dist[i, j] = h min(|i - j|, n - |i - j|) within 1e-12 n h for n >= 3;
+    otherwise None."""
+    n = len(dist)
+    if n < 3 or not dist[0, 1] > 0:
+        return None
+    h = float(dist[0, 1])
+    off = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    dev = np.abs(dist - h * np.minimum(off, n - off)).max()
+    return h if dev <= 1e-12 * n * h else None
+
+
+def _solve_circle(p, a, q, b, n):
+    """Optimal plan between masses a at grid positions p and b at q (both
+    ascending) on the n-point equispaced circle, with potentials phi on p in
+    grid units (cost (i - j)^2 / 2).
+
+    Unrolled onto the line, the quantile functions satisfy X(u + M) =
+    X(u) + n, and the lifted cost C(theta) = int_0^M (X(u) - Y(u + theta))^2 du
+    is convex and piecewise linear in the mass shift theta; its minimum is
+    W_2^2 (Delon, Salomon & Sobolevski 2010). The slope of C is a sum of
+    one integer term per nu level, so bisection on its sign finds a minimising
+    breakpoint, where a nu level meets a mu level. Cutting both measures at
+    that corner leaves a 1-D monotone coupling, built by a walk over the
+    remaining masses so that tail masses keep their relative precision.
+    """
+    A, B = len(p), len(q)
+    b = b * (a.sum() / b.sum())  # one period M for both level sets
+    F, G = np.cumsum(a), np.cumsum(b)
+    M = F[-1]
+    tol = _LEVEL_TOL * M
+    gap = np.diff(q, append=q[0] + n)  # grid steps from nu atom l to l + 1
+    pair = 2 * q + gap                 # y_l + y_{l+1}
+
+    def atoms_under(theta):
+        # lifted index of the mu atom holding each nu level, G_l - theta
+        u = G - theta
+        lap = np.ceil(u / M) - 1
+        k = np.minimum(np.searchsorted(F, u - lap * M), A - 1)
+        return k + A * lap.astype(np.int64)
+
+    def slope(S):
+        # moving theta moves every nu level's jump y_l -> y_{l+1} past the
+        # mu atom under it
+        return int(gap @ (pair - 2 * (p[S % A] + n * (S // A))))
+
+    lo, hi = -M, M
+    S_lo, S_hi = atoms_under(lo), atoms_under(hi)
+    while slope(S_lo) >= 0:
+        lo -= M
+        S_lo = atoms_under(lo)
+    while slope(S_hi) < 0:
+        hi += M
+        S_hi = atoms_under(hi)
+    while hi - lo > tol:
+        moved = np.flatnonzero(S_lo != S_hi)
+        if (S_lo[moved] - S_hi[moved]).max() == 1:
+            # every level still crossing in (lo, hi) meets a mu level at the
+            # same shift, up to rounding: that shift is the breakpoint
+            top = S_hi[moved]
+            cross = G[moved] - F[top % A] - M * (top // A)
+            if cross.max() - cross.min() <= tol:
+                break
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        S = atoms_under(mid)
+        if slope(S) < 0:
+            lo, S_lo = mid, S
+        else:
+            hi, S_hi = mid, S
+    # the corner: nu level l0 crosses the top of mu atom S_hi[l0]
+    l0 = int(np.flatnonzero(S_lo != S_hi)[0])
+    s0, t0 = int(S_hi[l0]) + 1, l0 + 1
+
+    # monotone coupling from the corner, one lap of each measure; a tie
+    # leaves a zero-mass segment, which the potentials skip like any other
+    # segment below the level tolerance
+    aw, bw = np.roll(a, -s0).tolist() + [0.0], np.roll(b, -t0).tolist() + [0.0]
+    seg_i, seg_j, seg_m = [], [], []
+    i = j = 0
+    ar, br = aw[0], bw[0]
+    while i < A and j < B:
+        seg_i.append(i)
+        seg_j.append(j)
+        if ar <= br:
+            seg_m.append(ar)
+            br -= ar
+            i += 1
+            ar = aw[i]
+        else:
+            seg_m.append(br)
+            ar -= br
+            j += 1
+            br = bw[j]
+    seg_i, seg_j, seg_m = np.array(seg_i), np.array(seg_j), np.array(seg_m)
+    gamma = np.zeros((A, B))
+    gamma[(s0 + seg_i) % A, (t0 + seg_j) % B] = seg_m
+
+    # Potentials along the staircase of segments wider than the level
+    # tolerance, closed by the wrap to the first segment one lap on. A step
+    # that changes one atom fixes the next potential. A corner, where both
+    # change (the cut, and every level pair that coincides within rounding),
+    # admits a slack in [0, dx dy]; the slacks absorb the closure, which lies
+    # in [0, sum dx dy] exactly when theta is optimal.
+    main = np.flatnonzero(seg_m > tol)
+    mi = np.append(seg_i[main], seg_i[main[0]] + A)
+    mj = np.append(seg_j[main], seg_j[main[0]] + B)
+    X = (p[(s0 + mi) % A] + n * ((s0 + mi) // A)).tolist()
+    Y = (q[(t0 + mj) % B] + n * ((t0 + mj) // B)).tolist()
+    phi = [0.0] * len(X)
+    psi = 0.5 * (X[0] - Y[0]) ** 2
+    corner = [0.0] * len(X)
+    for k in range(1, len(X)):
+        if Y[k] == Y[k - 1]:
+            phi[k] = 0.5 * (X[k] - Y[k]) ** 2 - psi
+        elif X[k] == X[k - 1]:
+            phi[k] = phi[k - 1]
+            psi = 0.5 * (X[k] - Y[k]) ** 2 - phi[k]
+        else:
+            phi[k] = 0.5 * (X[k] - Y[k - 1]) ** 2 - psi
+            psi = 0.5 * (X[k] - Y[k]) ** 2 - phi[k]
+            corner[k] = (X[k] - X[k - 1]) * (Y[k] - Y[k - 1])
+    slack = np.cumsum(corner)
+    phi = np.array(phi) - slack * min(max(phi[-1] / slack[-1], 0.0), 1.0)
+    phi_atoms = np.full(A, -np.inf)
+    phi_atoms[(s0 + mi[:-1]) % A] = phi[:-1]
+    return gamma, phi_atoms
 
 
 def w2_exact(mu, nu, dist) -> W2Result:
@@ -134,7 +295,8 @@ def w2_exact(mu, nu, dist) -> W2Result:
         value^2/2 - (<phi, mu> + <phi_c, nu>) <= 1e-8.
 
     Zero-mass points are dropped before the solve and reinserted as zero
-    rows/columns of the plan.
+    rows/columns of the plan. On the metric of an equispaced circle the plan
+    comes from the periodic quantile coupling, otherwise from the LP.
     """
     mu, nu = _validate_pair(mu, nu)
     dist = np.asarray(dist, dtype=float)
@@ -154,25 +316,29 @@ def w2_exact(mu, nu, dist) -> W2Result:
 
     smu = np.flatnonzero(mu > 0)
     snu = np.flatnonzero(nu > 0)
-    sub_cost = dist[np.ix_(smu, snu)] ** 2
-    gamma_s, u_s, v_s = _solve_lp(mu[smu], nu[snu], sub_cost)
+    h = _circle_spacing(dist)
+    if h is None:
+        gamma_s, phi_s = _solve_lp(mu[smu], nu[snu], dist[np.ix_(smu, snu)] ** 2)
+    else:
+        gamma_s, phi_s = _solve_circle(smu, mu[smu], snu, nu[snu], n)
+        phi_s = h * h * phi_s
 
     gamma = np.zeros((n, n))
     gamma[np.ix_(smu, snu)] = gamma_s
     value = float(np.sqrt(max((dist**2 * gamma).sum(), 0.0)))
 
-    # duals for cost d^2 -> potentials for cost d^2/2, extended off-support
-    # conservatively, then made c-concave (phi^cc, phi^c); feasibility and the
-    # gap bound are structural from the c-transform definition.
+    # potentials extended off-support conservatively, then made c-concave
+    # (phi^cc, phi^c); feasibility and the gap bound are structural from the
+    # c-transform definition.
     phi = np.full(n, -np.inf)
-    phi[smu] = 0.5 * u_s
+    phi[smu] = phi_s
     phi_c = c_transform(phi, dist)
     phi = c_transform(phi_c, dist.T)
     potentials = DualPotentials(phi=phi, phi_c=phi_c)
 
     gap = 0.5 * value**2 - (phi @ mu + phi_c @ nu)
     if not (-1e-7 <= gap <= GAP_TOL):  # pragma: no cover
-        raise TransportError(f"optimality certificate failed: gap {gap:.3e}")
+        raise SolverFailure(f"optimality certificate failed: gap {gap:.3e}")
     return W2Result(value, TransportPlan(gamma, mu, nu), potentials)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from heatmetric import cli, spaces, transport
+from heatmetric import cli, flow, spaces, transport
 
 
 @pytest.fixture()
@@ -66,6 +66,30 @@ class TestFlowCommand:
         code = cli.run(["flow", "--space", str(bad), "--times", "0.1",
                         "--out", str(tmp_path)])
         assert code == 2
+
+    def test_solver_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        cycle = tmp_path / "cycle.json"
+        cycle.write_text(json.dumps({
+            "points": 4,
+            "edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 3, 1.0], [3, 0, 1.5]],
+            "measure": [1.0, 2.0, 1.0, 1.0],
+        }))
+
+        def uncertified(*args, **kwargs):
+            raise transport.SolverFailure("optimality certificate failed: gap -1.733e-07")
+
+        monkeypatch.setattr(flow, "w2_exact", uncertified)
+        code = cli.run(["flow", "--space", str(cycle), "--times", "0.1",
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "optimality certificate failed: gap -1.733e-07" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, pair", [(128, "3:126"), (256, "60:65")])
+    def test_short_circle_offsets_certify(self, tmp_path, n, pair):
+        # both once failed the certificate with the LP (tiny tail masses)
+        code = cli.run(["flow", "--geometry", "circle", "--n", str(n), "--times", "0.1",
+                        "--pairs", pair, "--out", str(tmp_path)])
+        assert code == 0
 
     def test_pair_list_mode(self, tmp_path):
         out = tmp_path / "pairs"
@@ -144,6 +168,15 @@ class TestOtherCommands:
                         "--probes", "0:0.5", "--out", str(out)])
         assert code == 0
         assert (out / "refine.csv").exists()
+
+    def test_refine_to_512(self, tmp_path):
+        code = cli.run(["refine", "--grids", "64,128,256,512", "--t", "0.1",
+                        "--probes", "0:0.5", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "refine.csv").read_text().splitlines()
+        header, values = rows[0].split(","), rows[1].split(",")
+        orders = [float(v) for h, v in zip(header, values) if h.startswith("order")]
+        assert min(orders) >= 1.0
 
     def test_refine_bad_probe(self, tmp_path):
         code = cli.run(["refine", "--grids", "16,32", "--probes", "0:0.3333333",

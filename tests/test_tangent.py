@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import heatmetric as hm
+from heatmetric import tangent
 from heatmetric.heat import circle_kernel, sphere_kernel
 
 
@@ -332,6 +333,22 @@ class TestTangencyExperiment:
         assert rep.deviation <= 0.05
         assert rep.one_sided_ok
         assert rep.target == -2.0
+
+    def test_sphere_profiles_once_per_time(self, monkeypatch):
+        # the potential, the plan and the Hessian share one Legendre table per t
+        calls = []
+        table = tangent.legendre_table_with_derivative
+
+        def counted(*args):
+            calls.append(args[0])
+            return table(*args)
+
+        monkeypatch.setattr(tangent, "legendre_table_with_derivative", counted)
+        sph = hm.model_sphere(1.0, 128, 60)
+        grid = [0.4, 0.2, 0.1]
+        tangent._sphere_profiles.cache_clear()
+        hm.tangency_experiment(sph, v=1.0, t_grid=grid)
+        assert len(calls) == len(grid)
 
     def test_grid_validation(self):
         with pytest.raises(hm.TangentError):

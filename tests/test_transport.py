@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 import heatmetric as hm
+from heatmetric import transport
 
 
 def permutation_oracle(units_mu, units_nu, dist):
@@ -20,6 +24,40 @@ def permutation_oracle(units_mu, units_nu, dist):
 
 
 PATH3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+
+
+def lp_oracle(mu, nu, dist):
+    """Independent oracle: the coupling LP on the supports, solved by HiGHS
+    with primal and dual feasibility tolerances 1e-10. Presolve is off: with
+    it, HiGHS declares some instances whose masses span 1e-12..1 infeasible."""
+    sm, sn = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+    a, b = len(sm), len(sn)
+    rows = np.concatenate([np.repeat(np.arange(a), b), a + np.tile(np.arange(b), a)])
+    cols = np.tile(np.arange(a * b), 2)
+    A = sp.csr_matrix((np.ones(2 * a * b), (rows, cols)), shape=(a + b, a * b))
+    res = linprog((dist[np.ix_(sm, sn)] ** 2).ravel(), A_eq=A,
+                  b_eq=np.concatenate([mu[sm], nu[sn]]), bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10, "presolve": False})
+    assert res.status == 0, res.message
+    return np.sqrt(max(res.fun, 0.0))
+
+
+def assert_certified(res, mu, nu, dist, gap_tol=1e-10, marginal_tol=1e-12):
+    gap = hm.dual_gap(mu, nu, res.value, res.potentials, dist=dist)
+    assert abs(gap) <= gap_tol
+    assert res.plan.marginal_violation() <= marginal_tol
+    assert res.plan.gamma.min() >= 0
+
+
+def circle_dist(n, L=1.0):
+    return hm.model_circle(L, n)[1].dist
+
+
+def heat_rows(n, t, offsets):
+    _, space = hm.model_circle(2 * np.pi, n)
+    hs = hm.spectral_decompose(space)
+    return space.dist, [hm.heat.heat_measure_from_point(hs, t, k) for k in offsets]
 
 
 class TestW2Exact:
@@ -66,6 +104,12 @@ class TestW2Exact:
     def test_negative_mass(self):
         with pytest.raises(hm.TransportError):
             hm.w2_exact(np.array([-0.1, 1.1]), np.array([0.5, 0.5]), PATH3[:2, :2])
+
+    @pytest.mark.parametrize("dist", [PATH3, circle_dist(8)], ids=["lp", "circle"])
+    def test_zero_mass(self, dist):
+        zero = np.zeros(len(dist))
+        with pytest.raises(hm.TransportError):
+            hm.w2_exact(zero, zero, dist)
 
     def test_marginals_of_plan(self, rng):
         _, space = hm.model_circle(1.0, 12)
@@ -214,3 +258,132 @@ class TestSinkhorn:
         with pytest.raises(hm.SinkhornNonConvergence):
             hm.w2_sinkhorn(mu, nu, space.dist, 1e-5 * space.dist.max() ** 2,
                            max_iter=1, marginal_tol=1e-12)
+
+
+class TestCirclePath:
+    """The periodic quantile coupling taken on equispaced circle metrics,
+    checked against the HiGHS oracle and its own certificate."""
+
+    @pytest.mark.parametrize("n", [8, 16, 33])
+    def test_random_against_lp_oracle(self, n):
+        rng = np.random.default_rng(n)
+        dist = circle_dist(n)
+        for trial in range(6):
+            mu, nu = rng.random(n), rng.random(n)
+            if trial % 2:
+                mu[rng.random(n) < 0.4] = 0.0
+                nu[rng.random(n) < 0.4] = 0.0
+                mu[0] += 0.1
+                nu[n // 2] += 0.1
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+            res = hm.w2_exact(mu, nu, dist)
+            assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=1e-9)
+            assert_certified(res, mu, nu, dist)
+
+    @pytest.mark.parametrize("n", [8, 16, 33])
+    def test_translate(self, n):
+        rng = np.random.default_rng(100 + n)
+        dist = circle_dist(n)
+        mu = rng.random(n)
+        mu /= mu.sum()
+        for shift in (1, n // 2, n - 1):
+            nu = np.roll(mu, shift)
+            res = hm.w2_exact(mu, nu, dist)
+            assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=1e-9)
+            assert_certified(res, mu, nu, dist)
+        res = hm.w2_exact(mu, mu, dist)
+        assert res.value == 0.0
+        assert np.abs(res.plan.gamma[~np.eye(n, dtype=bool)]).max() == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([8, 16, 33]), seed=st.integers(0, 2**32 - 1),
+           zeros=st.booleans())
+    def test_masses_spanning_twelve_decades(self, n, seed, zeros):
+        # the oracle's feasibility tolerance is absolute, so it blurs masses
+        # below 1e-10 and drifts up to ~5e-9 relative here; the certificate
+        # (gap, feasibility, marginals) is the tight check
+        rng = np.random.default_rng(seed)
+        mu = 10.0 ** rng.uniform(-12, 0, n)
+        nu = 10.0 ** rng.uniform(-12, 0, n)
+        if zeros:
+            mu[rng.random(n) < 0.3] = 0.0
+            nu[rng.random(n) < 0.3] = 0.0
+            mu[rng.integers(n)] += 0.5
+            nu[rng.integers(n)] += 0.5
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        dist = circle_dist(n)
+        res = hm.w2_exact(mu, nu, dist)
+        assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=2e-8)
+        assert_certified(res, mu, nu, dist)
+
+    def test_mass_mismatch_within_tolerance(self):
+        # totals may differ by MASS_TOL; both level sets must share one period
+        rng = np.random.default_rng(11)
+        for n in (8, 16, 33):
+            dist = circle_dist(n)
+            for excess in (9e-10, -9e-10):
+                mu, nu = rng.random(n), rng.random(n)
+                mu, nu = mu / mu.sum(), nu / nu.sum() * (1 + excess)
+                res = hm.w2_exact(mu, nu, dist)
+                assert_certified(res, mu, nu, dist, marginal_tol=1e-9)
+                same_total = nu * (mu.sum() / nu.sum())
+                assert_allclose(res.value, lp_oracle(mu, same_total, dist), rtol=1e-8)
+
+    def test_heat_offsets_n64_against_oracle(self):
+        dist, rows = heat_rows(64, 0.1, range(33))
+        for k in range(1, 33):
+            res = hm.w2_exact(rows[0], rows[k], dist)
+            assert_allclose(res.value, lp_oracle(rows[0], rows[k], dist), rtol=1e-9)
+            assert_certified(res, rows[0], rows[k], dist)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_heat_offsets_certified(self, n):
+        dist, rows = heat_rows(n, 0.1, range(n // 2 + 1))
+        for k in range(1, n // 2 + 1):
+            res = hm.w2_exact(rows[0], rows[k], dist)
+            assert_certified(res, rows[0], rows[k], dist)
+            if n == 128 and k in (3, 40, 64):
+                assert_allclose(res.value, lp_oracle(rows[0], rows[k], dist), rtol=1e-9)
+
+    def test_value_symmetry_exact(self):
+        dist, rows = heat_rows(64, 0.1, [0, 5, 32])
+        rng = np.random.default_rng(7)
+        pairs = [(rows[0], rows[1]), (rows[1], rows[2])]
+        for _ in range(4):
+            a, b = rng.random(64), rng.random(64)
+            pairs.append((a / a.sum(), b / b.sum()))
+        for mu, nu in pairs:
+            assert hm.w2_exact(mu, nu, dist).value == hm.w2_exact(nu, mu, dist).value
+
+    def test_circle_metric_never_reaches_the_lp(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("LP called on a circle metric")
+
+        monkeypatch.setattr(transport, "_solve_lp", refuse)
+        dist, rows = heat_rows(64, 0.1, [0, 9])
+        hm.w2_exact(rows[0], rows[1], dist)
+        triangle = np.ones((3, 3)) - np.eye(3)  # the 3-point circle
+        res = hm.w2_exact(np.full(3, 1 / 3), np.array([0.5, 0.5, 0.0]), triangle)
+        assert_allclose(res.value, np.sqrt(1 / 3), rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["sub_circle", "uneven_cycle", "torus"])
+    def test_other_metrics_take_the_lp(self, case, monkeypatch):
+        if case == "sub_circle":
+            dist = circle_dist(8)[:6, :6].copy()
+        elif case == "uneven_cycle":
+            lengths = [1.0, 1.0, 1.0, 1.0, 1.0, 1.5]
+            edges = [(i, (i + 1) % 6, ell) for i, ell in enumerate(lengths)]
+            dist = hm.build_space(6, edges, np.ones(6)).dist
+        else:
+            dist = hm.model_torus(2 * np.pi, 2 * np.pi, 8, 8)[1].dist
+
+        def refuse(*args):
+            raise AssertionError("circle path taken on a metric that is not a circle")
+
+        monkeypatch.setattr(transport, "_solve_circle", refuse)
+        rng = np.random.default_rng(3)
+        n = len(dist)
+        mu, nu = rng.random(n) + 0.05, rng.random(n) + 0.05
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        res = hm.w2_exact(mu, nu, dist)
+        assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=1e-6)
