@@ -10,11 +10,13 @@ inputs and CSV/JSON outputs:
     heatmetric refine      --L 6.2831853 --t 0.1 --grids 64,128,256,512 --probes 0:0.5
     heatmetric selftest    --seed 0
 
-Matrices are written as CSV (row-major, header row of point ids), check
-records as CSV lines (name, t, value, bound, pass), and every run emits a
-JSON summary {command, config, checks, wall_time_seconds}. Exit code 0 iff
-all enabled assertions pass, 1 on assertion failure or an uncertified
-transport solve, 2 on input error.
+Subcommands return their checks and tables {file name: (header, rows)}.
+Only a run that succeeds writes them, with <command>_checks.csv (name, t,
+value, bound, pass) and a JSON summary {command, config, checks,
+wall_time_seconds}, through one CSV writer (floats as %.17g, exact when read
+back; matrices row-major under a header of point ids). Exit code 0 iff all
+enabled assertions pass, 1 on assertion failure or an uncertified transport
+solve, 2 on input error.
 All tolerances default to the library's documented values and are echoed
 into the summary; there is no unseeded randomness anywhere (the one random
 fixture, the 16-point Sinkhorn comparison, takes --seed).
@@ -55,22 +57,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_matrix_csv(path, mat):
-    mat = np.asarray(mat)
+def write_csv(path, header, rows):
+    """One CSV table; every cell, header included, goes through _fmt."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow([str(i) for i in range(mat.shape[1])])
-        for row in mat:
+        for row in [header, *rows]:
             w.writerow([_fmt(v) for v in row])
-
-
-def write_checks_csv(path, checks):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "t", "value", "bound", "pass"])
-        for c in checks:
-            w.writerow([c["name"], _fmt(c.get("t", "")), _fmt(c["value"]),
-                        _fmt(c["bound"]), _fmt(c["pass"])])
 
 
 def check(name, value, bound, ok, t=None):
@@ -97,11 +89,19 @@ def load_space(path):
         raise InputError(f"malformed space file {path}: {exc}") from exc
 
 
+def parse_list(text, convert, what):
+    """Comma-separated values through convert; empty items are skipped."""
+    items = []
+    for token in filter(None, text.split(",")):
+        try:
+            items.append(convert(token))
+        except ValueError as exc:
+            raise InputError(f"bad {what} {token!r}") from exc
+    return items
+
+
 def parse_times(text):
-    try:
-        times = [float(s) for s in text.split(",") if s != ""]
-    except ValueError as exc:
-        raise InputError(f"bad time list {text!r}") from exc
+    times = parse_list(text, float, "time")
     if not times or any(t < 0 for t in times):
         raise InputError("times must be >= 0")
     if sorted(times) != times:
@@ -109,16 +109,12 @@ def parse_times(text):
     return times
 
 
-def parse_pairs(text):
-    pairs = []
-    for token in text.split(","):
-        if not token:
-            continue
-        try:
-            a, b = token.split(":")
-            pairs.append((int(a), int(b)))
-        except ValueError as exc:
-            raise InputError(f"bad pair {token!r} (expected i:j)") from exc
+def parse_pairs(text, convert=int):
+    def pair(token):
+        a, b = token.split(":")
+        return convert(a), convert(b)
+
+    pairs = parse_list(text, pair, "i:j pair")
     if not pairs:
         raise InputError("empty pair list")
     return pairs
@@ -157,33 +153,27 @@ def resolve_input(args):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_flow(args, out: Path):
+def cmd_flow(args):
     space, geom = resolve_input(args)
     if space is None:
         raise InputError("the flow subcommand needs a discrete space or grid geometry")
     times = parse_times(args.times)
     hs = heat_mod.spectral_decompose(space)
-    checks, files = [], []
+    checks, tables = [], {}
     pairs = parse_pairs(args.pairs) if args.pairs else None
     for t in times:
         tag = format(t, ".10g").replace(".", "p").replace("-", "m")
         if pairs is not None:
             vals = flow_mod.dtilde_pairs(space, hs, t, pairs)
-            path = out / f"dtilde_pairs_{tag}.csv"
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["x", "y", "dtilde"])
-                for (x, y), v in zip(pairs, vals):
-                    w.writerow([x, y, _fmt(v)])
-            files.append(path)
+            tables[f"dtilde_pairs_{tag}.csv"] = (
+                ["x", "y", "dtilde"], [(x, y, v) for (x, y), v in zip(pairs, vals)])
             continue
         if space.n > args.cap:
             raise InputError(f"full matrices capped at n={args.cap}; pass --pairs")
         fm = flow_mod.flow_matrices(space, hs, t, cap=args.cap)
-        p1, p2 = out / f"dtilde_{tag}.csv", out / f"dt_{tag}.csv"
-        write_matrix_csv(p1, fm.dtilde)
-        write_matrix_csv(p2, fm.dt)
-        files += [p1, p2]
+        ids = range(space.n)
+        tables[f"dtilde_{tag}.csv"] = (ids, fm.dtilde)
+        tables[f"dt_{tag}.csv"] = (ids, fm.dt)
         viol = fm.max_axiom_violation()
         checks.append(check("flow_axioms", viol, args.tol, viol <= args.tol, t=t))
         if t > 0:
@@ -198,10 +188,10 @@ def cmd_flow(args, out: Path):
             excess = float((fm.dt - np.exp(-space.K * t) * space.dist).max())
             checks.append(check("dt_below_scaled_original", excess, args.tol,
                                 excess <= args.tol, t=t))
-    return checks, files
+    return checks, tables
 
 
-def cmd_tangency(args, out: Path):
+def cmd_tangency(args):
     if args.geometry is None:
         raise InputError("tangency needs --geometry")
     geom = build_geometry(args)
@@ -219,23 +209,17 @@ def cmd_tangency(args, out: Path):
         v = (float(v), 0.0)
     report = tangent_mod.tangency_experiment(geom, x=None, v=v, t_grid=t_grid,
                                              slope_tol=args.tol)
-    path = out / "tangency.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "g_t", "slope", "hessian_mass", "target", "deviation", "pass"])
-        for row in report.rows():
-            w.writerow([_fmt(row[k]) for k in
-                        ("t", "g_t", "slope", "hessian_mass", "target", "deviation")] + [""])
-        w.writerow(["extrapolated", _fmt(report.extrapolated_slope), "", "",
-                    _fmt(report.target), _fmt(report.deviation),
-                    _fmt(report.passed(args.tol))])
+    columns = ("t", "g_t", "slope", "hessian_mass", "target", "deviation")
+    rows = [[row[k] for k in columns] + [""] for row in report.rows()]
+    rows.append(["extrapolated", report.extrapolated_slope, "", "", report.target,
+                 report.deviation, report.passed(args.tol)])
     checks = [
         check("tangency_slope", report.extrapolated_slope, report.target,
               report.deviation <= args.tol),
         check("tangency_one_sided", 1.0 if report.one_sided_ok else 0.0, 1.0,
               report.one_sided_ok),
     ]
-    return checks, [path]
+    return checks, {"tangency.csv": (columns + ("pass",), rows)}
 
 
 def _zonal_pairs(geom, widths):
@@ -246,11 +230,11 @@ def _zonal_pairs(geom, widths):
     return pairs
 
 
-def cmd_contraction(args, out: Path):
+def cmd_contraction(args):
     space, geom = resolve_input(args)
     times = parse_times(args.times)
     if isinstance(geom, SphereGeometry):
-        widths = [float(s) for s in args.widths.split(",") if s]
+        widths = parse_list(args.widths, float, "width")
         report = flow_mod.sphere_contraction_report(geom, times, _zonal_pairs(geom, widths),
                                                     rel_tol=args.tol)
     else:
@@ -265,74 +249,52 @@ def cmd_contraction(args, out: Path):
         if K is None:
             raise InputError("contraction needs K (declare in the space file or pass --K)")
         report = flow_mod.contraction_report(space, hs, times, pairs, K=K, rel_tol=args.tol)
-    path = out / "contraction.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pair", "t", "w2_initial", "w2_evolved", "ratio", "bound", "pass"])
-        for r in report.records:
-            w.writerow([f"{r.pair[0]}|{r.pair[1]}", _fmt(r.t), _fmt(r.w2_initial),
-                        _fmt(r.w2_evolved), _fmt(r.ratio), _fmt(r.bound),
-                        _fmt(r.excess <= args.tol)])
+    rows = [(f"{r.pair[0]}|{r.pair[1]}", r.t, r.w2_initial, r.w2_evolved, r.ratio, r.bound,
+             r.excess <= args.tol) for r in report.records]
     checks = [check("contraction_max_excess", report.max_excess, args.tol,
                     report.passed())]
-    return checks, [path]
+    return checks, {"contraction.csv": (
+        ["pair", "t", "w2_initial", "w2_evolved", "ratio", "bound", "pass"], rows)}
 
 
-def cmd_continuity(args, out: Path):
+def cmd_continuity(args):
     space, geom = resolve_input(args)
     if space is None:
         raise InputError("continuity runs on a discrete space or grid geometry")
-    deltas = [float(s) for s in args.deltas.split(",") if s]
+    deltas = parse_list(args.deltas, float, "delta")
     if any(d < 0 for d in deltas):
         raise InputError("deltas must be >= 0")
     hs = heat_mod.spectral_decompose(space)
     K = args.K if args.K is not None else space.K
     report = flow_mod.time_continuity_report(space, hs, args.t, deltas, K=K, cap=args.cap)
-    path = out / "continuity.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["delta", "sup_difference"])
-        for d, s in zip(report.deltas, report.sup_differences):
-            w.writerow([_fmt(d), _fmt(s)])
     checks = [
         check("continuity_decreasing", 1.0 if report.decreasing else 0.0, 1.0,
               report.decreasing, t=args.t),
         check("semigroup_bound_excess", report.semigroup_excess, args.tol,
               report.semigroup_excess <= args.tol, t=args.t),
     ]
-    return checks, [path]
+    return checks, {"continuity.csv": (
+        ["delta", "sup_difference"], zip(report.deltas, report.sup_differences))}
 
 
-def cmd_refine(args, out: Path):
-    grids = [int(s) for s in args.grids.split(",") if s]
-    probes = []
-    for token in args.probes.split(","):
-        if not token:
-            continue
-        a, b = token.split(":")
-        probes.append((float(a), float(b)))
-    if not probes:
-        raise InputError("empty probe list")
-    try:
-        report = flow_mod.refinement_stability(args.L, args.t, grids, probes)
-    except flow_mod.FlowError as exc:
-        raise InputError(str(exc)) from exc
-    path = out / "refine.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["probe"] + [f"n{n}" for n in report.grid_sizes]
-                   + [f"diff{k}" for k in range(report.differences.shape[1])]
-                   + [f"order{k}" for k in range(report.orders.shape[1])])
-        for p, vals, diffs, orders in zip(probes, report.probe_values,
-                                          report.differences, report.orders):
-            w.writerow([f"{p[0]}:{p[1]}"] + [_fmt(v) for v in vals]
-                       + [_fmt(d) for d in diffs] + [_fmt(o) for o in orders])
+def cmd_refine(args):
+    grids = parse_list(args.grids, int, "grid size")
+    probes = parse_pairs(args.probes, float)
+    if len(grids) < 3:
+        # two grids give one difference and no convergence order
+        raise InputError("refinement needs at least three grid sizes")
+    report = flow_mod.refinement_stability(args.L, args.t, grids, probes)
+    header = (["probe"] + [f"n{n}" for n in report.grid_sizes]
+              + [f"diff{k}" for k in range(report.differences.shape[1])]
+              + [f"order{k}" for k in range(report.orders.shape[1])])
+    rows = [[f"{a}:{b}", *vals, *diffs, *orders] for (a, b), vals, diffs, orders
+            in zip(probes, report.probe_values, report.differences, report.orders)]
     checks = [check("refinement_order", report.min_order, args.order,
                     report.min_order >= args.order, t=args.t)]
-    return checks, [path]
+    return checks, {"refine.csv": (header, rows)}
 
 
-def cmd_selftest(args, out: Path):
+def cmd_selftest(args):
     checks = []
     # two-point closed form
     space2 = build_space(2, [(0, 1, 1.0)], [1.0, 1.0], K=0.0, conductances=[1.0])
@@ -387,7 +349,7 @@ def cmd_selftest(args, out: Path):
     # structure constants are unspecified)
     ratios = heat_mod.gaussian_bound_ratios(space, hs, 0.2)
     print(f"INFO gaussian envelope ratio range [{ratios.min():.3e}, {ratios.max():.3e}]")
-    return checks, []
+    return checks, {}
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +441,23 @@ def run(argv=None) -> int:
     t0 = time.perf_counter()
     out = Path(args.out)
     try:
+        checks, tables = COMMANDS[args.command](args)
+        wall = time.perf_counter() - t0
+        tables[f"{args.command}_checks.csv"] = (
+            ["name", "t", "value", "bound", "pass"],
+            [(c["name"], c.get("t", ""), c["value"], c["bound"], c["pass"]) for c in checks])
         out.mkdir(parents=True, exist_ok=True)
-        checks, files = COMMANDS[args.command](args, out)
+        for name, (header, rows) in tables.items():
+            write_csv(out / name, header, rows)
+        summary = {
+            "command": args.command,
+            "config": {k: v for k, v in sorted(vars(args).items()) if k != "command"},
+            "checks": checks,
+            "wall_time_seconds": wall,
+        }
+        with open(out / f"{args.command}_summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2, default=str)
+            fh.write("\n")
     except transport_mod.SolverFailure as exc:
         # valid input the solver could not certify: a failed run, not bad input
         print(f"error: {exc}", file=sys.stderr)
@@ -488,22 +465,11 @@ def run(argv=None) -> int:
     except (InputError, SpaceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    wall = time.perf_counter() - t0
-    summary = {
-        "command": args.command,
-        "config": {k: v for k, v in sorted(vars(args).items()) if k != "command"},
-        "checks": checks,
-        "wall_time_seconds": wall,
-    }
-    write_checks_csv(out / f"{args.command}_checks.csv", checks)
-    with open(out / f"{args.command}_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=str)
-        fh.write("\n")
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
         print(f"{status} {c['name']}: value={_fmt(c['value'])} bound={_fmt(c['bound'])}")
-    for f in files:
-        print(f"wrote {f}")
+    for name in tables:
+        print(f"wrote {out / name}")
     return 0 if all(c["pass"] for c in checks) else 1
 
 

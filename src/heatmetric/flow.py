@@ -80,9 +80,12 @@ def _triangle_violation(mat) -> float:
     return worst
 
 
-def heat_delta_measures(space, hs, t):
-    """All measures H_t(delta_x) as columns of an (n, n) array."""
-    return np.stack([heat_measure_from_point(hs, t, x) for x in range(space.n)], axis=1)
+def _point_pair(space, pair):
+    """The pair's point indices, each checked to lie in 0..n-1."""
+    x, y = pair
+    if not (0 <= x < space.n and 0 <= y < space.n):
+        raise FlowError(f"pair {x}:{y} is out of range for {space.n} points")
+    return int(x), int(y)
 
 
 def dtilde_matrix(space, hs, t, cap=FULL_MATRIX_CAP) -> np.ndarray:
@@ -98,28 +101,24 @@ def dtilde_matrix(space, hs, t, cap=FULL_MATRIX_CAP) -> np.ndarray:
         return space.dist.copy()
     if space.n > cap:
         raise FlowError(f"full dtilde matrix capped at n = {cap}; use dtilde_pairs")
-    measures = heat_delta_measures(space, hs, t)
+    upper = np.triu_indices(space.n, 1)
     out = np.zeros((space.n, space.n))
-    for x in range(space.n):
-        for y in range(x + 1, space.n):
-            val = w2_exact(measures[:, x], measures[:, y], space.dist).value
-            out[x, y] = out[y, x] = val
-    return out
+    out[upper] = dtilde_pairs(space, hs, t, zip(*upper))
+    return out + out.T
 
 
 def dtilde_pairs(space, hs, t, pairs) -> np.ndarray:
-    """dtilde_t for an explicit list of point pairs."""
+    """dtilde_t for an explicit list of point pairs, with one heat measure
+    per distinct point; indices outside the space raise FlowError."""
     if t < 0:
         raise FlowError("negative time")
-    vals = []
-    for x, y in pairs:
-        if t == 0:
-            vals.append(space.dist[x, y])
-        else:
-            mx = heat_measure_from_point(hs, t, x)
-            my = heat_measure_from_point(hs, t, y)
-            vals.append(w2_exact(mx, my, space.dist).value)
-    return np.array(vals)
+    pairs = [_point_pair(space, p) for p in pairs]
+    if t == 0:
+        return np.array([space.dist[x, y] for x, y in pairs])
+    points = {x for pair in pairs for x in pair}
+    measures = {x: heat_measure_from_point(hs, t, x) for x in points}
+    return np.array([w2_exact(measures[x], measures[y], space.dist).value
+                     for x, y in pairs])
 
 
 def dt_arc_matrix(space, dtilde) -> np.ndarray:
@@ -181,7 +180,8 @@ class ContractionReport:
 def _as_measure_pair(space, pair):
     a, b = pair
     if np.isscalar(a):
-        return space.delta(int(a)), space.delta(int(b)), (int(a), int(b))
+        x, y = _point_pair(space, pair)
+        return space.delta(x), space.delta(y), (x, y)
     return np.asarray(a, float), np.asarray(b, float), ("mu", "nu")
 
 

@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from heatmetric import cli, flow, spaces, transport
+from heatmetric import cli, flow, spaces, tangent, transport
 
 
 @pytest.fixture()
@@ -17,6 +18,119 @@ def two_point_file(tmp_path):
         "conductances": [1.0],
     }))
     return path
+
+
+@pytest.fixture()
+def capture(monkeypatch):
+    """Record every value a library function returns while the CLI runs."""
+    def install(module, name):
+        results = []
+        original = getattr(module, name)
+
+        def recorder(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(module, name, recorder)
+        return results
+    return install
+
+
+def assert_table(path, header, rows):
+    """The CSV at path holds exactly header and rows: strings and integers as
+    written, booleans as true/false, floats equal after reading back."""
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == [str(h) for h in header]
+    assert len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
+        assert len(line) == len(row)
+        for cell, want in zip(line, row):
+            if isinstance(want, (bool, np.bool_)):
+                assert cell == ("true" if want else "false")
+            elif isinstance(want, (str, int, np.integer)):
+                assert cell == str(want)
+            else:
+                assert float(cell) == want
+
+
+def assert_checks_table(out, command):
+    checks = json.loads((out / f"{command}_summary.json").read_text())["checks"]
+    assert_table(out / f"{command}_checks.csv", ["name", "t", "value", "bound", "pass"],
+                 [(c["name"], c.get("t", ""), c["value"], c["bound"], c["pass"])
+                  for c in checks])
+
+
+class TestCsvLayout:
+    """Every number in a table reads back as exactly the report's value."""
+
+    def test_flow_matrices(self, two_point_file, tmp_path, capture):
+        mats = capture(flow, "flow_matrices")
+        out = tmp_path / "run"
+        assert cli.run(["flow", "--space", str(two_point_file), "--times", "0,0.5",
+                        "--out", str(out)]) == 0
+        for tag, fm in zip(("0", "0p5"), mats):
+            assert_table(out / f"dtilde_{tag}.csv", [0, 1], fm.dtilde.tolist())
+            assert_table(out / f"dt_{tag}.csv", [0, 1], fm.dt.tolist())
+        assert_checks_table(out, "flow")
+
+    def test_flow_pairs(self, tmp_path, capture):
+        vals = capture(flow, "dtilde_pairs")
+        out = tmp_path / "run"
+        assert cli.run(["flow", "--geometry", "circle", "--n", "16", "--times", "0,0.1",
+                        "--pairs", "0:8,1:5", "--out", str(out)]) == 0
+        for tag, v in zip(("0", "0p1"), vals):
+            assert_table(out / f"dtilde_pairs_{tag}.csv", ["x", "y", "dtilde"],
+                         [(0, 8, v[0]), (1, 5, v[1])])
+
+    def test_tangency(self, tmp_path, capture):
+        reports = capture(tangent, "tangency_experiment")
+        out = tmp_path / "run"
+        assert cli.run(["tangency", "--geometry", "circle", "--n", "256", "--tmax", "0.2",
+                        "--tmin", "0.05", "--out", str(out)]) == 0
+        rep, = reports
+        columns = ["t", "g_t", "slope", "hessian_mass", "target", "deviation"]
+        rows = [[r[k] for k in columns] + [""] for r in rep.rows()]
+        rows.append(["extrapolated", rep.extrapolated_slope, "", "", rep.target,
+                     rep.deviation, rep.passed(0.05)])
+        assert len(rows) == 4
+        assert_table(out / "tangency.csv", columns + ["pass"], rows)
+        assert_checks_table(out, "tangency")
+
+    def test_contraction(self, tmp_path, capture):
+        reports = capture(flow, "contraction_report")
+        out = tmp_path / "run"
+        assert cli.run(["contraction", "--geometry", "circle", "--n", "16",
+                        "--times", "0.1,0.5", "--pairs", "0:8,2:5", "--out", str(out)]) == 0
+        rep, = reports
+        rows = [(f"{r.pair[0]}|{r.pair[1]}", r.t, r.w2_initial, r.w2_evolved, r.ratio,
+                 r.bound, r.excess <= 1e-6) for r in rep.records]
+        assert [row[0] for row in rows] == ["0|8", "0|8", "2|5", "2|5"]
+        assert_table(out / "contraction.csv",
+                     ["pair", "t", "w2_initial", "w2_evolved", "ratio", "bound", "pass"], rows)
+        assert_checks_table(out, "contraction")
+
+    def test_continuity(self, two_point_file, tmp_path, capture):
+        reports = capture(flow, "time_continuity_report")
+        out = tmp_path / "run"
+        assert cli.run(["continuity", "--space", str(two_point_file), "--t", "0.2",
+                        "--deltas", "0.2,0.1,0.05", "--out", str(out)]) == 0
+        rep, = reports
+        assert_table(out / "continuity.csv", ["delta", "sup_difference"],
+                     list(zip(rep.deltas, rep.sup_differences)))
+        assert_checks_table(out, "continuity")
+
+    def test_refine(self, tmp_path, capture):
+        reports = capture(flow, "refinement_stability")
+        out = tmp_path / "run"
+        assert cli.run(["refine", "--grids", "16,32,64", "--t", "0.1",
+                        "--probes", "0:0.5,0.25:0.5", "--out", str(out)]) == 0
+        rep, = reports
+        header = ["probe", "n16", "n32", "n64", "diff0", "diff1", "order0"]
+        rows = [[probe, *rep.probe_values[k], *rep.differences[k], *rep.orders[k]]
+                for k, probe in enumerate(["0.0:0.5", "0.25:0.5"])]
+        assert_table(out / "refine.csv", header, rows)
+        assert_checks_table(out, "refine")
 
 
 class TestFlowCommand:
@@ -79,10 +193,27 @@ class TestFlowCommand:
             raise transport.SolverFailure("optimality certificate failed: gap -1.733e-07")
 
         monkeypatch.setattr(flow, "w2_exact", uncertified)
-        code = cli.run(["flow", "--space", str(cycle), "--times", "0.1",
-                        "--out", str(tmp_path / "run")])
+        out = tmp_path / "run"
+        # t = 0 needs no solve and succeeds; the failure at t = 0.1 must not
+        # leave the t = 0 tables behind
+        code = cli.run(["flow", "--space", str(cycle), "--times", "0,0.1",
+                        "--out", str(out)])
         assert code == 1
         assert "optimality certificate failed: gap -1.733e-07" in capsys.readouterr().err
+        assert not list(out.glob("dtilde_*")) and not list(out.glob("dt_*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--geometry", "circle", "--n", "16", "--times", "0.1", "--pairs", "0:99"],
+        ["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1",
+         "--pairs", "0:99"],
+        ["flow", "--geometry", "circle", "--n", "16", "--times", "0.1", "--pairs=-1:3"],
+    ])
+    def test_pair_out_of_range_exits_2(self, tmp_path, capsys, argv):
+        code = cli.run(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        pair = argv[-1].split("=")[-1]
+        assert f"pair {pair} is out of range for 16 points" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("n, pair", [(128, "3:126"), (256, "60:65")])
     def test_short_circle_offsets_certify(self, tmp_path, n, pair):
@@ -177,6 +308,16 @@ class TestOtherCommands:
         header, values = rows[0].split(","), rows[1].split(",")
         orders = [float(v) for h, v in zip(header, values) if h.startswith("order")]
         assert min(orders) >= 1.0
+
+    @pytest.mark.parametrize("grids, probes, message", [
+        ("64,128", "0:0.5", "refinement needs at least three grid sizes"),
+        ("16,32,64", "0:0.3333333", "not representable on n=16"),
+    ])
+    def test_refine_input_errors(self, tmp_path, capsys, grids, probes, message):
+        code = cli.run(["refine", "--grids", grids, "--probes", probes,
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_refine_bad_probe(self, tmp_path):
         code = cli.run(["refine", "--grids", "16,32", "--probes", "0:0.3333333",

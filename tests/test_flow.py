@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import heatmetric as hm
+from heatmetric import flow
 from conftest import complete_graph_space, hypercube_space
 
 
@@ -41,6 +42,22 @@ class TestDtilde:
         _, space, hs = circle16
         with pytest.raises(hm.FlowError):
             hm.dtilde_matrix(space, hs, -0.1)
+
+    def test_pairs_compute_each_heat_measure_once(self, circle16, monkeypatch):
+        _, space, hs = circle16
+        calls = []
+        original = flow.heat_measure_from_point
+
+        def counted(hs, t, x):
+            calls.append(x)
+            return original(hs, t, x)
+
+        monkeypatch.setattr(flow, "heat_measure_from_point", counted)
+        pairs = [(0, 8), (0, 5), (8, 5), (5, 0)]
+        vals = hm.dtilde_pairs(space, hs, 0.1, pairs)
+        assert sorted(calls) == [0, 5, 8]
+        full = hm.dtilde_matrix(space, hs, 0.1)
+        assert vals.tolist() == [full[x, y] for x, y in pairs]
 
     def test_percont_bound(self, circle16):
         _, space, hs = circle16

@@ -233,6 +233,19 @@ class TestSinkhorn:
         eps = 1e-3 * space.dist.max() ** 2
         assert hm.w2_sinkhorn(mu, nu, space.dist, eps) == hm.w2_sinkhorn(nu, mu, space.dist, eps)
 
+    def test_swapped_arguments_transpose_the_plan(self):
+        _, space = hm.model_circle(1.0, 12)
+        k = np.arange(12)
+        mu = 1 + 0.5 * np.sin(2 * np.pi * k / 12)
+        nu = 1 + 0.5 * np.cos(2 * np.pi * k / 12)
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        eps = 1e-3 * space.dist.max() ** 2
+        v1, info1 = hm.w2_sinkhorn(mu, nu, space.dist, eps, return_info=True)
+        v2, info2 = hm.w2_sinkhorn(nu, mu, space.dist, eps, return_info=True)
+        assert v1 == v2
+        assert np.array_equal(info2["plan"].gamma, info1["plan"].gamma.T)
+        assert max(info1["marginal_violation"], info2["marginal_violation"]) <= 1e-8
+
     def test_self_transport_bias(self, rng):
         _, space = hm.model_circle(1.0, 16)
         mu = rng.random(16) + 0.05
