@@ -11,9 +11,9 @@ The module also provides the report-style experiments: contraction ratios
 against e^{-Kt}, time continuity of t -> dtilde_t, and the grid-refinement
 stability study on circles embedded in a common circle. Sphere contraction
 uses the azimuthal symmetry reduction: zonal measures evolve by Legendre
-coefficient decay and their W_2 is the one-dimensional quantile distance
-between colatitude profiles (meridian coupling attains the colatitude lower
-bound for product-with-uniform-azimuth measures).
+coefficient decay, and their W_2 is the exact monotone coupling of the
+colatitude profiles by the circle solver's walk (meridian coupling attains
+the colatitude lower bound for product-with-uniform-azimuth measures).
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import shortest_path
 from .geometry import SphereGeometry, legendre_table
 from .heat import heat_apply, heat_measure_from_point, spectral_decompose
 from .spaces import _adjacency, model_circle
-from .transport import w2_exact
+from .transport import _monotone_segments, w2_exact
 
 __all__ = [
     "FlowError",
@@ -260,63 +260,46 @@ class ZonalMeasure:
 
     def cell_masses(self) -> np.ndarray:
         """Exact integrals of the density over the colatitude cells."""
-        geom = self.geometry
         if self.coeffs is None:
-            # atoms: deposit each ring in its cell
-            masses = np.zeros(geom.n_theta)
-            faces = geom.faces()
-            for theta0, mass in self.atoms:
-                i = min(np.searchsorted(faces, theta0, side="right") - 1, geom.n_theta - 1)
-                masses[max(i, 0)] += mass
-            return masses
-        return np.clip(geom.zone_integrals(self.coeffs), 0.0, None)
+            raise FlowError("ring atoms have no density; w2_zonal couples them as atoms")
+        return np.clip(self.geometry.zone_integrals(self.coeffs), 0.0, None)
 
 
-def w2_zonal(mu: ZonalMeasure, nu: ZonalMeasure, levels=200000) -> float:
-    """W_2 between zonal measures via the colatitude quantile coupling.
+def w2_zonal(mu: ZonalMeasure, nu: ZonalMeasure) -> float:
+    """W_2 between zonal measures by the monotone colatitude coupling.
 
     Transport runs along meridians, so the sphere distance reduces to
     r |theta - theta'| and the optimal coupling is monotone in colatitude.
-    Pure atom pairs are matched exactly; otherwise piecewise-linear CDFs on
-    the cell faces are compared on a uniform quantile grid.
+    The circle solver's walk couples the ordered pieces (ring atoms, or cells
+    of uniform density between their faces). Both quantile functions are
+    linear on each segment of mass m, so W_2^2 is the exact sum of
+    m (d0^2 + d0 d1 + d1^2) / 3 over the segments' end gaps d0 and d1.
     """
-    geom = mu.geometry
-    if mu.atoms is not None and nu.atoms is not None:
-        qa = _atom_quantiles(mu.atoms)
-        qb = _atom_quantiles(nu.atoms)
-        grid = np.unique(np.concatenate([[0.0], qa[0], qb[0], [1.0]]))
-        cost = 0.0
-        for lo, hi in zip(grid[:-1], grid[1:]):
-            mid = 0.5 * (lo + hi)
-            ta = _atom_quantile_value(qa, mid)
-            tb = _atom_quantile_value(qb, mid)
-            cost += (hi - lo) * (ta - tb) ** 2
-        return geom.r * float(np.sqrt(cost))
-    faces = geom.faces()
-    Fa = np.concatenate([[0.0], np.cumsum(_normalized(mu.cell_masses()))])
-    Fb = np.concatenate([[0.0], np.cumsum(_normalized(nu.cell_masses()))])
-    Fa[-1] = Fb[-1] = 1.0
-    u = (np.arange(levels) + 0.5) / levels
-    qa = np.interp(u, Fa, faces)
-    qb = np.interp(u, Fb, faces)
-    return geom.r * float(np.sqrt(np.mean((qa - qb) ** 2)))
+    a, b = _pieces(mu), _pieces(nu)
+    i, j, m = _monotone_segments(a[0], b[0])
+    end = np.cumsum(m)
+    d0, d1 = (_quantile(a, i, u) - _quantile(b, j, u) for u in (end - m, end))
+    return mu.geometry.r * float(np.sqrt(np.sum(m * (d0 * d0 + d0 * d1 + d1 * d1)) / 3))
 
 
-def _normalized(masses):
-    return masses / masses.sum()
+def _pieces(measure):
+    """(mass, lo, hi) of the ordered colatitude pieces of total mass 1, where
+    a ring atom has lo == hi; zero-mass pieces (clipped cells) are dropped."""
+    if measure.atoms is not None:
+        theta, mass = np.array(sorted(measure.atoms)).T
+        lo = hi = theta
+    else:
+        faces = measure.geometry.faces()
+        mass, lo, hi = measure.cell_masses(), faces[:-1], faces[1:]
+    keep = mass > 0
+    return mass[keep] / mass.sum(), lo[keep], hi[keep]
 
 
-def _atom_quantiles(atoms):
-    atoms = sorted(atoms)
-    thetas = np.array([a[0] for a in atoms])
-    masses = np.array([a[1] for a in atoms])
-    cum = np.cumsum(masses) / masses.sum()
-    return cum, thetas
-
-
-def _atom_quantile_value(qa, u):
-    cum, thetas = qa
-    return thetas[np.searchsorted(cum, u, side="left")]
+def _quantile(pieces, k, u):
+    """Quantile at cumulative mass u, which lies in piece k."""
+    mass, lo, hi = pieces
+    start = np.cumsum(mass) - mass
+    return lo[k] + (hi - lo)[k] * ((u - start[k]) / mass[k])
 
 
 def sphere_contraction_report(geometry, times, pairs, rel_tol=1e-6) -> ContractionReport:
@@ -389,13 +372,19 @@ class RefinementReport:
 
     @property
     def min_order(self) -> float:
+        self._need_three_grids()
         return float(self.orders.min())
 
     def limit_consistent(self) -> bool:
         """Finest value sits within the last difference of the extrapolated
         limit, for every probe."""
+        self._need_three_grids()
         last = self.differences[:, -1]
         return bool(np.all(last <= np.maximum(self.differences[:, -2], 1e-15)))
+
+    def _need_three_grids(self):
+        if len(self.grid_sizes) < 3:  # an order compares two differences
+            raise FlowError("refinement needs at least three grid sizes")
 
 
 def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:

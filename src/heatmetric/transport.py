@@ -10,7 +10,8 @@ in the same way.
   Salomon & Sobolevski 2010; Rabin, Delon & Gousseau 2011). Bisection on
   the sign of the lifted cost's slope finds the optimal shift, and one walk
   over the masses builds the periodic quantile coupling and its potentials,
-  instead of an LP with n^2 variables.
+  instead of an LP with n^2 variables. flow.w2_zonal runs the same walk
+  (_monotone_segments) on the sphere's colatitude profiles.
 * Every other metric goes to HiGHS as a linear program over the complete
   bipartite coupling polytope, whose equality-constraint duals become the
   potentials.
@@ -159,6 +160,33 @@ def _circle_spacing(dist):
     return h if dev <= 1e-12 * n * h else None
 
 
+def _monotone_segments(a, b):
+    """Monotone coupling of ordered masses a and b with equal totals: mass
+    seg_m[k] of a[seg_i[k]] goes to b[seg_j[k]], both indices nondecreasing.
+    Subtracting the smaller remainder from the larger on Python floats keeps
+    the relative precision of tail masses; a tie leaves a zero-mass segment."""
+    A, B = len(a), len(b)
+    aw = np.asarray(a, dtype=float).tolist() + [0.0]
+    bw = np.asarray(b, dtype=float).tolist() + [0.0]
+    seg_i, seg_j, seg_m = [], [], []
+    i = j = 0
+    ar, br = aw[0], bw[0]
+    while i < A and j < B:
+        seg_i.append(i)
+        seg_j.append(j)
+        if ar <= br:
+            seg_m.append(ar)
+            br -= ar
+            i += 1
+            ar = aw[i]
+        else:
+            seg_m.append(br)
+            ar -= br
+            j += 1
+            br = bw[j]
+    return np.array(seg_i), np.array(seg_j), np.array(seg_m)
+
+
 def _solve_circle(p, a, q, b, n):
     """Optimal plan between masses a at grid positions p and b at q (both
     ascending) on the n-point equispaced circle, with potentials phi on p in
@@ -170,8 +198,7 @@ def _solve_circle(p, a, q, b, n):
     W_2^2 (Delon, Salomon & Sobolevski 2010). The slope of C is a sum of
     one integer term per nu level, so bisection on its sign finds a minimising
     breakpoint, where a nu level meets a mu level. Cutting both measures at
-    that corner leaves a 1-D monotone coupling, built by a walk over the
-    remaining masses so that tail masses keep their relative precision.
+    that corner leaves a 1-D monotone coupling (_monotone_segments).
     """
     A, B = len(p), len(q)
     b = b * (a.sum() / b.sum())  # one period M for both level sets
@@ -222,27 +249,9 @@ def _solve_circle(p, a, q, b, n):
     l0 = int(np.flatnonzero(S_lo != S_hi)[0])
     s0, t0 = int(S_hi[l0]) + 1, l0 + 1
 
-    # monotone coupling from the corner, one lap of each measure; a tie
-    # leaves a zero-mass segment, which the potentials skip like any other
-    # segment below the level tolerance
-    aw, bw = np.roll(a, -s0).tolist() + [0.0], np.roll(b, -t0).tolist() + [0.0]
-    seg_i, seg_j, seg_m = [], [], []
-    i = j = 0
-    ar, br = aw[0], bw[0]
-    while i < A and j < B:
-        seg_i.append(i)
-        seg_j.append(j)
-        if ar <= br:
-            seg_m.append(ar)
-            br -= ar
-            i += 1
-            ar = aw[i]
-        else:
-            seg_m.append(br)
-            ar -= br
-            j += 1
-            br = bw[j]
-    seg_i, seg_j, seg_m = np.array(seg_i), np.array(seg_j), np.array(seg_m)
+    # one lap of each measure from the corner; the potentials skip zero-mass
+    # segments (ties) like any other segment below the level tolerance
+    seg_i, seg_j, seg_m = _monotone_segments(np.roll(a, -s0), np.roll(b, -t0))
     gamma = np.zeros((A, B))
     gamma[(s0 + seg_i) % A, (t0 + seg_j) % B] = seg_m
 

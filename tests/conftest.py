@@ -47,6 +47,6 @@ def hypercube_space(k):
     return hm.build_space(n, edges, np.ones(n), K=0.0)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240813)

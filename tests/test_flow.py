@@ -161,8 +161,27 @@ class TestSphereContraction:
         ]
         rep = hm.sphere_contraction_report(sphere, [0.05, 0.1, 0.2, 0.5], pairs)
         assert rep.passed()
-        # strict margins, far beyond quadrature error
+        # strict margins, far beyond rounding in the exact monotone coupling
         assert rep.max_excess < -1e-3
+
+    @pytest.mark.parametrize("theta0", [0.0, 0.9])
+    def test_uniform_against_ring_closed_form(self, sphere, theta0):
+        # every cell of the uniform law goes to the ring, so
+        # W_2^2 = sum_k m_k (a_k^2 + a_k b_k + b_k^2) / 3 over its faces a_k, b_k
+        coeffs = np.zeros(sphere.l_max + 1)
+        coeffs[0] = 1 / (4 * np.pi * sphere.r**2)
+        uniform = hm.ZonalMeasure(sphere, coeffs=coeffs)
+        faces = sphere.faces()
+        m = 0.5 * (np.cos(faces[:-1]) - np.cos(faces[1:]))
+        a, b = faces[:-1] - theta0, faces[1:] - theta0
+        expected = sphere.r * np.sqrt(np.sum(m * (a * a + a * b + b * b)) / 3)
+        ring = hm.ZonalMeasure.ring(sphere, theta0)
+        assert_allclose(hm.w2_zonal(uniform, ring), expected, rtol=1e-12)
+        assert_allclose(hm.w2_zonal(ring, uniform), expected, rtol=1e-12)
+
+    def test_atoms_have_no_cell_masses(self, sphere):
+        with pytest.raises(hm.FlowError, match="ring atoms have no density"):
+            hm.ZonalMeasure.ring(sphere, 0.9).cell_masses()
 
     def test_ring_pair(self, sphere):
         mu = hm.ZonalMeasure.ring(sphere, 0.8)
@@ -203,6 +222,13 @@ class TestRefinement:
         a = hm.refinement_stability(2 * np.pi, 0.1, [16, 32], [(0.0, 0.5)])
         b = hm.refinement_stability(2 * np.pi, 0.1, [16, 32], [(0.0, 0.5)])
         assert np.array_equal(a.probe_values, b.probe_values)
+
+    def test_two_grids_have_no_order(self):
+        rep = hm.refinement_stability(2 * np.pi, 0.1, [16, 32], [(0.0, 0.5)])
+        with pytest.raises(hm.FlowError, match="at least three grid sizes"):
+            rep.min_order
+        with pytest.raises(hm.FlowError, match="at least three grid sizes"):
+            rep.limit_consistent()
 
     def test_unrepresentable_probe(self):
         with pytest.raises(hm.FlowError):

@@ -329,6 +329,24 @@ class TestCirclePath:
         assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=2e-8)
         assert_certified(res, mu, nu, dist)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(na=st.integers(1, 20), nb=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    def test_monotone_segments(self, na, nb, seed, ties):
+        rng = np.random.default_rng(seed)
+        a = 10.0 ** rng.uniform(-12, 0, na)
+        b = a.copy() if ties else 10.0 ** rng.uniform(-12, 0, nb)
+        a, b = a / a.sum(), b / b.sum()
+        i, j, m = transport._monotone_segments(a, b)
+        assert np.all(np.diff(i) >= 0) and np.all(np.diff(j) >= 0)
+        assert np.all(m >= 0)
+        # every piece but each side's last keeps its mass to relative
+        # rounding; the last ones absorb the totals' rounding difference
+        for piece, mass in ((i, a), (j, b)):
+            sums = np.bincount(piece, weights=m, minlength=len(mass))
+            assert_allclose(sums[:-1], mass[:-1], rtol=1e-12, atol=0)
+            assert_allclose(sums[-1], mass[-1], rtol=0, atol=1e-14)
+
     def test_mass_mismatch_within_tolerance(self):
         # totals may differ by MASS_TOL; both level sets must share one period
         rng = np.random.default_rng(11)
