@@ -45,7 +45,6 @@ from .heat import (
     heat_kernel_matrix,
     spectral_decompose,
     sphere_kernel,
-    torus_kernel,
     ultracontractivity_constant,
 )
 from .transport import (

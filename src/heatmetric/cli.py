@@ -168,9 +168,7 @@ def cmd_flow(args):
             tables[f"dtilde_pairs_{tag}.csv"] = (
                 ["x", "y", "dtilde"], [(x, y, v) for (x, y), v in zip(pairs, vals)])
             continue
-        if space.n > args.cap:
-            raise InputError(f"full matrices capped at n={args.cap}; pass --pairs")
-        fm = flow_mod.flow_matrices(space, hs, t, cap=args.cap)
+        fm = flow_mod.flow_matrices(space, hs, t)
         ids = range(space.n)
         tables[f"dtilde_{tag}.csv"] = (ids, fm.dtilde)
         tables[f"dt_{tag}.csv"] = (ids, fm.dt)
@@ -207,8 +205,7 @@ def cmd_tangency(args):
     v = tuple(float(s) for s in args.v.split(",")) if "," in args.v else float(args.v)
     if isinstance(geom, TorusGeometry) and not isinstance(v, tuple):
         v = (float(v), 0.0)
-    report = tangent_mod.tangency_experiment(geom, x=None, v=v, t_grid=t_grid,
-                                             slope_tol=args.tol)
+    report = tangent_mod.tangency_experiment(geom, x=None, v=v, t_grid=t_grid)
     columns = ("t", "g_t", "slope", "hessian_mass", "target", "deviation")
     rows = [[row[k] for k in columns] + [""] for row in report.rows()]
     rows.append(["extrapolated", report.extrapolated_slope, "", "", report.target,
@@ -266,7 +263,7 @@ def cmd_continuity(args):
         raise InputError("deltas must be >= 0")
     hs = heat_mod.spectral_decompose(space)
     K = args.K if args.K is not None else space.K
-    report = flow_mod.time_continuity_report(space, hs, args.t, deltas, K=K, cap=args.cap)
+    report = flow_mod.time_continuity_report(space, hs, args.t, deltas, K=K)
     checks = [
         check("continuity_decreasing", 1.0 if report.decreasing else 0.0, 1.0,
               report.decreasing, t=args.t),
@@ -377,7 +374,6 @@ def build_parser():
     _add_geometry_args(p)
     p.add_argument("--times", required=True)
     p.add_argument("--pairs")
-    p.add_argument("--cap", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("tangency", help="small-time Ricci tangency experiment")
@@ -404,7 +400,6 @@ def build_parser():
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--deltas", required=True)
     p.add_argument("--K", type=float)
-    p.add_argument("--cap", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("refine", help="circle grid refinement stability")

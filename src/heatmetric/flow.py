@@ -38,6 +38,7 @@ __all__ = [
     "ContractionReport",
     "contraction_report",
     "ZonalMeasure",
+    "w2_zonal",
     "sphere_contraction_report",
     "TimeContinuityReport",
     "time_continuity_report",
@@ -88,19 +89,20 @@ def _point_pair(space, pair):
     return int(x), int(y)
 
 
-def dtilde_matrix(space, hs, t, cap=FULL_MATRIX_CAP) -> np.ndarray:
+def dtilde_matrix(space, hs, t) -> np.ndarray:
     """Full matrix of dtilde_t(x, y) = W_2(H_t delta_x, H_t delta_y).
 
     t = 0 returns the original metric exactly. Assembling the full matrix is
-    O(n^2) exact transport solves; spaces beyond `cap` points are rejected
-    (use dtilde_pairs for a pair list).
+    O(n^2) exact transport solves; spaces beyond FULL_MATRIX_CAP points are
+    rejected at every t, 0 included (use dtilde_pairs for a pair list).
     """
     if t < 0:
         raise FlowError("negative time")
+    if space.n > FULL_MATRIX_CAP:
+        raise FlowError(f"full matrices capped at n = {FULL_MATRIX_CAP}; "
+                        "use dtilde_pairs (--pairs on the command line)")
     if t == 0:
         return space.dist.copy()
-    if space.n > cap:
-        raise FlowError(f"full dtilde matrix capped at n = {cap}; use dtilde_pairs")
     upper = np.triu_indices(space.n, 1)
     out = np.zeros((space.n, space.n))
     out[upper] = dtilde_pairs(space, hs, t, zip(*upper))
@@ -133,8 +135,8 @@ def dt_arc_matrix(space, dtilde) -> np.ndarray:
     return dt
 
 
-def flow_matrices(space, hs, t, cap=FULL_MATRIX_CAP) -> FlowDistanceMatrix:
-    dtil = dtilde_matrix(space, hs, t, cap=cap)
+def flow_matrices(space, hs, t) -> FlowDistanceMatrix:
+    dtil = dtilde_matrix(space, hs, t)
     return FlowDistanceMatrix(t=float(t), dtilde=dtil, dt=dt_arc_matrix(space, dtil))
 
 
@@ -334,7 +336,7 @@ class TimeContinuityReport:
         return self.decreasing and self.semigroup_excess <= tol
 
 
-def time_continuity_report(space, hs, t, deltas, K=None, cap=FULL_MATRIX_CAP) -> TimeContinuityReport:
+def time_continuity_report(space, hs, t, deltas, K=None) -> TimeContinuityReport:
     """Right continuity of the flow: sup |dtilde_{t+d} - dtilde_t| per delta,
     plus the semigroup bounds dtilde_{t+d} <= e^{-Kd} dtilde_t and
     d_{t+d} <= e^{-Kd} d_t entrywise."""
@@ -344,13 +346,13 @@ def time_continuity_report(space, hs, t, deltas, K=None, cap=FULL_MATRIX_CAP) ->
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     if np.any(deltas < 0):
         raise FlowError("deltas must be >= 0")
-    base = flow_matrices(space, hs, t, cap=cap)
+    base = flow_matrices(space, hs, t)
     sups, excess = [], 0.0
     for d in deltas:
         if d == 0:
             sups.append(0.0)
             continue
-        shifted = flow_matrices(space, hs, t + d, cap=cap)
+        shifted = flow_matrices(space, hs, t + d)
         sups.append(float(np.abs(shifted.dtilde - base.dtilde).max()))
         factor = np.exp(-K * d)
         excess = max(excess, float((shifted.dtilde - factor * base.dtilde).max()))
@@ -395,6 +397,8 @@ def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
     differences, and the empirical convergence order (expected >= 1).
     """
     sizes = tuple(int(n) for n in grid_sizes)
+    if len(probe_pairs) == 0:
+        raise FlowError("refinement needs at least one probe pair")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise FlowError("grid sizes must be strictly increasing")
     vals = np.zeros((len(probe_pairs), len(sizes)))

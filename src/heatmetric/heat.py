@@ -27,7 +27,6 @@ __all__ = [
     "heat_apply",
     "heat_kernel_matrix",
     "circle_kernel",
-    "torus_kernel",
     "sphere_kernel",
     "sphere_kernel_coefficients",
     "entropy",
@@ -216,17 +215,6 @@ def circle_kernel(t, L, s, deriv=0):
     else:
         out = _circle_images(t, L, s, deriv)
     return float(out[0]) if scalar else out
-
-
-def torus_kernel(t, L1, L2, s1, s2, grad=False):
-    """Product heat kernel on the flat torus; optionally its offset gradient."""
-    k1 = circle_kernel(t, L1, s1)
-    k2 = circle_kernel(t, L2, s2)
-    if not grad:
-        return k1 * k2
-    d1 = circle_kernel(t, L1, s1, deriv=1)
-    d2 = circle_kernel(t, L2, s2, deriv=1)
-    return k1 * k2, d1 * k2, k1 * d2
 
 
 def sphere_kernel_coefficients(t, r, l_max):

@@ -9,7 +9,7 @@ the Laplace-Beltrami operator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,22 +104,13 @@ class FiniteMetricMeasureSpace:
 
 @dataclass(frozen=True)
 class Curve:
-    """A discrete curve: point indices with a parameter grid in [0, 1]."""
+    """A discrete curve: the point indices it visits, in order."""
 
     points: tuple
-    params: tuple = field(default=None)
 
     def __post_init__(self):
         if len(self.points) < 1:
             raise SpaceError("curve needs at least one point")
-        if self.params is None:
-            N = len(self.points)
-            grid = tuple(np.linspace(0.0, 1.0, N)) if N > 1 else (0.0,)
-            object.__setattr__(self, "params", grid)
-        if len(self.params) != len(self.points):
-            raise SpaceError("parameter grid and point list differ in length")
-        if any(b <= a for a, b in zip(self.params, self.params[1:])):
-            raise SpaceError("parameter grid must be strictly increasing")
 
 
 def _adjacency(n, edges, values):

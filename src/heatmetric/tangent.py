@@ -99,7 +99,6 @@ class VelocityPotential:
     rho: np.ndarray
     eta: np.ndarray
     residual: float
-    azimuthal_mode: int = 0
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,11 @@ class TangentPlan:
     """Quadrature form of the plan (y, grad(phi)(y)) pushed by rho dvol.
 
     weights sum to 1 (kernel mass), grad_sq holds |grad(phi)|^2 at the
-    quadrature nodes (azimuthally averaged on the sphere), so the second
-    moment equals g_t(v, v) exactly by construction. nodes has shape (m, d)
-    on a periodic grid with d axes and holds colatitudes on the sphere.
+    quadrature nodes (the faces of each axis on a periodic grid, the
+    colatitude nodes on the sphere, azimuthally averaged), so the second
+    moment equals g_t(v, v) exactly by construction.
     """
 
-    nodes: np.ndarray
     weights: np.ndarray
     grad_sq: np.ndarray
 
@@ -247,9 +245,7 @@ class _PeriodicGrid:
             shape=(rho.size, rho.size),
         ).tocsr()
 
-    def solve(self, rho, eta, azimuthal_mode):
-        if azimuthal_mode != 0:
-            raise TangentError("azimuthal modes only apply to the sphere")
+    def solve(self, rho, eta):
         w = self.geometry.volume_weights()
         total = float(np.abs(eta).ravel() @ w.ravel())
         mean = float(eta.ravel() @ w.ravel())
@@ -285,13 +281,11 @@ class _PeriodicGrid:
         k = self._kernels(t, x0)
         kf = self._kernels(t, x0, shift=0.5)
         w = self.geometry.volume_weights()
-        nodes, weights, grads = [], [], []
+        weights, grads = [], []
         for a, h in enumerate(self.h):
             weights.append((_product(k[:a] + [kf[a]] + k[a + 1:]) * w / d).ravel())
             grads.append(d * ((np.roll(vp.phi, -1, axis=a) - vp.phi) / h).ravel() ** 2)
-            faces = self.coords[:a] + [self.coords[a] + h / 2] + self.coords[a + 1:]
-            nodes.append(np.stack([g.ravel() for g in np.meshgrid(*faces, indexing="ij")], axis=1))
-        return TangentPlan(np.concatenate(nodes), np.concatenate(weights), np.concatenate(grads))
+        return TangentPlan(np.concatenate(weights), np.concatenate(grads))
 
     def hessian_mass(self, t, x, vp):
         # |Hess phi|^2 = sum over axis pairs of squared second differences
@@ -350,15 +344,13 @@ class _SphereMode:
     def check_resolution(self, t):
         self.geometry.check_truncation(t)
 
-    def solve(self, rho, eta, azimuthal_mode):
+    def solve(self, rho, eta):
         geometry = self.geometry
-        if azimuthal_mode != 1:
-            raise TangentError("sphere solves support azimuthal_mode=1 only")
         if rho.shape != (geometry.n_theta,) or eta.shape != rho.shape:
             raise TangentError("sphere profiles must live on the colatitude grid")
         # reduced ODE: (sin F u')'/sin - F u / sin^2 = r^2 G
         u, residual = _solve_sphere_m1(geometry, rho, geometry.r**2 * eta)
-        return VelocityPotential(geometry, u, rho, eta, residual, azimuthal_mode=1)
+        return VelocityPotential(geometry, u, rho, eta, residual)
 
     def energy_gradient(self, vp, direction):
         raise TangentError("energy gradient check is defined on periodic grids")
@@ -372,7 +364,7 @@ class _SphereMode:
         speed = float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
         K, dK, _ = self.profiles(t)
         G = speed * dK / self.geometry.r
-        return solve_weighted_poisson(self.geometry, K, G, azimuthal_mode=1)
+        return solve_weighted_poisson(self.geometry, K, G)
 
     def plan(self, t, x, vp):
         geometry = self.geometry
@@ -381,7 +373,7 @@ class _SphereMode:
         u = vp.phi
         du = _centered_gradient(u, geometry.h)
         grad2 = (du**2 + (u / np.sin(theta)) ** 2) / (2 * geometry.r**2)
-        return TangentPlan(theta, masses, grad2)
+        return TangentPlan(masses, grad2)
 
     def hessian_mass(self, t, x, vp):
         r, h = self.geometry.r, self.geometry.h
@@ -449,8 +441,11 @@ def _resolved(geometry, t):
 # ---------------------------------------------------------------------------
 # public entry points
 
-def solve_weighted_poisson(geometry, rho, eta, azimuthal_mode=0) -> VelocityPotential:
+def solve_weighted_poisson(geometry, rho, eta) -> VelocityPotential:
     """Solve div(rho grad(phi)) = eta with the zero-mean gauge.
+
+    The geometry fixes the azimuthal mode: 0 (plain grid values) on the
+    periodic grids, 1 (phi = u(theta) cos(psi)) on the sphere.
 
     Parameters
     ----------
@@ -459,11 +454,11 @@ def solve_weighted_poisson(geometry, rho, eta, azimuthal_mode=0) -> VelocityPote
         Strictly positive weight density on the geometry's grid (sphere:
         zonal colatitude profile).
     eta : ndarray
-        Source. For mode 0 it must integrate to zero against the volume
-        weights within 1e-10 * ||eta||_1; the residual incompatibility (at
-        rounding level) is projected out before solving. For the sphere only
-        azimuthal_mode=1 is supported and eta is the profile G(theta) of the
-        source G(theta) cos(psi), which has zero mean automatically.
+        Source. On the periodic grids it must integrate to zero against the
+        volume weights within 1e-10 * ||eta||_1; the residual incompatibility
+        (at rounding level) is projected out before solving. On the sphere
+        eta is the profile G(theta) of the source G(theta) cos(psi), which
+        has zero mean automatically.
 
     Raises
     ------
@@ -473,7 +468,7 @@ def solve_weighted_poisson(geometry, rho, eta, azimuthal_mode=0) -> VelocityPote
     eta = np.asarray(eta, dtype=float)
     if np.any(rho <= 0):
         raise NonpositiveDensity("rho must be strictly positive")
-    vp = _discretization(geometry).solve(rho, eta, azimuthal_mode)
+    vp = _discretization(geometry).solve(rho, eta)
     if vp.residual > RESIDUAL_TOL:  # pragma: no cover
         raise TangentError(f"linear solve residual {vp.residual:.2e}")
     return vp
@@ -503,10 +498,10 @@ def velocity_potential(geometry, t, x=None, v=1.0) -> VelocityPotential:
     return _resolved(geometry, t).potential(t, x, v)
 
 
-def tangent_plan(geometry, t, x=None, v=1.0, potential=None) -> TangentPlan:
-    """Quadrature plan (nodes, kernel weights, |grad phi|^2) for (t, x, v)."""
-    vp = potential if potential is not None else velocity_potential(geometry, t, x, v)
-    return _discretization(geometry).plan(t, x, vp)
+def tangent_plan(geometry, t, x=None, v=1.0) -> TangentPlan:
+    """Quadrature plan (kernel weights, |grad phi|^2) for (t, x, v)."""
+    disc = _resolved(geometry, t)
+    return disc.plan(t, x, disc.potential(t, x, v))
 
 
 def metric_gt(geometry, t, x=None, v=1.0) -> float:
@@ -531,11 +526,11 @@ def ric_pairing(geometry, t, x=None, v=1.0) -> float:
     return geometry.K * tangent_plan(geometry, t, x, v).second_moment()
 
 
-def squared_hessian_mass(geometry, t, x=None, v=1.0, potential=None) -> float:
+def squared_hessian_mass(geometry, t, x=None, v=1.0) -> float:
     """Reported quantity int |Hess(phi)|^2 rho dvol (no assertion attached:
     whether it vanishes as t -> 0 is left open)."""
-    vp = potential if potential is not None else velocity_potential(geometry, t, x, v)
-    return _discretization(geometry).hessian_mass(t, x, vp)
+    disc = _resolved(geometry, t)
+    return disc.hessian_mass(t, x, disc.potential(t, x, v))
 
 
 def gt_derivative_bochner(geometry, t, x=None, v=1.0) -> float:
@@ -545,10 +540,10 @@ def gt_derivative_bochner(geometry, t, x=None, v=1.0) -> float:
     Matches the centered finite difference of metric_gt within 1% in the
     resolved range and always lies below -K g_t (up to 1e-8).
     """
-    vp = velocity_potential(geometry, t, x, v)
-    hess = squared_hessian_mass(geometry, t, x, v, potential=vp)
-    plan = tangent_plan(geometry, t, x, v, potential=vp)
-    return -hess - geometry.K * plan.second_moment()
+    disc = _resolved(geometry, t)
+    vp = disc.potential(t, x, v)
+    hess = disc.hessian_mass(t, x, vp)
+    return -hess - geometry.K * disc.plan(t, x, vp).second_moment()
 
 
 def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
@@ -585,7 +580,7 @@ def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
                              gt_value=g, w2_quotient_sq=(w2 / h_eff) ** 2)
 
 
-def tangency_experiment(geometry, x=None, v=1.0, t_grid=None, slope_tol=0.05) -> TangencyReport:
+def tangency_experiment(geometry, x=None, v=1.0, t_grid=None) -> TangencyReport:
     """Small-time slopes of g_t(v, v) against the -2 Ric(v, v) target.
 
     t_grid must decrease geometrically (ratio about 1/2) to a t_min resolved
@@ -602,16 +597,16 @@ def tangency_experiment(geometry, x=None, v=1.0, t_grid=None, slope_tol=0.05) ->
     ratios = ts[1:] / ts[:-1]
     if np.any(ratios < 0.25) or np.any(ratios > 0.85):
         raise TangentError("t_grid should decrease geometrically (ratio about 1/2)")
+    disc = _discretization(geometry)
     for t in ts:
-        _resolved(geometry, t)
+        disc.check_resolution(t)
 
     sp2 = float(np.sum(np.square(v)))
     gts, hms = [], []
     for t in ts:
-        vp = velocity_potential(geometry, t, x, v)
-        plan = tangent_plan(geometry, t, x, v, potential=vp)
-        gts.append(plan.second_moment())
-        hms.append(squared_hessian_mass(geometry, t, x, v, potential=vp))
+        vp = disc.potential(t, x, v)
+        gts.append(disc.plan(t, x, vp).second_moment())
+        hms.append(disc.hessian_mass(t, x, vp))
     gts = np.array(gts)
     hms = np.array(hms)
     slopes = (gts - sp2) / ts

@@ -51,6 +51,11 @@ __all__ = [
 
 MASS_TOL = 1e-9
 GAP_TOL = 1e-8
+# w2_sinkhorn: epsilon factor per stage, iterations at the final epsilon,
+# and the row-marginal violation that ends them
+SINKHORN_SCHEDULE = 0.5
+SINKHORN_MAX_ITER = 4000
+SINKHORN_MARGINAL_TOL = 1e-6
 # quantile levels closer than this fraction of the mass coincide on circles
 _LEVEL_TOL = 1e-13
 
@@ -377,8 +382,9 @@ def dual_gap(mu, nu, value, potentials: DualPotentials, dist=None) -> float:
 # ---------------------------------------------------------------------------
 # entropic approximation
 
-def _sinkhorn_core(mu, nu, cost, eps_final, schedule, max_iter, tol):
+def _sinkhorn_core(mu, nu, cost, eps_final):
     """Log-domain Sinkhorn with geometric epsilon scaling from max cost."""
+    max_iter, tol = SINKHORN_MAX_ITER, SINKHORN_MARGINAL_TOL
     logmu = np.log(mu)
     lognu = np.log(nu)
     f = np.zeros_like(mu)
@@ -386,7 +392,7 @@ def _sinkhorn_core(mu, nu, cost, eps_final, schedule, max_iter, tol):
     eps0 = max(cost.max(), eps_final)
     stages = [eps0]
     while stages[-1] > eps_final:
-        stages.append(max(stages[-1] * schedule, eps_final))
+        stages.append(max(stages[-1] * SINKHORN_SCHEDULE, eps_final))
 
     for eps in stages:
         last = eps == stages[-1]
@@ -439,16 +445,19 @@ def _round_to_marginals(gamma, mu, nu):
     return gamma
 
 
-def w2_sinkhorn(mu, nu, dist, eps_final, schedule=0.5, max_iter=4000,
-                marginal_tol=1e-6, return_info=False):
+def w2_sinkhorn(mu, nu, dist, eps_final, return_info=False):
     """Entropically regularized W_2 with epsilon scaling.
 
-    The regularization is lowered geometrically (factor `schedule`) from
-    eps_0 = max d^2 down to eps_final; the final plan is rounded to exact
-    marginals, so the reported marginal violation is at rounding level. As in
-    w2_exact, one solve runs in a canonical argument order (the plan is
-    transposed back when the arguments were swapped), making
-    w2_sinkhorn(mu, nu) == w2_sinkhorn(nu, mu) bit-exact.
+    The regularization is lowered geometrically (factor SINKHORN_SCHEDULE)
+    from eps_0 = max d^2 down to eps_final. There the iteration stops once
+    the row marginals are within SINKHORN_MARGINAL_TOL, when progress stalls,
+    or after SINKHORN_MAX_ITER iterations; a violation still above
+    max(100 * SINKHORN_MARGINAL_TOL, 1e-4) raises SinkhornNonConvergence.
+    The final plan is rounded to exact marginals, so the reported marginal
+    violation is at rounding level. As in w2_exact, one solve runs in a
+    canonical argument order (the plan is transposed back when the arguments
+    were swapped), making w2_sinkhorn(mu, nu) == w2_sinkhorn(nu, mu)
+    bit-exact.
 
     With return_info=True also returns a dict with the plan's marginal
     violation and the diagonal-feasibility bias bound sqrt(2 eps_final log n)
@@ -457,8 +466,6 @@ def w2_sinkhorn(mu, nu, dist, eps_final, schedule=0.5, max_iter=4000,
     mu, nu = _validate_pair(mu, nu)
     if eps_final <= 0:
         raise TransportError("eps_final must be > 0")
-    if not (0 < schedule < 1):
-        raise TransportError("schedule factor must lie in (0, 1)")
     dist = np.asarray(dist, dtype=float)
 
     swapped = _canonical_swap(mu, nu)
@@ -466,7 +473,7 @@ def w2_sinkhorn(mu, nu, dist, eps_final, schedule=0.5, max_iter=4000,
     sa = np.flatnonzero(a > 0)
     sb = np.flatnonzero(b > 0)
     cost = dist[np.ix_(sa, sb)] ** 2
-    gamma = _sinkhorn_core(a[sa], b[sb], cost, eps_final, schedule, max_iter, marginal_tol)
+    gamma = _sinkhorn_core(a[sa], b[sb], cost, eps_final)
     gamma = _round_to_marginals(gamma, a[sa], b[sb])
     value = float(np.sqrt(max((gamma * cost).sum(), 0.0)))
 

@@ -215,6 +215,17 @@ class TestFlowCommand:
         assert f"pair {pair} is out of range for 16 points" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_full_matrix_cap_exits_2_without_files(self, tmp_path, capsys):
+        # t = 0 needs no solve, and the cap holds there all the same
+        out = tmp_path / "big"
+        code = cli.run(["flow", "--geometry", "circle", "--n", str(flow.FULL_MATRIX_CAP + 1),
+                        "--times", "0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"full matrices capped at n = {flow.FULL_MATRIX_CAP}" in err
+        assert "dtilde_pairs" in err and "--pairs" in err
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize("n, pair", [(128, "3:126"), (256, "60:65")])
     def test_short_circle_offsets_certify(self, tmp_path, n, pair):
         # both once failed the certificate with the LP (tiny tail masses)

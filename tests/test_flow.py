@@ -31,9 +31,12 @@ class TestDtilde:
         assert off.min() > 0
 
     def test_cap(self, circle16):
+        _, big = hm.model_circle(2 * np.pi, flow.FULL_MATRIX_CAP + 1)
+        big_hs = hm.spectral_decompose(big)
+        for t in (0.0, 0.1):  # t = 0 needs no solve and is capped all the same
+            with pytest.raises(hm.FlowError, match="dtilde_pairs"):
+                hm.dtilde_matrix(big, big_hs, t)
         _, space, hs = circle16
-        with pytest.raises(hm.FlowError):
-            hm.dtilde_matrix(space, hs, 0.1, cap=8)
         vals = hm.dtilde_pairs(space, hs, 0.1, [(0, 8), (1, 5)])
         full = hm.dtilde_matrix(space, hs, 0.1)
         assert_allclose(vals, [full[0, 8], full[1, 5]], rtol=1e-12)
@@ -229,6 +232,14 @@ class TestRefinement:
             rep.min_order
         with pytest.raises(hm.FlowError, match="at least three grid sizes"):
             rep.limit_consistent()
+
+    def test_empty_probe_list(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built for an empty probe list")
+
+        monkeypatch.setattr(flow, "model_circle", no_grid)
+        with pytest.raises(hm.FlowError, match="at least one probe pair"):
+            hm.refinement_stability(2 * np.pi, 0.1, [16, 32, 64], [])
 
     def test_unrepresentable_probe(self):
         with pytest.raises(hm.FlowError):

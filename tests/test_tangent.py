@@ -68,14 +68,6 @@ class TestSolveWeightedPoisson:
         with pytest.raises(hm.NonpositiveDensity):
             hm.solve_weighted_poisson(CIRCLE, rho, np.zeros(CIRCLE.n))
 
-    def test_mode_guards(self):
-        sph = hm.model_sphere(1.0, 64, 40)
-        with pytest.raises(hm.TangentError):
-            hm.solve_weighted_poisson(sph, np.ones(64), np.zeros(64), azimuthal_mode=0)
-        with pytest.raises(hm.TangentError):
-            hm.solve_weighted_poisson(CIRCLE, np.ones(CIRCLE.n), np.zeros(CIRCLE.n),
-                                      azimuthal_mode=1)
-
     def test_energy_gradient_vanishes(self, rng):
         vp = hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=1.0)
         scale = np.linalg.norm(vp.eta)
