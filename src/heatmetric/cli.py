@@ -17,9 +17,12 @@ wall_time_seconds}, through one CSV writer (floats as %.17g, exact when read
 back; matrices row-major under a header of point ids). Exit code 0 iff all
 enabled assertions pass, 1 on assertion failure or an uncertified transport
 solve, 2 on input error.
-All tolerances default to the library's documented values and are echoed
-into the summary; there is no unseeded randomness anywhere (the one random
-fixture, the 16-point Sinkhorn comparison, takes --seed).
+Each check's bound is fixed: the reports' own constants for tangency (0.05),
+contraction (1e-6) and continuity (1e-8), AXIOM_TOL (1e-8) for the flow
+axioms and MIN_ORDER (1.0) for refinement. The curvature bound K is the
+space's. Input checks the library makes are left to it. There is no
+unseeded randomness anywhere (the one random fixture, the 16-point Sinkhorn
+comparison, takes --seed).
 """
 from __future__ import annotations
 
@@ -41,6 +44,9 @@ from .spaces import (SpaceError, build_space, circle_geometry, model_circle, mod
                      torus_geometry)
 
 __all__ = ["main", "run"]
+
+AXIOM_TOL = 1e-8  # flow axioms, and d_t against e^{-Kt} d
+MIN_ORDER = 1.0   # refinement convergence order
 
 
 class InputError(Exception):
@@ -154,9 +160,7 @@ def resolve_input(args):
 # subcommands
 
 def cmd_flow(args):
-    space, geom = resolve_input(args)
-    if space is None:
-        raise InputError("the flow subcommand needs a discrete space or grid geometry")
+    space, _ = resolve_input(args)
     times = parse_times(args.times)
     hs = heat_mod.spectral_decompose(space)
     checks, tables = [], {}
@@ -173,7 +177,7 @@ def cmd_flow(args):
         tables[f"dtilde_{tag}.csv"] = (ids, fm.dtilde)
         tables[f"dt_{tag}.csv"] = (ids, fm.dt)
         viol = fm.max_axiom_violation()
-        checks.append(check("flow_axioms", viol, args.tol, viol <= args.tol, t=t))
+        checks.append(check("flow_axioms", viol, AXIOM_TOL, viol <= AXIOM_TOL, t=t))
         if t > 0:
             # reported, never asserted: how far the arc distance has drifted
             off = ~np.eye(space.n, dtype=bool)
@@ -184,8 +188,8 @@ def cmd_flow(args):
             checks.append(check("dtilde0_equals_d", exact, 0.0, exact == 0.0, t=0.0))
         elif space.K is not None:
             excess = float((fm.dt - np.exp(-space.K * t) * space.dist).max())
-            checks.append(check("dt_below_scaled_original", excess, args.tol,
-                                excess <= args.tol, t=t))
+            checks.append(check("dt_below_scaled_original", excess, AXIOM_TOL,
+                                excess <= AXIOM_TOL, t=t))
     return checks, tables
 
 
@@ -209,10 +213,10 @@ def cmd_tangency(args):
     columns = ("t", "g_t", "slope", "hessian_mass", "target", "deviation")
     rows = [[row[k] for k in columns] + [""] for row in report.rows()]
     rows.append(["extrapolated", report.extrapolated_slope, "", "", report.target,
-                 report.deviation, report.passed(args.tol)])
+                 report.deviation, report.passed()])
     checks = [
         check("tangency_slope", report.extrapolated_slope, report.target,
-              report.deviation <= args.tol),
+              report.deviation <= report.tol),
         check("tangency_one_sided", 1.0 if report.one_sided_ok else 0.0, 1.0,
               report.one_sided_ok),
     ]
@@ -232,8 +236,7 @@ def cmd_contraction(args):
     times = parse_times(args.times)
     if isinstance(geom, SphereGeometry):
         widths = parse_list(args.widths, float, "width")
-        report = flow_mod.sphere_contraction_report(geom, times, _zonal_pairs(geom, widths),
-                                                    rel_tol=args.tol)
+        report = flow_mod.sphere_contraction_report(geom, times, _zonal_pairs(geom, widths))
     else:
         hs = heat_mod.spectral_decompose(space)
         if args.pairs:
@@ -242,33 +245,25 @@ def cmd_contraction(args):
             rng = np.random.default_rng(args.seed)
             idx = rng.choice(space.n, size=(min(4, space.n // 2), 2), replace=False)
             pairs = [tuple(map(int, p)) for p in idx]
-        K = args.K if args.K is not None else space.K
-        if K is None:
-            raise InputError("contraction needs K (declare in the space file or pass --K)")
-        report = flow_mod.contraction_report(space, hs, times, pairs, K=K, rel_tol=args.tol)
+        report = flow_mod.contraction_report(space, hs, times, pairs)
     rows = [(f"{r.pair[0]}|{r.pair[1]}", r.t, r.w2_initial, r.w2_evolved, r.ratio, r.bound,
-             r.excess <= args.tol) for r in report.records]
-    checks = [check("contraction_max_excess", report.max_excess, args.tol,
+             r.excess <= report.rel_tol) for r in report.records]
+    checks = [check("contraction_max_excess", report.max_excess, report.rel_tol,
                     report.passed())]
     return checks, {"contraction.csv": (
         ["pair", "t", "w2_initial", "w2_evolved", "ratio", "bound", "pass"], rows)}
 
 
 def cmd_continuity(args):
-    space, geom = resolve_input(args)
-    if space is None:
-        raise InputError("continuity runs on a discrete space or grid geometry")
+    space, _ = resolve_input(args)
     deltas = parse_list(args.deltas, float, "delta")
-    if any(d < 0 for d in deltas):
-        raise InputError("deltas must be >= 0")
     hs = heat_mod.spectral_decompose(space)
-    K = args.K if args.K is not None else space.K
-    report = flow_mod.time_continuity_report(space, hs, args.t, deltas, K=K)
+    report = flow_mod.time_continuity_report(space, hs, args.t, deltas)
     checks = [
         check("continuity_decreasing", 1.0 if report.decreasing else 0.0, 1.0,
               report.decreasing, t=args.t),
-        check("semigroup_bound_excess", report.semigroup_excess, args.tol,
-              report.semigroup_excess <= args.tol, t=args.t),
+        check("semigroup_bound_excess", report.semigroup_excess, report.tol,
+              report.semigroup_excess <= report.tol, t=args.t),
     ]
     return checks, {"continuity.csv": (
         ["delta", "sup_difference"], zip(report.deltas, report.sup_differences))}
@@ -277,17 +272,14 @@ def cmd_continuity(args):
 def cmd_refine(args):
     grids = parse_list(args.grids, int, "grid size")
     probes = parse_pairs(args.probes, float)
-    if len(grids) < 3:
-        # two grids give one difference and no convergence order
-        raise InputError("refinement needs at least three grid sizes")
     report = flow_mod.refinement_stability(args.L, args.t, grids, probes)
     header = (["probe"] + [f"n{n}" for n in report.grid_sizes]
               + [f"diff{k}" for k in range(report.differences.shape[1])]
               + [f"order{k}" for k in range(report.orders.shape[1])])
     rows = [[f"{a}:{b}", *vals, *diffs, *orders] for (a, b), vals, diffs, orders
             in zip(probes, report.probe_values, report.differences, report.orders)]
-    checks = [check("refinement_order", report.min_order, args.order,
-                    report.min_order >= args.order, t=args.t)]
+    checks = [check("refinement_order", report.min_order, MIN_ORDER,
+                    report.min_order >= MIN_ORDER, t=args.t)]
     return checks, {"refine.csv": (header, rows)}
 
 
@@ -341,7 +333,7 @@ def cmd_selftest(args):
     checks.append(check("sinkhorn_vs_exact", rel, 0.01, rel <= 0.01))
     # contraction on the circle
     rep = flow_mod.contraction_report(space, hs, [0.1, 0.5], [(0, 12), (3, 10)])
-    checks.append(check("circle_contraction_excess", rep.max_excess, 1e-6, rep.passed()))
+    checks.append(check("circle_contraction_excess", rep.max_excess, rep.rel_tol, rep.passed()))
     # Gaussian envelope diagnostic: reported, not asserted (the envelope's
     # structure constants are unspecified)
     ratios = heat_mod.gaussian_bound_ratios(space, hs, 0.2)
@@ -351,17 +343,21 @@ def cmd_selftest(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_geometry_args(p):
-    p.add_argument("--geometry", choices=["circle", "torus", "sphere"])
+def _add_geometry_args(p, sphere):
+    """The grid geometries' flags, and the sphere's where the subcommand
+    runs on it."""
+    p.add_argument("--geometry", choices=["circle", "torus", "sphere"] if sphere else
+                   ["circle", "torus"])
     p.add_argument("--L", type=float, default=2 * np.pi)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--L1", type=float, default=2 * np.pi)
     p.add_argument("--L2", type=float, default=2 * np.pi)
     p.add_argument("--n1", type=int, default=16)
     p.add_argument("--n2", type=int, default=16)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--ntheta", type=int, default=512)
-    p.add_argument("--lmax", type=int, default=120)
+    if sphere:
+        p.add_argument("--r", type=float, default=1.0)
+        p.add_argument("--ntheta", type=int, default=512)
+        p.add_argument("--lmax", type=int, default=120)
 
 
 def build_parser():
@@ -371,43 +367,36 @@ def build_parser():
 
     p = sub.add_parser("flow", help="dtilde_t / d_t matrices")
     p.add_argument("--space")
-    _add_geometry_args(p)
+    _add_geometry_args(p, sphere=False)
     p.add_argument("--times", required=True)
     p.add_argument("--pairs")
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("tangency", help="small-time Ricci tangency experiment")
-    _add_geometry_args(p)
+    _add_geometry_args(p, sphere=True)
     p.add_argument("--v", default="1.0")
     p.add_argument("--tmax", type=float, default=0.2)
     p.add_argument("--tmin", type=float, default=0.0125)
     p.add_argument("--times")
-    p.add_argument("--tol", type=float, default=0.05)
 
     p = sub.add_parser("contraction", help="W2 contraction report")
     p.add_argument("--space")
-    _add_geometry_args(p)
+    _add_geometry_args(p, sphere=True)
     p.add_argument("--times", required=True)
     p.add_argument("--pairs")
-    p.add_argument("--K", type=float)
     p.add_argument("--widths", default="0.1,0.3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("continuity", help="time continuity of the flow")
     p.add_argument("--space")
-    _add_geometry_args(p)
+    _add_geometry_args(p, sphere=False)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--deltas", required=True)
-    p.add_argument("--K", type=float)
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("refine", help="circle grid refinement stability")
     p.add_argument("--L", type=float, default=2 * np.pi)
     p.add_argument("--t", type=float, default=0.1)
     p.add_argument("--grids", default="64,128,256,512")
     p.add_argument("--probes", default="0:0.5")
-    p.add_argument("--order", type=float, default=1.0)
 
     p = sub.add_parser("selftest", help="invariant suite on built-in fixtures")
     p.add_argument("--seed", type=int, default=0)

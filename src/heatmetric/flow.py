@@ -18,6 +18,7 @@ the colatitude lower bound for product-with-uniform-azimuth measures).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
@@ -165,7 +166,7 @@ class ContractionRecord:
 class ContractionReport:
     K: float
     records: list
-    rel_tol: float = 1e-6
+    rel_tol: ClassVar[float] = 1e-6  # the relative excess that passes
 
     @property
     def max_excess(self) -> float:
@@ -187,30 +188,34 @@ def _as_measure_pair(space, pair):
     return np.asarray(a, float), np.asarray(b, float), ("mu", "nu")
 
 
-def contraction_report(space, hs, times, pairs, K=None, rel_tol=1e-6) -> ContractionReport:
-    """Contraction ratios W_2(H_t mu, H_t nu) / W_2(mu, nu) against e^{-Kt}.
-
-    pairs may list point-index pairs (delta measures) or explicit measure
-    pairs. K defaults to the space's declared bound and is required.
-    """
-    K = space.K if K is None else K
-    if K is None:
-        raise FlowError("contraction needs a declared curvature bound K")
+def _contraction(K, times, labelled_pairs, w2, evolve) -> ContractionReport:
+    """Ratios W_2(evolve(t, mu), evolve(t, nu)) / W_2(mu, nu) against e^{-Kt}
+    for each (mu, nu, label); t = 0 reuses W_2(mu, nu)."""
+    if any(t < 0 for t in times):
+        raise FlowError("negative time")
     records = []
-    for pair in pairs:
-        mu, nu, label = _as_measure_pair(space, pair)
-        w0 = w2_exact(mu, nu, space.dist).value
+    for mu, nu, label in labelled_pairs:
+        w0 = w2(mu, nu)
         for t in times:
-            if t < 0:
-                raise FlowError("negative time")
-            wt = w0 if t == 0 else w2_exact(
-                heat_apply(hs, t, mu), heat_apply(hs, t, nu), space.dist
-            ).value
+            wt = w0 if t == 0 else w2(evolve(t, mu), evolve(t, nu))
             records.append(ContractionRecord(
                 t=float(t), pair=label, w2_initial=w0, w2_evolved=wt,
                 bound=float(np.exp(-K * t)),
             ))
-    return ContractionReport(K=float(K), records=records, rel_tol=rel_tol)
+    return ContractionReport(K=float(K), records=records)
+
+
+def contraction_report(space, hs, times, pairs) -> ContractionReport:
+    """Contraction ratios W_2(H_t mu, H_t nu) / W_2(mu, nu) against e^{-Kt}.
+
+    pairs may list point-index pairs (delta measures) or explicit measure
+    pairs. K is the space's declared bound and is required.
+    """
+    if space.K is None:
+        raise FlowError("contraction needs a declared curvature bound K")
+    return _contraction(space.K, times, (_as_measure_pair(space, p) for p in pairs),
+                        lambda mu, nu: w2_exact(mu, nu, space.dist).value,
+                        lambda t, mu: heat_apply(hs, t, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +309,10 @@ def _quantile(pieces, k, u):
     return lo[k] + (hi - lo)[k] * ((u - start[k]) / mass[k])
 
 
-def sphere_contraction_report(geometry, times, pairs, rel_tol=1e-6) -> ContractionReport:
+def sphere_contraction_report(geometry, times, pairs) -> ContractionReport:
     """Contraction ratios on the sphere (K = 1/r^2) for zonal measure pairs."""
-    K = geometry.K
-    records = []
-    for idx, (mu, nu) in enumerate(pairs):
-        w0 = w2_zonal(mu, nu)
-        for t in times:
-            if t < 0:
-                raise FlowError("negative time")
-            wt = w0 if t == 0 else w2_zonal(mu.evolve(t), nu.evolve(t))
-            records.append(ContractionRecord(
-                t=float(t), pair=(f"zonal{idx}a", f"zonal{idx}b"),
-                w2_initial=w0, w2_evolved=wt, bound=float(np.exp(-K * t)),
-            ))
-    return ContractionReport(K=float(K), records=records, rel_tol=rel_tol)
+    labelled = ((mu, nu, (f"zonal{idx}a", f"zonal{idx}b")) for idx, (mu, nu) in enumerate(pairs))
+    return _contraction(geometry.K, times, labelled, w2_zonal, lambda t, mu: mu.evolve(t))
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +325,17 @@ class TimeContinuityReport:
     sup_differences: np.ndarray
     semigroup_excess: float
     decreasing: bool
+    tol: ClassVar[float] = 1e-8  # the semigroup excess that passes
 
-    def passed(self, tol=1e-8) -> bool:
+    def passed(self, tol=tol) -> bool:
         return self.decreasing and self.semigroup_excess <= tol
 
 
-def time_continuity_report(space, hs, t, deltas, K=None) -> TimeContinuityReport:
+def time_continuity_report(space, hs, t, deltas) -> TimeContinuityReport:
     """Right continuity of the flow: sup |dtilde_{t+d} - dtilde_t| per delta,
     plus the semigroup bounds dtilde_{t+d} <= e^{-Kd} dtilde_t and
-    d_{t+d} <= e^{-Kd} d_t entrywise."""
-    K = space.K if K is None else K
+    d_{t+d} <= e^{-Kd} d_t entrywise, with K the space's declared bound."""
+    K = space.K
     if K is None:
         raise FlowError("time continuity bounds need a declared K")
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
@@ -374,19 +369,13 @@ class RefinementReport:
 
     @property
     def min_order(self) -> float:
-        self._need_three_grids()
         return float(self.orders.min())
 
     def limit_consistent(self) -> bool:
         """Finest value sits within the last difference of the extrapolated
         limit, for every probe."""
-        self._need_three_grids()
         last = self.differences[:, -1]
         return bool(np.all(last <= np.maximum(self.differences[:, -2], 1e-15)))
-
-    def _need_three_grids(self):
-        if len(self.grid_sizes) < 3:  # an order compares two differences
-            raise FlowError("refinement needs at least three grid sizes")
 
 
 def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
@@ -397,6 +386,8 @@ def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
     differences, and the empirical convergence order (expected >= 1).
     """
     sizes = tuple(int(n) for n in grid_sizes)
+    if len(sizes) < 3:  # an order compares two differences
+        raise FlowError("refinement needs at least three grid sizes")
     if len(probe_pairs) == 0:
         raise FlowError("refinement needs at least one probe pair")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

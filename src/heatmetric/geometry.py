@@ -188,21 +188,15 @@ class SphereGeometry:
         v = np.asarray(v, dtype=float)
         return float(np.dot(v.ravel(), v.ravel())) / self.r**2
 
-    def check_truncation(self, t_min: float):
-        """Kernel series convergence guard: l_max (l_max + 1) t >= 25."""
-        if self.l_max * (self.l_max + 1) * t_min < 25.0:
-            raise TruncationError(
-                f"l_max={self.l_max} too small for t={t_min}: "
-                "kernel series not converged (need l_max(l_max+1)t >= 25)"
-            )
-
 
 def model_sphere(r, n_theta, l_max) -> SphereGeometry:
     """Sphere geometry of radius r with an n_theta colatitude grid.
 
     Requires n_theta >= 64 and l_max >= 40; evaluations at small times
-    additionally require l_max (l_max + 1) t >= 25 and raise
-    TruncationError otherwise.
+    additionally require the last kernel coefficient
+    (2 l_max + 1) / (4 pi r^2) e^{-l_max (l_max + 1) t / r^2} to be at most
+    1e-12 (heat.sphere_kernel_coefficients) and raise TruncationError
+    otherwise.
     """
     if r <= 0:
         raise GeometryError("radius must be > 0")

@@ -61,6 +61,55 @@ def assert_checks_table(out, command):
                   for c in checks])
 
 
+class TestOptionSurface:
+    GRID = ["--geometry", "--L", "--n", "--L1", "--L2", "--n1", "--n2"]
+    SPHERE = ["--r", "--ntheta", "--lmax"]
+
+    def test_options_of_each_subcommand(self):
+        sub = cli.build_parser()._subparsers._group_actions[0]
+        options = {name: sorted(opt for action in p._actions for opt in action.option_strings
+                                if opt not in ("-h", "--help"))
+                   for name, p in sub.choices.items()}
+        expected = {
+            "flow": ["--space", *self.GRID, "--times", "--pairs"],
+            "tangency": [*self.GRID, *self.SPHERE, "--v", "--tmax", "--tmin", "--times"],
+            "contraction": ["--space", *self.GRID, *self.SPHERE, "--times", "--pairs",
+                            "--widths", "--seed"],
+            "continuity": ["--space", *self.GRID, "--t", "--deltas"],
+            "refine": ["--L", "--t", "--grids", "--probes"],
+            "selftest": ["--seed"],
+        }
+        assert options == {name: sorted(opts + ["--out"]) for name, opts in expected.items()}
+        assert sum(map(len, options.values())) == 60
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--geometry", "sphere", "--times", "0.1"],
+        ["continuity", "--geometry", "sphere", "--t", "0.1", "--deltas", "0.05"],
+    ])
+    def test_sphere_only_where_it_runs(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert cli.run(argv + ["--out", str(out)]) == 2
+        assert "invalid choice: 'sphere'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_library_checks_exit_2(self, tmp_path, capsys):
+        no_k = tmp_path / "no_k.json"
+        no_k.write_text(json.dumps({"points": 2, "edges": [[0, 1, 1.0]],
+                                    "measure": [1.0, 1.0]}))
+        out = tmp_path / "run"
+        for argv, message in [
+            (["contraction", "--space", str(no_k), "--times", "0.1"],
+             "contraction needs a declared curvature bound K"),
+            (["continuity", "--geometry", "circle", "--n", "16", "--t", "0.2",
+              "--deltas=-0.1"], "deltas must be >= 0"),
+            (["flow", "--geometry", "circle", "--n", "16", "--times", "0.1",
+              "--tol", "1e-6"], "unrecognized arguments: --tol"),
+        ]:
+            assert cli.run(argv + ["--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestCsvLayout:
     """Every number in a table reads back as exactly the report's value."""
 

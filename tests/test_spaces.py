@@ -141,7 +141,7 @@ class TestModelSphere:
         with pytest.raises(hm.GeometryError):
             hm.model_sphere(1.0, 128, 20)
         with pytest.raises(hm.TruncationError):
-            hm.model_sphere(1.0, 64, 40).check_truncation(0.001)
+            hm.metric_gt(hm.model_sphere(1.0, 64, 40), 0.001)
 
 
 class TestCurveLength:

@@ -352,3 +352,14 @@ class TestTangencyExperiment:
         sph = hm.model_sphere(1.0, 128, 40)
         with pytest.raises(hm.TruncationError):
             hm.tangency_experiment(sph, v=1.0, t_grid=[0.02, 0.01, 0.005])
+
+    def test_truncation_checked_before_any_solve(self, monkeypatch):
+        # l_max (l_max + 1) t = 26.1 at t = 0.0018, yet the last kernel
+        # coefficient is 8.6e-11: the time must fail before the first solve
+        def no_solve(*args):
+            raise AssertionError("a Poisson solve ran at an unresolved time")
+
+        monkeypatch.setattr(tangent, "_solve_sphere_m1", no_solve)
+        sph = hm.model_sphere(1.0, 512, 120)
+        with pytest.raises(hm.TruncationError, match="sphere kernel tail"):
+            hm.tangency_experiment(sph, v=1.0, t_grid=[0.0072, 0.0036, 0.0018])
