@@ -13,7 +13,7 @@ import heatmetric as hm
 
 grid = [0.2, 0.1, 0.05, 0.025, 0.0125]
 
-sphere = hm.model_sphere(1.0, 512, 120)
+sphere = hm.SphereGeometry(1.0, 512, 120)
 rep = hm.tangency_experiment(sphere, v=1.0, t_grid=grid)
 print("unit sphere, |v| = 1, target slope -2")
 print(f"{'t':>8} {'g_t':>12} {'slope':>10} {'hessian mass':>14}")

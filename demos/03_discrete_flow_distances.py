@@ -15,15 +15,15 @@ space2 = hm.build_space(2, [(0, 1, 1.0)], [1.0, 1.0], K=0.0, conductances=[1.0])
 hs2 = hm.spectral_decompose(space2)
 print("two-point space, edge length 1, unit conductance:")
 for t in (0.0, 0.25, 0.5, 1.0):
-    fm = hm.flow_matrices(space2, hs2, t)
+    fm = hm.flow_matrices(hs2, t)
     print(f"  t={t:5.2f}: dtilde = {fm.dtilde[0, 1]:.8f}   closed form {np.exp(-t):.8f}")
 
 print()
 _, circle = hm.model_circle(2 * np.pi, 16)
 hs = hm.spectral_decompose(circle)
 print("circle grid, n = 16: distances from node 0 at t = 0 and t = 0.25")
-fm0 = hm.flow_matrices(circle, hs, 0.0)
-fm = hm.flow_matrices(circle, hs, 0.25)
+fm0 = hm.flow_matrices(hs, 0.0)
+fm = hm.flow_matrices(hs, 0.25)
 print("  node:   " + "  ".join(f"{j:6d}" for j in range(8)))
 print("  d:      " + "  ".join(f"{fm0.dtilde[0, j]:6.3f}" for j in range(8)))
 print("  dtilde: " + "  ".join(f"{fm.dtilde[0, j]:6.3f}" for j in range(8)))
@@ -33,12 +33,12 @@ print(f"  empirical distortion max d / d_t: {np.max(circle.dist[fm.dt > 0] / fm.
 
 print()
 print("contraction ratios W2(H_t mu, H_t nu) / W2(mu, nu) vs the bound e^{-Kt}:")
-rep = hm.contraction_report(circle, hs, [0.1, 0.5, 1.0], [(0, 8), (2, 5)])
+rep = hm.contraction_report(circle, [0.1, 0.5, 1.0], [(0, 8), (2, 5)])
 for r in rep.records:
     print(f"  pair {r.pair}, t={r.t:4.2f}: ratio {r.ratio:.6f} <= bound {r.bound:.6f}")
 
 print()
-sphere = hm.model_sphere(1.0, 512, 120)
+sphere = hm.SphereGeometry(1.0, 512, 120)
 pairs = [
     (hm.ZonalMeasure.pole(sphere), hm.ZonalMeasure.pole(sphere, south=True)),
     (hm.ZonalMeasure.heat_kernel(sphere, 0.3),

@@ -14,9 +14,8 @@ import numpy as np
 import heatmetric as hm
 
 _, space = hm.model_circle(2 * np.pi, 16)
-hs = hm.spectral_decompose(space)
 
-rep = hm.time_continuity_report(space, hs, 0.1, [0.16, 0.08, 0.04, 0.02, 0.01])
+rep = hm.time_continuity_report(space, 0.1, [0.16, 0.08, 0.04, 0.02, 0.01])
 print("time continuity at t = 0.1 on the 16-node circle:")
 print(f"{'delta':>8} {'sup |dtilde(t+d) - dtilde(t)|':>30}")
 for d, s in zip(rep.deltas, rep.sup_differences):

@@ -19,7 +19,6 @@ from .geometry import (
     SphereGeometry,
     TorusGeometry,
     TruncationError,
-    model_sphere,
 )
 from .spaces import (
     Curve,

@@ -20,9 +20,10 @@ solve, 2 on input error.
 Each check's bound is fixed: the reports' own constants for tangency (0.05),
 contraction (1e-6) and continuity (1e-8), AXIOM_TOL (1e-8) for the flow
 axioms and MIN_ORDER (1.0) for refinement. The curvature bound K is the
-space's. Input checks the library makes are left to it. There is no
-unseeded randomness anywhere (the one random fixture, the 16-point Sinkhorn
-comparison, takes --seed).
+space's. Input checks the library makes are left to it: each geometry checks
+its own parameters, and contraction and continuity take only the space and
+decompose it after their own checks. There is no unseeded randomness anywhere
+(the one random fixture, the 16-point Sinkhorn comparison, takes --seed).
 """
 from __future__ import annotations
 
@@ -39,9 +40,8 @@ from . import flow as flow_mod
 from . import heat as heat_mod
 from . import tangent as tangent_mod
 from . import transport as transport_mod
-from .geometry import SphereGeometry, TorusGeometry, model_sphere
-from .spaces import (SpaceError, build_space, circle_geometry, model_circle, model_torus,
-                     torus_geometry)
+from .geometry import CircleGeometry, SphereGeometry, TorusGeometry
+from .spaces import SpaceError, build_space, model_circle, model_torus
 
 __all__ = ["main", "run"]
 
@@ -127,15 +127,13 @@ def parse_pairs(text, convert=int):
 
 
 def build_geometry(args):
-    """The validated --geometry, without building a discrete space."""
-    kind = args.geometry
-    if kind == "circle":
-        return circle_geometry(args.L, args.n)
-    if kind == "torus":
-        return torus_geometry(args.L1, args.L2, args.n1, args.n2)
-    if kind == "sphere":
-        return model_sphere(args.r, args.ntheta, args.lmax)
-    raise InputError(f"unknown geometry {kind!r}")
+    """The --geometry, which checks its own parameters, without building a
+    discrete space."""
+    if args.geometry == "circle":
+        return CircleGeometry(args.L, args.n)
+    if args.geometry == "torus":
+        return TorusGeometry(args.L1, args.L2, args.n1, args.n2)
+    return SphereGeometry(args.r, args.ntheta, args.lmax)
 
 
 def resolve_input(args):
@@ -168,11 +166,11 @@ def cmd_flow(args):
     for t in times:
         tag = format(t, ".10g").replace(".", "p").replace("-", "m")
         if pairs is not None:
-            vals = flow_mod.dtilde_pairs(space, hs, t, pairs)
+            vals = flow_mod.dtilde_pairs(hs, t, pairs)
             tables[f"dtilde_pairs_{tag}.csv"] = (
                 ["x", "y", "dtilde"], [(x, y, v) for (x, y), v in zip(pairs, vals)])
             continue
-        fm = flow_mod.flow_matrices(space, hs, t)
+        fm = flow_mod.flow_matrices(hs, t)
         ids = range(space.n)
         tables[f"dtilde_{tag}.csv"] = (ids, fm.dtilde)
         tables[f"dt_{tag}.csv"] = (ids, fm.dt)
@@ -238,14 +236,13 @@ def cmd_contraction(args):
         widths = parse_list(args.widths, float, "width")
         report = flow_mod.sphere_contraction_report(geom, times, _zonal_pairs(geom, widths))
     else:
-        hs = heat_mod.spectral_decompose(space)
         if args.pairs:
             pairs = parse_pairs(args.pairs)
         else:
             rng = np.random.default_rng(args.seed)
             idx = rng.choice(space.n, size=(min(4, space.n // 2), 2), replace=False)
             pairs = [tuple(map(int, p)) for p in idx]
-        report = flow_mod.contraction_report(space, hs, times, pairs)
+        report = flow_mod.contraction_report(space, times, pairs)
     rows = [(f"{r.pair[0]}|{r.pair[1]}", r.t, r.w2_initial, r.w2_evolved, r.ratio, r.bound,
              r.excess <= report.rel_tol) for r in report.records]
     checks = [check("contraction_max_excess", report.max_excess, report.rel_tol,
@@ -257,8 +254,7 @@ def cmd_contraction(args):
 def cmd_continuity(args):
     space, _ = resolve_input(args)
     deltas = parse_list(args.deltas, float, "delta")
-    hs = heat_mod.spectral_decompose(space)
-    report = flow_mod.time_continuity_report(space, hs, args.t, deltas)
+    report = flow_mod.time_continuity_report(space, args.t, deltas)
     checks = [
         check("continuity_decreasing", 1.0 if report.decreasing else 0.0, 1.0,
               report.decreasing, t=args.t),
@@ -289,7 +285,7 @@ def cmd_selftest(args):
     space2 = build_space(2, [(0, 1, 1.0)], [1.0, 1.0], K=0.0, conductances=[1.0])
     hs2 = heat_mod.spectral_decompose(space2)
     t = 0.3
-    fm = flow_mod.flow_matrices(space2, hs2, t)
+    fm = flow_mod.flow_matrices(hs2, t)
     dev = abs(fm.dtilde[0, 1] - np.exp(-t))
     checks.append(check("two_point_closed_form", dev, 1e-9, dev <= 1e-9, t=t))
     # heat sanity on a circle grid
@@ -332,11 +328,11 @@ def cmd_selftest(args):
         rel = np.inf
     checks.append(check("sinkhorn_vs_exact", rel, 0.01, rel <= 0.01))
     # contraction on the circle
-    rep = flow_mod.contraction_report(space, hs, [0.1, 0.5], [(0, 12), (3, 10)])
+    rep = flow_mod.contraction_report(space, [0.1, 0.5], [(0, 12), (3, 10)])
     checks.append(check("circle_contraction_excess", rep.max_excess, rep.rel_tol, rep.passed()))
     # Gaussian envelope diagnostic: reported, not asserted (the envelope's
     # structure constants are unspecified)
-    ratios = heat_mod.gaussian_bound_ratios(space, hs, 0.2)
+    ratios = heat_mod.gaussian_bound_ratios(hs, 0.2)
     print(f"INFO gaussian envelope ratio range [{ratios.min():.3e}, {ratios.max():.3e}]")
     return checks, {}
 

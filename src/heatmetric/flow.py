@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from .geometry import SphereGeometry, legendre_table
-from .heat import heat_apply, heat_measure_from_point, spectral_decompose
+from .heat import _sphere_decay, heat_apply, heat_measure_from_point, spectral_decompose
 from .spaces import _adjacency, model_circle
 from .transport import _monotone_segments, w2_exact
 
@@ -90,13 +90,15 @@ def _point_pair(space, pair):
     return int(x), int(y)
 
 
-def dtilde_matrix(space, hs, t) -> np.ndarray:
-    """Full matrix of dtilde_t(x, y) = W_2(H_t delta_x, H_t delta_y).
+def dtilde_matrix(hs, t) -> np.ndarray:
+    """Full matrix of dtilde_t(x, y) = W_2(H_t delta_x, H_t delta_y) on the
+    space of hs.
 
     t = 0 returns the original metric exactly. Assembling the full matrix is
     O(n^2) exact transport solves; spaces beyond FULL_MATRIX_CAP points are
     rejected at every t, 0 included (use dtilde_pairs for a pair list).
     """
+    space = hs.space
     if t < 0:
         raise FlowError("negative time")
     if space.n > FULL_MATRIX_CAP:
@@ -106,13 +108,15 @@ def dtilde_matrix(space, hs, t) -> np.ndarray:
         return space.dist.copy()
     upper = np.triu_indices(space.n, 1)
     out = np.zeros((space.n, space.n))
-    out[upper] = dtilde_pairs(space, hs, t, zip(*upper))
+    out[upper] = dtilde_pairs(hs, t, zip(*upper))
     return out + out.T
 
 
-def dtilde_pairs(space, hs, t, pairs) -> np.ndarray:
-    """dtilde_t for an explicit list of point pairs, with one heat measure
-    per distinct point; indices outside the space raise FlowError."""
+def dtilde_pairs(hs, t, pairs) -> np.ndarray:
+    """dtilde_t for an explicit list of point pairs of the space of hs, with
+    one heat measure per distinct point; indices outside the space raise
+    FlowError."""
+    space = hs.space
     if t < 0:
         raise FlowError("negative time")
     pairs = [_point_pair(space, p) for p in pairs]
@@ -136,9 +140,10 @@ def dt_arc_matrix(space, dtilde) -> np.ndarray:
     return dt
 
 
-def flow_matrices(space, hs, t) -> FlowDistanceMatrix:
-    dtil = dtilde_matrix(space, hs, t)
-    return FlowDistanceMatrix(t=float(t), dtilde=dtil, dt=dt_arc_matrix(space, dtil))
+def flow_matrices(hs, t) -> FlowDistanceMatrix:
+    """dtilde_t and d_t on the space of hs."""
+    dtil = dtilde_matrix(hs, t)
+    return FlowDistanceMatrix(t=float(t), dtilde=dtil, dt=dt_arc_matrix(hs.space, dtil))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +210,16 @@ def _contraction(K, times, labelled_pairs, w2, evolve) -> ContractionReport:
     return ContractionReport(K=float(K), records=records)
 
 
-def contraction_report(space, hs, times, pairs) -> ContractionReport:
+def contraction_report(space, times, pairs) -> ContractionReport:
     """Contraction ratios W_2(H_t mu, H_t nu) / W_2(mu, nu) against e^{-Kt}.
 
     pairs may list point-index pairs (delta measures) or explicit measure
-    pairs. K is the space's declared bound and is required.
+    pairs. K is the space's declared bound and is required; it is checked
+    before the space is decomposed.
     """
     if space.K is None:
         raise FlowError("contraction needs a declared curvature bound K")
+    hs = spectral_decompose(space)
     return _contraction(space.K, times, (_as_measure_pair(space, p) for p in pairs),
                         lambda mu, nu: w2_exact(mu, nu, space.dist).value,
                         lambda t, mu: heat_apply(hs, t, mu))
@@ -228,8 +235,9 @@ class ZonalMeasure:
     Either a finite list of latitude-ring atoms [(colatitude, mass)] or a
     density given by Legendre coefficients of its profile with respect to
     the volume measure. Heat evolution multiplies the coefficients by
-    e^{-l(l+1)t/r^2}; ring atoms are expanded with the exact coefficients
-    (2l+1) P_l(cos theta0) / (4 pi r^2) when evolved.
+    e^{-l(l+1)t/r^2} under the sphere kernel's truncation rule (a tail above
+    1e-12 raises TruncationError); ring atoms are expanded with the exact
+    coefficients (2l+1) P_l(cos theta0) / (4 pi r^2) when evolved.
     """
 
     geometry: SphereGeometry
@@ -260,9 +268,8 @@ class ZonalMeasure:
     def evolve(self, t) -> "ZonalMeasure":
         if t == 0:
             return self
+        decay = _sphere_decay(t, self.geometry.r, self.geometry.l_max)
         c = self.coeffs if self.coeffs is not None else self._atom_coeffs()
-        ls = np.arange(self.geometry.l_max + 1)
-        decay = np.exp(-ls * (ls + 1) * t / self.geometry.r**2)
         return ZonalMeasure(self.geometry, coeffs=c * decay)
 
     def cell_masses(self) -> np.ndarray:
@@ -331,23 +338,25 @@ class TimeContinuityReport:
         return self.decreasing and self.semigroup_excess <= tol
 
 
-def time_continuity_report(space, hs, t, deltas) -> TimeContinuityReport:
+def time_continuity_report(space, t, deltas) -> TimeContinuityReport:
     """Right continuity of the flow: sup |dtilde_{t+d} - dtilde_t| per delta,
     plus the semigroup bounds dtilde_{t+d} <= e^{-Kd} dtilde_t and
-    d_{t+d} <= e^{-Kd} d_t entrywise, with K the space's declared bound."""
+    d_{t+d} <= e^{-Kd} d_t entrywise, with K the space's declared bound.
+    K and the deltas are checked before the space is decomposed."""
     K = space.K
     if K is None:
         raise FlowError("time continuity bounds need a declared K")
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     if np.any(deltas < 0):
         raise FlowError("deltas must be >= 0")
-    base = flow_matrices(space, hs, t)
+    hs = spectral_decompose(space)
+    base = flow_matrices(hs, t)
     sups, excess = [], 0.0
     for d in deltas:
         if d == 0:
             sups.append(0.0)
             continue
-        shifted = flow_matrices(space, hs, t + d)
+        shifted = flow_matrices(hs, t + d)
         sups.append(float(np.abs(shifted.dtilde - base.dtilde).max()))
         factor = np.exp(-K * d)
         excess = max(excess, float((shifted.dtilde - factor * base.dtilde).max()))
@@ -395,14 +404,13 @@ def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
     vals = np.zeros((len(probe_pairs), len(sizes)))
     for gi, n in enumerate(sizes):
         _, space = model_circle(L, n)
-        hs = spectral_decompose(space)
         pairs_idx = []
         for fa, fb in probe_pairs:
             ia, ib = fa * n, fb * n
             if abs(ia - round(ia)) > 1e-9 or abs(ib - round(ib)) > 1e-9:
                 raise FlowError(f"probe ({fa}, {fb}) not representable on n={n}")
             pairs_idx.append((int(round(ia)) % n, int(round(ib)) % n))
-        vals[:, gi] = dtilde_pairs(space, hs, t, pairs_idx)
+        vals[:, gi] = dtilde_pairs(spectral_decompose(space), t, pairs_idx)
     diffs = np.abs(np.diff(vals, axis=1))
     safe = np.maximum(diffs, 1e-300)
     orders = np.log2(safe[:, :-1] / safe[:, 1:])

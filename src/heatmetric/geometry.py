@@ -6,6 +6,8 @@ exactly, and enough structure for the analytic heat kernels in
 :mod:`heatmetric.heat`. The sphere is represented by a one-dimensional
 colatitude grid: every operation on it here reduces an azimuthally symmetric
 or first-azimuthal-mode problem to that grid, so no 2-D mesh is ever built.
+Each geometry checks its own parameters when it is constructed and raises
+GeometryError on values it cannot discretize.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ __all__ = [
     "CircleGeometry",
     "TorusGeometry",
     "SphereGeometry",
-    "model_sphere",
     "legendre_table",
     "legendre_table_with_derivative",
 ]
@@ -63,10 +64,16 @@ def legendre_table_with_derivative(l_max, x):
 
 @dataclass(frozen=True)
 class CircleGeometry:
-    """Circle of circumference L, discretized by n equispaced nodes."""
+    """Circle of circumference L > 0, discretized by n >= 8 equispaced nodes."""
 
     L: float
     n: int
+
+    def __post_init__(self):
+        if self.L <= 0:
+            raise GeometryError("L must be > 0")
+        if self.n < 8:
+            raise GeometryError("circle grid needs n >= 8")
 
     @property
     def K(self) -> float:
@@ -101,12 +108,19 @@ class CircleGeometry:
 
 @dataclass(frozen=True)
 class TorusGeometry:
-    """Flat torus [0, L1) x [0, L2), discretized by an n1 x n2 grid."""
+    """Flat torus [0, L1) x [0, L2), discretized by an n1 x n2 grid; the sides
+    must be > 0 and n1, n2 >= 8."""
 
     L1: float
     L2: float
     n1: int
     n2: int
+
+    def __post_init__(self):
+        if self.L1 <= 0 or self.L2 <= 0:
+            raise GeometryError("torus side lengths must be > 0")
+        if self.n1 < 8 or self.n2 < 8:
+            raise GeometryError("torus grid needs n1, n2 >= 8")
 
     @property
     def K(self) -> float:
@@ -145,11 +159,22 @@ class SphereGeometry:
     spherical zone areas 2 pi r^2 (cos(theta_left) - cos(theta_right)), which
     agree with 2 pi r^2 sin(theta) dtheta to second order and telescope to
     the exact total area 4 pi r^2.
+
+    Requires r > 0, n_theta >= 64 and l_max >= 40. Small times also need the
+    kernel's last Legendre coefficient at most 1e-12 (TruncationError).
     """
 
     r: float
     n_theta: int
     l_max: int
+
+    def __post_init__(self):
+        if self.r <= 0:
+            raise GeometryError("radius must be > 0")
+        if self.n_theta < 64:
+            raise GeometryError("sphere grid needs n_theta >= 64")
+        if self.l_max < 40:
+            raise GeometryError("sphere series needs l_max >= 40")
 
     @property
     def K(self) -> float:
@@ -187,22 +212,3 @@ class SphereGeometry:
         """Ric(v, v) = |v|^2 / r^2 (classical (n-1)/r^2 with n = 2)."""
         v = np.asarray(v, dtype=float)
         return float(np.dot(v.ravel(), v.ravel())) / self.r**2
-
-
-def model_sphere(r, n_theta, l_max) -> SphereGeometry:
-    """Sphere geometry of radius r with an n_theta colatitude grid.
-
-    Requires n_theta >= 64 and l_max >= 40; evaluations at small times
-    additionally require the last kernel coefficient
-    (2 l_max + 1) / (4 pi r^2) e^{-l_max (l_max + 1) t / r^2} to be at most
-    1e-12 (heat.sphere_kernel_coefficients) and raise TruncationError
-    otherwise.
-    """
-    if r <= 0:
-        raise GeometryError("radius must be > 0")
-    n_theta, l_max = int(n_theta), int(l_max)
-    if n_theta < 64:
-        raise GeometryError("sphere grid needs n_theta >= 64")
-    if l_max < 40:
-        raise GeometryError("sphere series needs l_max >= 40")
-    return SphereGeometry(r=float(r), n_theta=n_theta, l_max=l_max)

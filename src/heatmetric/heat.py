@@ -44,11 +44,12 @@ class HeatError(ValueError):
 
 @dataclass(frozen=True)
 class HeatStructure:
-    """Spectral data of the generator on a finite space.
+    """Spectral data of the generator on a finite space, with that space.
 
     eigenvalues are sorted ascending with lambda_0 = 0; eigenvector columns
     are orthonormal in the measure-weighted inner product
-    <u, w>_m = sum_i u(i) w(i) m_i.
+    <u, w>_m = sum_i u(i) w(i) m_i. Functions that take a HeatStructure read
+    the space from it and never take the space again.
     """
 
     eigenvalues: np.ndarray
@@ -217,21 +218,26 @@ def circle_kernel(t, L, s, deriv=0):
     return float(out[0]) if scalar else out
 
 
-def sphere_kernel_coefficients(t, r, l_max):
-    """Legendre coefficients c_l = (2l+1)/(4 pi r^2) e^{-l(l+1)t/r^2}.
-
-    Raises TruncationError when the last retained term is not below 1e-12,
-    i.e. the series is not converged at this (t, l_max).
-    """
+def _sphere_decay(t, r, l_max):
+    """Sphere heat decay e^{-l(l+1)t/r^2}, l = 0..l_max; TruncationError when
+    the kernel's last coefficient is not below 1e-12 (series not converged)."""
     if t <= 0:
         raise HeatError("kernel requires t > 0")
     ls = np.arange(l_max + 1)
-    c = (2 * ls + 1) / (4 * np.pi * r**2) * np.exp(-ls * (ls + 1) * t / r**2)
-    if c[-1] > 1e-12:
+    decay = np.exp(-ls * (ls + 1) * t / r**2)
+    tail = (2 * l_max + 1) / (4 * np.pi * r**2) * decay[-1]
+    if tail > 1e-12:
         raise TruncationError(
-            f"sphere kernel tail {c[-1]:.2e} above 1e-12 at t={t}; raise l_max"
+            f"sphere kernel tail {tail:.2e} above 1e-12 at t={t}; raise l_max"
         )
-    return c
+    return decay
+
+
+def sphere_kernel_coefficients(t, r, l_max):
+    """Legendre coefficients c_l = (2l+1)/(4 pi r^2) e^{-l(l+1)t/r^2}, under
+    the truncation rule of _sphere_decay."""
+    ls = np.arange(l_max + 1)
+    return (2 * ls + 1) / (4 * np.pi * r**2) * _sphere_decay(t, r, l_max)
 
 
 def sphere_kernel(t, theta, r, l_max):
@@ -284,13 +290,15 @@ def heat_injectivity_margin(hs: HeatStructure, t: float) -> float:
     return smin - np.exp(-hs.lambda_max() * t)
 
 
-def gaussian_bound_ratios(space: FiniteMetricMeasureSpace, hs: HeatStructure, t: float):
-    """Diagnostic ratios of rho(t, x, y) to the Gaussian envelope shape.
+def gaussian_bound_ratios(hs: HeatStructure, t: float):
+    """Diagnostic ratios of rho(t, x, y) to the Gaussian envelope shape on
+    the space of hs.
 
     The envelope e^{-d^2(x,y)/(4t)} / sqrt(m(B_sqrt(t)(x)) m(B_sqrt(t)(y)))
     carries unspecified structure constants, so this reports ratios without
     any pass/fail semantics.
     """
+    space = hs.space
     rho = heat_kernel_matrix(hs, t).rho
     radius = np.sqrt(t)
     ball = (space.dist <= radius) @ space.measure

@@ -25,8 +25,6 @@ __all__ = [
     "FiniteMetricMeasureSpace",
     "Curve",
     "build_space",
-    "circle_geometry",
-    "torus_geometry",
     "model_circle",
     "model_torus",
     "curve_length",
@@ -187,37 +185,15 @@ def build_space(points, edges, measure, K=None, conductances=None) -> FiniteMetr
     )
 
 
-def circle_geometry(L, n) -> CircleGeometry:
-    """The geometry of model_circle(L, n), validated, without its space."""
-    if L <= 0:
-        raise SpaceError("L must be > 0")
-    n = int(n)
-    if n < 8:
-        raise SpaceError("circle grid needs n >= 8")
-    return CircleGeometry(L=float(L), n=n)
-
-
-def torus_geometry(L1, L2, n1, n2) -> TorusGeometry:
-    """The geometry of model_torus(L1, L2, n1, n2), validated, without its
-    space."""
-    if L1 <= 0 or L2 <= 0:
-        raise SpaceError("torus side lengths must be > 0")
-    n1, n2 = int(n1), int(n2)
-    if n1 < 8 or n2 < 8:
-        raise SpaceError("torus grid needs n1, n2 >= 8")
-    return TorusGeometry(L1=float(L1), L2=float(L2), n1=n1, n2=n2)
-
-
 def model_circle(L, n):
     """Equispaced circle grid of circumference L with n nodes.
 
-    Returns (CircleGeometry, FiniteMetricMeasureSpace). Nodes carry measure
-    L/n, adjacent nodes are joined by edges of length L/n with conductance
-    mean(m)/h^2, so the spectral generator is the standard second-order
-    periodic Laplacian. K = 0, Ricci = 0.
+    Returns (CircleGeometry, FiniteMetricMeasureSpace); the geometry checks
+    L and n. Nodes carry measure L/n, adjacent nodes are joined by edges of
+    length L/n with conductance mean(m)/h^2, so the spectral generator is the
+    standard second-order periodic Laplacian. K = 0, Ricci = 0.
     """
-    geom = circle_geometry(L, n)
-    n = geom.n
+    geom = CircleGeometry(L, n)
     h = L / n
     edges = [(i, (i + 1) % n, h) for i in range(n)]
     measure = np.full(n, h)
@@ -229,16 +205,16 @@ def model_circle(L, n):
 def model_torus(L1, L2, n1, n2):
     """Flat torus grid, L1 x L2 with n1 x n2 nodes.
 
-    Returns (TorusGeometry, FiniteMetricMeasureSpace). The metric graph uses
-    8-neighbour stencils (axis edges of length h and diagonal edges of length
-    sqrt(h1^2 + h2^2)); the induced octile path metric overestimates the flat
-    metric by at most 8.3%. Heat conductances m/h^2 sit on the axis edges
-    only; diagonal edges are metric-only (conductance 0), because putting the
-    grid rule on diagonals as well would double the generator and break the
-    second-order consistency with the flat Laplacian.
+    Returns (TorusGeometry, FiniteMetricMeasureSpace); the geometry checks
+    the sides and the grid. The metric graph uses 8-neighbour stencils (axis
+    edges of length h and diagonal edges of length sqrt(h1^2 + h2^2)); the
+    induced octile path metric overestimates the flat metric by at most 8.3%.
+    Heat conductances m/h^2 sit on the axis edges only; diagonal edges are
+    metric-only (conductance 0), because putting the grid rule on diagonals
+    as well would double the generator and break the second-order
+    consistency with the flat Laplacian.
     """
-    geom = torus_geometry(L1, L2, n1, n2)
-    n1, n2 = geom.n1, geom.n2
+    geom = TorusGeometry(L1, L2, n1, n2)
     h1, h2 = L1 / n1, L2 / n2
     hd = float(np.hypot(h1, h2))
     cell = h1 * h2

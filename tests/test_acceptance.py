@@ -24,7 +24,7 @@ def _report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def sphere512():
-    return hm.model_sphere(1.0, 512, 120)
+    return hm.SphereGeometry(1.0, 512, 120)
 
 
 @pytest.fixture(scope="module")
@@ -97,16 +97,14 @@ def test_criterion_4_contraction(sphere512):
     excesses = []
 
     _, c64 = hm.model_circle(L2PI, 64)
-    hs = hm.spectral_decompose(c64)
     rng = np.random.default_rng(11)
     mu = rng.random(64) + 0.05
     nu = rng.random(64) + 0.05
     pairs = [(0, 32), (5, 20), (10, 11), (mu / mu.sum(), nu / nu.sum())]
-    excesses.append(hm.contraction_report(c64, hs, times, pairs).max_excess)
+    excesses.append(hm.contraction_report(c64, times, pairs).max_excess)
 
     _, t8 = hm.model_torus(L2PI, L2PI, 8, 8)
-    hs8 = hm.spectral_decompose(t8)
-    excesses.append(hm.contraction_report(t8, hs8, times, [(0, 36), (3, 30)]).max_excess)
+    excesses.append(hm.contraction_report(t8, times, [(0, 36), (3, 30)]).max_excess)
 
     zonal = [
         (hm.ZonalMeasure.pole(sphere512), hm.ZonalMeasure.pole(sphere512, south=True)),
@@ -144,10 +142,10 @@ def test_criterion_5_flow_axioms():
     worst_closed = 0.0
     for name, space, a in _flow_fixture_set():
         hs = hm.spectral_decompose(space)
-        assert np.array_equal(hm.dtilde_matrix(space, hs, 0.0), space.dist), name
+        assert np.array_equal(hm.dtilde_matrix(hs, 0.0), space.dist), name
         times = (0.1, 0.5) if space.n <= 16 else (0.25,)
         for t in times:
-            fm = hm.flow_matrices(space, hs, t)
+            fm = hm.flow_matrices(hs, t)
             worst_axiom = max(worst_axiom, fm.max_axiom_violation())
             scale = np.exp(-space.K * t)
             worst_scaled = max(worst_scaled, float((fm.dt - scale * space.dist).max()))

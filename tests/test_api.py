@@ -25,3 +25,12 @@ def test_top_level_exports_are_listed():
         if attr not in getattr(home, "__all__", ()):
             unlisted.append(f"{obj.__module__}.{attr}")
     assert not unlisted, f"exported from heatmetric but missing from __all__: {unlisted}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_takes_a_space_and_its_decomposition(name):
+    module = importlib.import_module(f"heatmetric.{name}")
+    both = [attr for attr in module.__all__
+            if inspect.isfunction(getattr(module, attr))
+            and {"space", "hs"} <= set(inspect.signature(getattr(module, attr)).parameters)]
+    assert not both, f"heatmetric.{name} functions take both space and hs: {both}"

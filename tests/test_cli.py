@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from heatmetric import cli, flow, spaces, tangent, transport
+from heatmetric import cli, flow, heat, spaces, tangent, transport
 
 
 @pytest.fixture()
@@ -92,7 +92,13 @@ class TestOptionSurface:
         assert "invalid choice: 'sphere'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_library_checks_exit_2(self, tmp_path, capsys):
+    def test_library_checks_exit_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(space):
+            raise AssertionError("decomposed before the input checks")
+
+        # the reports check their input before they decompose the space
+        monkeypatch.setattr(flow, "spectral_decompose", refuse)
+        monkeypatch.setattr(heat, "spectral_decompose", refuse)
         no_k = tmp_path / "no_k.json"
         no_k.write_text(json.dumps({"points": 2, "edges": [[0, 1, 1.0]],
                                     "measure": [1.0, 1.0]}))
@@ -100,6 +106,8 @@ class TestOptionSurface:
         for argv, message in [
             (["contraction", "--space", str(no_k), "--times", "0.1"],
              "contraction needs a declared curvature bound K"),
+            (["continuity", "--space", str(no_k), "--t", "0.2", "--deltas", "0.1"],
+             "time continuity bounds need a declared K"),
             (["continuity", "--geometry", "circle", "--n", "16", "--t", "0.2",
               "--deltas=-0.1"], "deltas must be >= 0"),
             (["flow", "--geometry", "circle", "--n", "16", "--times", "0.1",
@@ -345,6 +353,15 @@ class TestOtherCommands:
                         "--lmax", "120", "--times", "0.05,0.2",
                         "--widths", "0.1,0.3", "--out", str(out)])
         assert code == 0
+
+    def test_contraction_sphere_below_truncation_floor(self, tmp_path, capsys):
+        # at l_max = 120 the kernel series is unconverged below t ~ 0.0021
+        out = tmp_path / "consph"
+        code = cli.run(["contraction", "--geometry", "sphere", "--times", "0.0005,0.001",
+                        "--out", str(out)])
+        assert code == 2
+        assert "sphere kernel tail 1.35e-02 above 1e-12" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_continuity(self, two_point_file, tmp_path):
         out = tmp_path / "cont"

@@ -10,22 +10,22 @@ from conftest import complete_graph_space, hypercube_space
 class TestDtilde:
     def test_zero_time_is_original_metric(self, circle16):
         _, space, hs = circle16
-        assert_allclose(hm.dtilde_matrix(space, hs, 0.0), space.dist, rtol=0, atol=0)
+        assert_allclose(hm.dtilde_matrix(hs, 0.0), space.dist, rtol=0, atol=0)
 
     def test_two_point_closed_form(self, two_point, two_point_scaled):
-        for (space, hs), a in [(two_point, 1.0), (two_point_scaled, 2.5)]:
+        for (_, hs), a in [(two_point, 1.0), (two_point_scaled, 2.5)]:
             for t in (0.1, 0.5, 1.0):
-                val = hm.dtilde_matrix(space, hs, t)[0, 1]
+                val = hm.dtilde_matrix(hs, t)[0, 1]
                 assert abs(val - a * np.exp(-t)) < 1e-9
 
     def test_diagonal_zero(self, circle16):
-        _, space, hs = circle16
-        dt = hm.dtilde_matrix(space, hs, 0.2)
+        _, _, hs = circle16
+        dt = hm.dtilde_matrix(hs, 0.2)
         assert np.all(np.diag(dt) == 0)
 
     def test_axioms_and_positivity(self, circle16):
         _, space, hs = circle16
-        fm = hm.flow_matrices(space, hs, 0.15)
+        fm = hm.flow_matrices(hs, 0.15)
         assert fm.max_axiom_violation() <= 1e-8
         off = fm.dtilde[~np.eye(space.n, dtype=bool)]
         assert off.min() > 0
@@ -35,19 +35,19 @@ class TestDtilde:
         big_hs = hm.spectral_decompose(big)
         for t in (0.0, 0.1):  # t = 0 needs no solve and is capped all the same
             with pytest.raises(hm.FlowError, match="dtilde_pairs"):
-                hm.dtilde_matrix(big, big_hs, t)
-        _, space, hs = circle16
-        vals = hm.dtilde_pairs(space, hs, 0.1, [(0, 8), (1, 5)])
-        full = hm.dtilde_matrix(space, hs, 0.1)
+                hm.dtilde_matrix(big_hs, t)
+        _, _, hs = circle16
+        vals = hm.dtilde_pairs(hs, 0.1, [(0, 8), (1, 5)])
+        full = hm.dtilde_matrix(hs, 0.1)
         assert_allclose(vals, [full[0, 8], full[1, 5]], rtol=1e-12)
 
     def test_negative_time(self, circle16):
-        _, space, hs = circle16
+        _, _, hs = circle16
         with pytest.raises(hm.FlowError):
-            hm.dtilde_matrix(space, hs, -0.1)
+            hm.dtilde_matrix(hs, -0.1)
 
     def test_pairs_compute_each_heat_measure_once(self, circle16, monkeypatch):
-        _, space, hs = circle16
+        _, _, hs = circle16
         calls = []
         original = flow.heat_measure_from_point
 
@@ -57,94 +57,92 @@ class TestDtilde:
 
         monkeypatch.setattr(flow, "heat_measure_from_point", counted)
         pairs = [(0, 8), (0, 5), (8, 5), (5, 0)]
-        vals = hm.dtilde_pairs(space, hs, 0.1, pairs)
+        vals = hm.dtilde_pairs(hs, 0.1, pairs)
         assert sorted(calls) == [0, 5, 8]
-        full = hm.dtilde_matrix(space, hs, 0.1)
+        full = hm.dtilde_matrix(hs, 0.1)
         assert vals.tolist() == [full[x, y] for x, y in pairs]
 
     def test_percont_bound(self, circle16):
         _, space, hs = circle16
         for t in (0.1, 0.4):
-            dtil = hm.dtilde_matrix(space, hs, t)
+            dtil = hm.dtilde_matrix(hs, t)
             assert float((dtil - np.exp(-space.K * t) * space.dist).max()) <= 1e-8
 
     def test_semigroup_decay(self, circle16):
         _, space, hs = circle16
         t, h = 0.1, 0.15
-        d1 = hm.dtilde_matrix(space, hs, t)
-        d2 = hm.dtilde_matrix(space, hs, t + h)
+        d1 = hm.dtilde_matrix(hs, t)
+        d2 = hm.dtilde_matrix(hs, t + h)
         assert float((d2 - np.exp(-space.K * h) * d1).max()) <= 1e-8
 
 
 class TestDtArc:
     def test_zero_time(self, circle16):
         _, space, hs = circle16
-        dt = hm.dt_arc_matrix(space, hm.dtilde_matrix(space, hs, 0.0))
+        dt = hm.dt_arc_matrix(space, hm.dtilde_matrix(hs, 0.0))
         assert_allclose(dt, space.dist, atol=1e-12)
 
     def test_two_point_equals_dtilde(self, two_point):
         space, hs = two_point
-        dtil = hm.dtilde_matrix(space, hs, 0.3)
+        dtil = hm.dtilde_matrix(hs, 0.3)
         assert_allclose(hm.dt_arc_matrix(space, dtil), dtil, atol=0)
 
     def test_path_additivity(self):
         space = hm.build_space(3, [(0, 1, 1.0), (1, 2, 1.0)], np.ones(3), K=0.0)
         hs = hm.spectral_decompose(space)
-        dtil = hm.dtilde_matrix(space, hs, 0.2)
+        dtil = hm.dtilde_matrix(hs, 0.2)
         dt = hm.dt_arc_matrix(space, dtil)
         # no direct (0, 2) edge: the arc distance is the two-edge sum
         assert_allclose(dt[0, 2], dtil[0, 1] + dtil[1, 2], rtol=1e-12)
 
     def test_dominates_dtilde(self, circle16):
         _, space, hs = circle16
-        dtil = hm.dtilde_matrix(space, hs, 0.25)
+        dtil = hm.dtilde_matrix(hs, 0.25)
         dt = hm.dt_arc_matrix(space, dtil)
         assert float((dtil - dt).max()) <= 1e-10
 
 
 class TestContraction:
     def test_circle_ratios_below_one(self, circle16):
-        _, space, hs = circle16
-        rep = hm.contraction_report(space, hs, [0.05, 0.2, 0.6], [(0, 8), (2, 5)])
+        _, space, _ = circle16
+        rep = hm.contraction_report(space, [0.05, 0.2, 0.6], [(0, 8), (2, 5)])
         assert rep.passed()
         assert all(r.ratio <= 1 + 1e-9 for r in rep.records)
 
     def test_zero_time_ratio_one(self, circle16):
-        _, space, hs = circle16
-        rep = hm.contraction_report(space, hs, [0.0], [(0, 4)])
+        _, space, _ = circle16
+        rep = hm.contraction_report(space, [0.0], [(0, 4)])
         assert_allclose(rep.records[0].ratio, 1.0, rtol=0)
 
     def test_two_point_strict_contraction(self, two_point):
-        space, hs = two_point
-        rep = hm.contraction_report(space, hs, [0.3, 0.7], [(0, 1)])
+        space, _ = two_point
+        rep = hm.contraction_report(space, [0.3, 0.7], [(0, 1)])
         for r in rep.records:
             assert_allclose(r.ratio, np.exp(-r.t), rtol=1e-9)
             assert r.bound == 1.0
 
     def test_measure_pairs(self, circle16, rng):
-        _, space, hs = circle16
+        _, space, _ = circle16
         mu = rng.random(space.n) + 0.05
         nu = rng.random(space.n) + 0.05
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        rep = hm.contraction_report(space, hs, [0.1, 0.5], [(mu, nu)])
+        rep = hm.contraction_report(space, [0.1, 0.5], [(mu, nu)])
         assert rep.passed()
 
     def test_missing_K(self):
         space = hm.build_space(3, [(0, 1, 1.0), (1, 2, 1.0)], np.ones(3))
-        hs = hm.spectral_decompose(space)
         with pytest.raises(hm.FlowError):
-            hm.contraction_report(space, hs, [0.1], [(0, 2)])
+            hm.contraction_report(space, [0.1], [(0, 2)])
 
     def test_complete_graph_and_hypercube(self):
         for space in (complete_graph_space(8), hypercube_space(4)):
-            hs = hm.spectral_decompose(space)
-            rep = hm.contraction_report(space, hs, [0.1, 0.5], [(0, space.n - 1)])
+            rep = hm.contraction_report(space, [0.1, 0.5], [(0, space.n - 1)])
             assert rep.passed()
 
 
 @pytest.fixture(scope="module")
 def sphere():
-    return hm.model_sphere(1.0, 1024, 120)
+    return hm.SphereGeometry(1.0, 1024, 120)
 
 
 class TestSphereContraction:
@@ -196,10 +194,10 @@ class TestSphereContraction:
 
 class TestTimeContinuity:
     def test_two_point_closed_form(self, two_point):
-        space, hs = two_point
+        space, _ = two_point
         t = 0.2
         deltas = [0.2, 0.1, 0.05, 0.025, 0.0]
-        rep = hm.time_continuity_report(space, hs, t, deltas)
+        rep = hm.time_continuity_report(space, t, deltas)
         expected = np.exp(-t) * (1 - np.exp(-rep.deltas))
         assert_allclose(rep.sup_differences, expected, atol=1e-9)
         assert rep.passed()
@@ -209,8 +207,8 @@ class TestTimeContinuity:
         assert np.all(np.abs(ratios - 0.5) < 0.05)
 
     def test_circle_monotone_bound(self, circle16):
-        _, space, hs = circle16
-        rep = hm.time_continuity_report(space, hs, 0.1, [0.08, 0.04, 0.02, 0.01])
+        _, space, _ = circle16
+        rep = hm.time_continuity_report(space, 0.1, [0.08, 0.04, 0.02, 0.01])
         assert rep.passed()
         assert rep.semigroup_excess <= 1e-8
 

@@ -170,13 +170,13 @@ class TestCircleKernel:
 
 class TestSphereKernel:
     def test_unit_mass_exact_cells(self):
-        geom = hm.model_sphere(1.0, 128, 80)
+        geom = hm.SphereGeometry(1.0, 128, 80)
         for t in (0.05, 0.3, 2.0):
             masses = hm.ZonalMeasure.heat_kernel(geom, t).cell_masses()
             assert abs(masses.sum() - 1.0) < 1e-8
 
     def test_composite_quadrature_sanity(self):
-        geom = hm.model_sphere(1.0, 512, 80)
+        geom = hm.SphereGeometry(1.0, 512, 80)
         vals = hm.sphere_kernel(0.3, geom.nodes(), 1.0, 80)
         assert abs(vals @ geom.volume_weights() - 1.0) < 1e-4
 
@@ -236,7 +236,7 @@ class TestDiagnostics:
             assert hm.heat_injectivity_margin(hs, t) >= -1e-12
 
     def test_gaussian_ratio_report(self, circle24):
-        _, space, hs = circle24
-        ratios = hm.gaussian_bound_ratios(space, hs, 0.2)
+        _, _, hs = circle24
+        ratios = hm.gaussian_bound_ratios(hs, 0.2)
         assert np.all(np.isfinite(ratios))
         assert np.all(ratios > 0)

@@ -84,7 +84,7 @@ class TestModelCircle:
         assert_allclose(space.dist[0, 3], 3.0 / 8.0, rtol=1e-15)
 
     def test_too_small(self):
-        with pytest.raises(hm.SpaceError):
+        with pytest.raises(hm.GeometryError, match="circle grid needs n >= 8"):
             hm.model_circle(1.0, 4)
 
     def test_volume_weights(self):
@@ -123,25 +123,42 @@ class TestModelTorus:
 
 class TestModelSphere:
     def test_unit_ricci(self):
-        geom = hm.model_sphere(1.0, 64, 40)
+        geom = hm.SphereGeometry(1.0, 64, 40)
         assert_allclose(geom.ricci(None, 1.0), 1.0, rtol=1e-15)
 
     def test_quadratic_form(self):
-        geom = hm.model_sphere(2.0, 64, 40)
+        geom = hm.SphereGeometry(2.0, 64, 40)
         v = np.array([0.3, -0.4])
         assert_allclose(geom.ricci(None, 2 * v), 4 * geom.ricci(None, v), rtol=1e-14)
 
     def test_area(self):
-        geom = hm.model_sphere(1.7, 128, 60)
+        geom = hm.SphereGeometry(1.7, 128, 60)
         assert_allclose(geom.volume_weights().sum(), 4 * np.pi * 1.7**2, rtol=1e-10)
 
     def test_parameter_guards(self):
         with pytest.raises(hm.GeometryError):
-            hm.model_sphere(1.0, 32, 60)
+            hm.SphereGeometry(1.0, 32, 60)
         with pytest.raises(hm.GeometryError):
-            hm.model_sphere(1.0, 128, 20)
+            hm.SphereGeometry(1.0, 128, 20)
         with pytest.raises(hm.TruncationError):
-            hm.metric_gt(hm.model_sphere(1.0, 64, 40), 0.001)
+            hm.metric_gt(hm.SphereGeometry(1.0, 64, 40), 0.001)
+
+
+class TestGeometryGuards:
+    """Each geometry type checks its own parameters when constructed."""
+
+    @pytest.mark.parametrize("geometry, args, message", [
+        (hm.CircleGeometry, (2 * np.pi, 4), "circle grid needs n >= 8"),
+        (hm.CircleGeometry, (-1.0, 64), "L must be > 0"),
+        (hm.TorusGeometry, (1.0, 1.0, 8, 0), "torus grid needs n1, n2 >= 8"),
+        (hm.TorusGeometry, (1.0, 0.0, 8, 8), "torus side lengths must be > 0"),
+        (hm.SphereGeometry, (1.0, 8, 40), "sphere grid needs n_theta >= 64"),
+        (hm.SphereGeometry, (1.0, 64, 20), "sphere series needs l_max >= 40"),
+        (hm.SphereGeometry, (0.0, 64, 40), "radius must be > 0"),
+    ])
+    def test_rejects(self, geometry, args, message):
+        with pytest.raises(hm.GeometryError, match=message):
+            geometry(*args)
 
 
 class TestCurveLength:

@@ -87,7 +87,7 @@ class TestVelocityPotential:
     def test_zero_vector(self):
         vp = hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=0.0)
         assert np.abs(vp.phi).max() == 0.0
-        assert np.abs(hm.velocity_potential(hm.model_sphere(1.0, 128, 60), 0.2, v=0.0).phi).max() == 0.0
+        assert np.abs(hm.velocity_potential(hm.SphereGeometry(1.0, 128, 60), 0.2, v=0.0).phi).max() == 0.0
 
     def test_linearity_in_v(self):
         a = hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=1.0)
@@ -110,7 +110,7 @@ class TestVelocityPotential:
     def test_sphere_source_sign_via_finite_difference(self):
         # grad_x rho . v against rotating the center: eta = -grad_x rho . v,
         # probed at exact cell centers
-        geom = hm.model_sphere(1.0, 256, 100)
+        geom = hm.SphereGeometry(1.0, 256, 100)
         t = 0.15
         vp = hm.velocity_potential(geom, t, v=1.0)
         eps = 1e-5
@@ -124,7 +124,7 @@ class TestVelocityPotential:
                 assert abs(fd + eta_here) < 1e-6 * max(abs(fd), 1e-3)
 
     def test_sphere_pole_gradient_recovers_v(self):
-        geom = hm.model_sphere(1.0, 512, 120)
+        geom = hm.SphereGeometry(1.0, 512, 120)
         ups = []
         for t in (0.025, 0.0125):
             u = hm.velocity_potential(geom, t, v=1.0).phi
@@ -142,7 +142,7 @@ class TestMetricGt:
     def test_zero_time_returns_speed(self):
         assert hm.metric_gt(CIRCLE, 0.0, v=3.0) == 9.0
         assert hm.metric_gt(TORUS, 0.0, v=(0.6, 0.8)) == pytest.approx(1.0, abs=1e-15)
-        assert hm.metric_gt(hm.model_sphere(1.0, 64, 40), 0.0, v=1.0) == 1.0
+        assert hm.metric_gt(hm.SphereGeometry(1.0, 64, 40), 0.0, v=1.0) == 1.0
 
     def test_circle_closed_form(self):
         for t in (0.2, 0.3):
@@ -189,7 +189,7 @@ class TestMetricGt:
         geom = hm.CircleGeometry(L=2 * np.pi, n=512)
         for t in (0.05, 0.1, 0.2):
             assert hm.metric_gt(geom, t, v=1.0) <= 1.0 + 1e-6
-        sph = hm.model_sphere(1.0, 512, 120)
+        sph = hm.SphereGeometry(1.0, 512, 120)
         for t in (0.05, 0.1, 0.2):
             assert hm.metric_gt(sph, t, v=1.0) <= np.exp(-2 * t) * (1 + 1e-6)
 
@@ -217,7 +217,7 @@ class TestTangentPlan:
         assert np.all(np.isfinite(plan.grad_sq))
 
     def test_mass_and_moment_sphere(self):
-        sph = hm.model_sphere(1.0, 256, 100)
+        sph = hm.SphereGeometry(1.0, 256, 100)
         plan = hm.tangent_plan(sph, 0.1, v=1.0)
         assert abs(plan.mass() - 1.0) < 1e-8
         assert plan.second_moment() == hm.metric_gt(sph, 0.1, v=1.0)
@@ -237,7 +237,7 @@ class TestBochnerDerivative:
             assert b <= 0  # flat: -int (phi'')^2 rho
 
     def test_sphere_matches_and_bounds(self):
-        sph = hm.model_sphere(1.0, 512, 120)
+        sph = hm.SphereGeometry(1.0, 512, 120)
         for t in (0.1, 0.2):
             b = hm.gt_derivative_bochner(sph, t, v=1.0)
             fd = fd_half_derivative(sph, t, v=1.0)
@@ -252,7 +252,7 @@ class TestBochnerDerivative:
         assert val < 0
 
     def test_hessian_mass_reported(self):
-        sph = hm.model_sphere(1.0, 256, 100)
+        sph = hm.SphereGeometry(1.0, 256, 100)
         vals = [hm.squared_hessian_mass(sph, t, v=1.0) for t in (0.2, 0.1, 0.05)]
         assert np.all(np.isfinite(vals))
         assert np.all(np.array(vals) >= 0)
@@ -264,13 +264,13 @@ class TestRicPairing:
         assert hm.ric_pairing(TORUS, 0.3, v=(1.0, 1.0)) == 0.0
 
     def test_sphere_equals_gt_over_r_squared(self):
-        sph = hm.model_sphere(2.0, 256, 100)
+        sph = hm.SphereGeometry(2.0, 256, 100)
         p = hm.ric_pairing(sph, 0.2, v=1.0)
         g = hm.metric_gt(sph, 0.2, v=1.0)
         assert_allclose(p, g / 4.0, rtol=1e-14)
 
     def test_small_time_limit_unit_sphere(self):
-        sph = hm.model_sphere(1.0, 512, 120)
+        sph = hm.SphereGeometry(1.0, 512, 120)
         p1 = hm.ric_pairing(sph, 0.05, v=1.0)
         p2 = hm.ric_pairing(sph, 0.025, v=1.0)
         assert abs(2 * p2 - p1 - 1.0) < 0.05
@@ -320,7 +320,7 @@ class TestTangencyExperiment:
         assert abs(rep.extrapolated_slope) < 0.05
 
     def test_sphere_slope_to_minus_two(self):
-        sph = hm.model_sphere(1.0, 256, 120)
+        sph = hm.SphereGeometry(1.0, 256, 120)
         rep = hm.tangency_experiment(sph, v=1.0, t_grid=[0.2, 0.1, 0.05, 0.025])
         assert rep.deviation <= 0.05
         assert rep.one_sided_ok
@@ -336,7 +336,7 @@ class TestTangencyExperiment:
             return table(*args)
 
         monkeypatch.setattr(tangent, "legendre_table_with_derivative", counted)
-        sph = hm.model_sphere(1.0, 128, 60)
+        sph = hm.SphereGeometry(1.0, 128, 60)
         grid = [0.4, 0.2, 0.1]
         tangent._sphere_profiles.cache_clear()
         hm.tangency_experiment(sph, v=1.0, t_grid=grid)
@@ -349,7 +349,7 @@ class TestTangencyExperiment:
             hm.tangency_experiment(CIRCLE, v=1.0, t_grid=[0.2, 0.19, 0.18])
 
     def test_unresolved_t_min(self):
-        sph = hm.model_sphere(1.0, 128, 40)
+        sph = hm.SphereGeometry(1.0, 128, 40)
         with pytest.raises(hm.TruncationError):
             hm.tangency_experiment(sph, v=1.0, t_grid=[0.02, 0.01, 0.005])
 
@@ -360,6 +360,6 @@ class TestTangencyExperiment:
             raise AssertionError("a Poisson solve ran at an unresolved time")
 
         monkeypatch.setattr(tangent, "_solve_sphere_m1", no_solve)
-        sph = hm.model_sphere(1.0, 512, 120)
+        sph = hm.SphereGeometry(1.0, 512, 120)
         with pytest.raises(hm.TruncationError, match="sphere kernel tail"):
             hm.tangency_experiment(sph, v=1.0, t_grid=[0.0072, 0.0036, 0.0018])
