@@ -16,7 +16,7 @@ value, bound, pass) and a JSON summary {command, config, checks,
 wall_time_seconds}, through one CSV writer (floats as %.17g, exact when read
 back; matrices row-major under a header of point ids). Exit code 0 iff all
 enabled assertions pass, 1 on assertion failure or an uncertified transport
-solve, 2 on input error.
+or Poisson solve, 2 on input error.
 Each check's bound is fixed: the reports' own constants for tangency (0.05),
 contraction (1e-6) and continuity (1e-8), AXIOM_TOL (1e-8) for the flow
 axioms and MIN_ORDER (1.0) for refinement. The curvature bound K is the
@@ -438,7 +438,7 @@ def run(argv=None) -> int:
         with open(out / f"{args.command}_summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, default=str)
             fh.write("\n")
-    except transport_mod.SolverFailure as exc:
+    except (transport_mod.SolverFailure, tangent_mod.UncertifiedSolve) as exc:
         # valid input the solver could not certify: a failed run, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ the colatitude lower bound for product-with-uniform-azimuth measures).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import ClassVar
 
 import numpy as np
@@ -214,15 +215,16 @@ def contraction_report(space, times, pairs) -> ContractionReport:
     """Contraction ratios W_2(H_t mu, H_t nu) / W_2(mu, nu) against e^{-Kt}.
 
     pairs may list point-index pairs (delta measures) or explicit measure
-    pairs. K is the space's declared bound and is required; it is checked
-    before the space is decomposed.
+    pairs. K is the space's declared bound and is required. K, the pair
+    indices and the times are all checked before the space is decomposed.
     """
     if space.K is None:
         raise FlowError("contraction needs a declared curvature bound K")
-    hs = spectral_decompose(space)
-    return _contraction(space.K, times, (_as_measure_pair(space, p) for p in pairs),
+    labelled = [_as_measure_pair(space, p) for p in pairs]
+    decompose = cache(lambda: spectral_decompose(space))  # first called after the time check
+    return _contraction(space.K, times, labelled,
                         lambda mu, nu: w2_exact(mu, nu, space.dist).value,
-                        lambda t, mu: heat_apply(hs, t, mu))
+                        lambda t, mu: heat_apply(decompose(), t, mu))
 
 
 # ---------------------------------------------------------------------------

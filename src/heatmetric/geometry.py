@@ -34,6 +34,12 @@ class TruncationError(GeometryError):
     """Spectral truncation too small for the requested evaluation."""
 
 
+def _require_integers(**sizes):
+    for name, value in sizes.items():
+        if not isinstance(value, (int, np.integer)):
+            raise GeometryError(f"{name} must be an integer, got {value!r}")
+
+
 def legendre_table(l_max, x):
     """Legendre polynomials P_0..P_{l_max} at points x, via the three-term
     recurrence. Returns an array of shape (l_max + 1,) + x.shape."""
@@ -64,12 +70,13 @@ def legendre_table_with_derivative(l_max, x):
 
 @dataclass(frozen=True)
 class CircleGeometry:
-    """Circle of circumference L > 0, discretized by n >= 8 equispaced nodes."""
+    """Circle of circumference L > 0 on n >= 8 equispaced nodes, n an integer."""
 
     L: float
     n: int
 
     def __post_init__(self):
+        _require_integers(n=self.n)
         if self.L <= 0:
             raise GeometryError("L must be > 0")
         if self.n < 8:
@@ -109,7 +116,7 @@ class CircleGeometry:
 @dataclass(frozen=True)
 class TorusGeometry:
     """Flat torus [0, L1) x [0, L2), discretized by an n1 x n2 grid; the sides
-    must be > 0 and n1, n2 >= 8."""
+    must be > 0 and n1, n2 integers >= 8."""
 
     L1: float
     L2: float
@@ -117,6 +124,7 @@ class TorusGeometry:
     n2: int
 
     def __post_init__(self):
+        _require_integers(n1=self.n1, n2=self.n2)
         if self.L1 <= 0 or self.L2 <= 0:
             raise GeometryError("torus side lengths must be > 0")
         if self.n1 < 8 or self.n2 < 8:
@@ -160,8 +168,8 @@ class SphereGeometry:
     agree with 2 pi r^2 sin(theta) dtheta to second order and telescope to
     the exact total area 4 pi r^2.
 
-    Requires r > 0, n_theta >= 64 and l_max >= 40. Small times also need the
-    kernel's last Legendre coefficient at most 1e-12 (TruncationError).
+    Requires r > 0 and integers n_theta >= 64, l_max >= 40. Small times also
+    need the kernel's last Legendre coefficient at most 1e-12 (TruncationError).
     """
 
     r: float
@@ -169,6 +177,7 @@ class SphereGeometry:
     l_max: int
 
     def __post_init__(self):
+        _require_integers(n_theta=self.n_theta, l_max=self.l_max)
         if self.r <= 0:
             raise GeometryError("radius must be > 0")
         if self.n_theta < 64:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import heatmetric as hm
+from heatmetric import tangent
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +35,19 @@ def circle24():
 def torus8():
     geom, space = hm.model_torus(2 * np.pi, 2 * np.pi, 8, 8)
     return geom, space, hm.spectral_decompose(space)
+
+
+@pytest.fixture()
+def uncertified_poisson(monkeypatch):
+    """Every periodic-grid Poisson solve returns phi scaled by 1.001, so its
+    residual is 1e-3."""
+    solve = tangent._solve_deflated
+
+    def perturbed(A, rhs, weights):
+        phi = 1.001 * solve(A, rhs, weights)[0]
+        return phi, float(np.linalg.norm(A @ phi - rhs) / np.linalg.norm(rhs))
+
+    monkeypatch.setattr(tangent, "_solve_deflated", perturbed)
 
 
 def complete_graph_space(n):

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import heatmetric as hm
+from heatmetric import tangent
 from heatmetric.heat import circle_kernel
 from conftest import complete_graph_space, hypercube_space
 
@@ -52,23 +53,36 @@ def test_criterion_1_circle_closed_form(circle512):
             f"max rel err {worst:.2e} (tol 1e-3), runtime {elapsed:.1f}s (< 10s)")
 
 
-def test_criterion_2_ricci_tangency(sphere512, circle512):
+def test_criterion_2_ricci_tangency(sphere512, circle512, monkeypatch):
     t0 = time.time()
     grid = [0.2, 0.1, 0.05, 0.025, 0.0125]
     sph = hm.tangency_experiment(sphere512, v=1.0, t_grid=grid)
+    # read the residual of each 256x256 torus solve as it is reported
+    residuals = []
+    solve = tangent.solve_weighted_poisson
+
+    def recorded(*args):
+        vp = solve(*args)
+        residuals.append(vp.residual)
+        return vp
+
+    monkeypatch.setattr(tangent, "solve_weighted_poisson", recorded)
     torus = hm.TorusGeometry(L1=L2PI, L2=L2PI, n1=256, n2=256)
     tor = hm.tangency_experiment(torus, v=(0.6, 0.8), t_grid=grid)
+    monkeypatch.undo()
     cir = hm.tangency_experiment(circle512, v=1.0, t_grid=grid)
     elapsed = time.time() - t0
     ok = (abs(sph.extrapolated_slope + 2.0) / 2.0 <= 0.05
           and abs(tor.extrapolated_slope) <= 0.05
           and abs(cir.extrapolated_slope) <= 0.05
+          and len(residuals) == len(grid) and max(residuals) <= 1e-8
           and elapsed < 120.0)
     _report(2, "Ricci tangency",
             ok,
             f"sphere {sph.extrapolated_slope:+.4f} (target -2 within 5%), "
             f"torus {tor.extrapolated_slope:+.4f}, circle {cir.extrapolated_slope:+.4f} "
-            f"(within 0.05 of 0), runtime {elapsed:.0f}s (< 120s)")
+            f"(within 0.05 of 0), torus residuals <= {max(residuals):.1e} (<= 1e-8) "
+            f"in {len(residuals)} solves, runtime {elapsed:.0f}s (< 120s)")
 
 
 def test_criterion_3_bochner_identity(sphere512):

@@ -110,6 +110,8 @@ class TestOptionSurface:
              "time continuity bounds need a declared K"),
             (["continuity", "--geometry", "circle", "--n", "16", "--t", "0.2",
               "--deltas=-0.1"], "deltas must be >= 0"),
+            (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1",
+              "--pairs", "0:99"], "pair 0:99 is out of range for 16 points"),
             (["flow", "--geometry", "circle", "--n", "16", "--times", "0.1",
               "--tol", "1e-6"], "unrecognized arguments: --tol"),
         ]:
@@ -320,6 +322,14 @@ class TestTangencyCommand:
                         "--v=0.6,0.8", "--tmax", "0.4", "--tmin", "0.1", "--out", str(out)])
         assert code == 0
         assert (out / "tangency.csv").exists()
+
+    def test_uncertified_solve_exits_1(self, tmp_path, capsys, uncertified_poisson):
+        out = tmp_path / "tan"
+        code = cli.run(["tangency", "--geometry", "circle", "--n", "64", "--tmin", "0.05",
+                        "--out", str(out)])
+        assert code == 1
+        assert "linear solve residual 1.00e-03 above 1e-08" in capsys.readouterr().err
+        assert not (out / "tangency.csv").exists()
 
     def test_invalid_grid_exits_2(self, tmp_path, capsys):
         code = cli.run(["tangency", "--geometry", "circle", "--n", "4",

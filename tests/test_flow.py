@@ -134,6 +134,16 @@ class TestContraction:
         with pytest.raises(hm.FlowError):
             hm.contraction_report(space, [0.1], [(0, 2)])
 
+    @pytest.mark.parametrize("times, pair", [([-0.1], (0, 1)), ([0.1], (0, 99))])
+    def test_input_checked_before_decomposition(self, circle16, monkeypatch, times, pair):
+        def refuse(space):
+            raise AssertionError("decomposed before the input checks")
+
+        monkeypatch.setattr(flow, "spectral_decompose", refuse)
+        _, space, _ = circle16
+        with pytest.raises(hm.FlowError):
+            hm.contraction_report(space, times, [pair])
+
     def test_complete_graph_and_hypercube(self):
         for space in (complete_graph_space(8), hypercube_space(4)):
             rep = hm.contraction_report(space, [0.1, 0.5], [(0, space.n - 1)])

@@ -155,6 +155,11 @@ class TestGeometryGuards:
         (hm.SphereGeometry, (1.0, 8, 40), "sphere grid needs n_theta >= 64"),
         (hm.SphereGeometry, (1.0, 64, 20), "sphere series needs l_max >= 40"),
         (hm.SphereGeometry, (0.0, 64, 40), "radius must be > 0"),
+        (hm.CircleGeometry, (2 * np.pi, 16.5), "n must be an integer, got 16.5"),
+        (hm.model_circle, (2 * np.pi, 16.0), "n must be an integer, got 16.0"),
+        (hm.TorusGeometry, (1.0, 1.0, 8, 8.0), "n2 must be an integer"),
+        (hm.SphereGeometry, (1.0, 64.0, 40), "n_theta must be an integer"),
+        (hm.SphereGeometry, (1.0, 64, "40"), "l_max must be an integer"),
     ])
     def test_rejects(self, geometry, args, message):
         with pytest.raises(hm.GeometryError, match=message):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -67,6 +68,35 @@ class TestSolveWeightedPoisson:
         rho[3] = 0.0
         with pytest.raises(hm.NonpositiveDensity):
             hm.solve_weighted_poisson(CIRCLE, rho, np.zeros(CIRCLE.n))
+
+    @pytest.mark.parametrize("geom, t, v", [
+        (hm.TorusGeometry(L1=1.0, L2=1.5, n1=12, n2=10), 0.1, (0.6, -0.8)),
+        (hm.CircleGeometry(L=2.0, n=16), 0.1, 1.0),
+        # the floored kernel spans 13 decades here
+        (hm.TorusGeometry(L1=2 * np.pi, L2=2 * np.pi, n1=64, n2=64), 0.05, (0.6, 0.8)),
+    ])
+    def test_matches_dense_reference(self, geom, t, v):
+        # Dense reference with no pinned unknown: the equilibrated singular
+        # system bordered by its null vector D 1, then the same volume-weighted
+        # gauge. (np.linalg.lstsq on the singular system cuts off the small
+        # singular values of the 13-decade operator and lands 1.4 relative
+        # off on the 64 x 64 torus.)
+        vp = hm.velocity_potential(geom, t, v=v)
+        A = tangent._PeriodicGrid(geom).operator(vp.rho)
+        d = np.sqrt(-A.diagonal())
+        n = d.size
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = (sp.diags(1 / d) @ A @ sp.diags(1 / d)).toarray()
+        M[:n, n] = M[n, :n] = d / np.linalg.norm(d)
+        ref = np.linalg.solve(M, np.append(vp.eta.ravel() / d, 0.0))[:n] / d
+        w = geom.volume_weights().ravel()
+        ref -= (w @ ref) / w.sum()
+        assert np.abs(vp.phi.ravel() - ref).max() <= 1e-9 * np.abs(ref).max()
+        assert vp.residual <= 1e-8
+
+    def test_uncertified_solve_raises(self, uncertified_poisson):
+        with pytest.raises(tangent.UncertifiedSolve, match="linear solve residual 1.00e-03"):
+            hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=1.0)
 
     def test_energy_gradient_vanishes(self, rng):
         vp = hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=1.0)
