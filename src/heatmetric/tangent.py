@@ -22,11 +22,13 @@ with one and two axes (``geometry.periodic_axes``) and share one path: the
 kernel and its source are products of circle_kernel factors, the flux
 operator is a conservative second-order stencil with one face family per
 axis (constant mode deflated), the plan is staggered on those faces, and the
-Hessian is a central-difference stencil. On the sphere the source and
-solution of a unit tangent at the pole are pure first-azimuthal modes,
-eta = G(theta) cos(psi), phi = u(theta) cos(psi), which collapses the PDE to
-a tridiagonal ODE on the colatitude grid with natural pole regularity (the
-sin(theta) flux factor vanishes at both poles).
+Hessian is a second-difference stencil. The operator is a Kronecker sum, so
+each axis gets one circle LU (density floored per axis factor) and their sum
+is certified on the full stencil, applied without a matrix. On the sphere the
+source and solution of a unit tangent at the pole are pure first-azimuthal
+modes, eta = G(theta) cos(psi), phi = u(theta) cos(psi), which collapses the
+PDE to a tridiagonal ODE on the colatitude grid with natural pole regularity
+(the sin(theta) flux factor vanishes at both poles).
 """
 from __future__ import annotations
 
@@ -120,9 +122,6 @@ class TangentPlan:
     weights: np.ndarray
     grad_sq: np.ndarray
 
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
     def second_moment(self) -> float:
         return float(self.weights @ self.grad_sq)
 
@@ -181,15 +180,21 @@ def _solve_deflated(A, rhs, weights):
     ordered by MMD_AT_PLUS_A because the equilibrated operator is symmetric.
     """
     d = np.sqrt(np.abs(A.diagonal()))
-    d = np.where(d > 0, d, 1.0)
     Dinv = sp.diags(1.0 / d)
     As = (Dinv @ A @ Dinv).tocsc()
     phi = np.zeros_like(rhs)
     phi[1:] = spla.spsolve(As[1:, 1:], rhs[1:] / d[1:], permc_spec="MMD_AT_PLUS_A") / d[1:]
     phi -= (weights @ phi) / weights.sum()
-    res = A @ phi - rhs
-    scale = np.linalg.norm(rhs)
-    return phi, float(np.linalg.norm(res) / scale) if scale > 0 else 0.0
+    return phi
+
+
+def _per_axis(arrays, shapes):
+    """One 1-D float array per grid axis; a one-axis grid also takes it plain."""
+    arrays = [arrays] if len(shapes) == 1 and np.ndim(arrays) == 1 else arrays
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    if [a.shape for a in arrays] != shapes or not all(np.isfinite(a).all() for a in arrays):
+        raise TangentError(f"rho and eta need one finite 1-D array per grid axis, shapes {shapes}")
+    return arrays
 
 
 def _floor_density(rho):
@@ -207,6 +212,14 @@ def _product(factors):
     return reduce(np.multiply.outer, factors)
 
 
+def _circle_operator(rho, h):
+    """Flux operator div(rho grad .) on one periodic axis: face densities are
+    the averages of the two adjacent nodes."""
+    face, n = 0.5 * (rho + np.roll(rho, -1)) / h**2, rho.size
+    return sp.diags([face[-1:], face[:-1], -(face + np.roll(face, 1)), face[:-1], face[-1:]],
+                    [1 - n, -1, 0, 1, n - 1], format="csr")
+
+
 class _PeriodicGrid:
     """Circle and flat torus: conservative flux stencils on the periodic
     product grid of geometry.periodic_axes, one (L, n) pair per axis."""
@@ -216,6 +229,7 @@ class _PeriodicGrid:
         self.lengths = [L for L, _ in geometry.periodic_axes]
         self.h = [L / n for L, n in geometry.periodic_axes]
         self.coords = [np.arange(n) * h for (_, n), h in zip(geometry.periodic_axes, self.h)]
+        self.shapes = [(n,) for _, n in geometry.periodic_axes]
 
     def check_resolution(self, t):
         hmax = max(self.h)
@@ -234,48 +248,44 @@ class _PeriodicGrid:
         return [circle_kernel(t, L, y + shift * h - c, deriv=deriv)
                 for L, h, y, c in zip(self.lengths, self.h, self.coords, x0)]
 
-    def operator(self, rho):
-        """Flux operator div(rho grad .): face densities are the averages of
-        the two adjacent nodes, one face family per axis."""
-        idx = np.arange(rho.size).reshape(rho.shape)
-        cols, vals = [], []
+    def flux(self, rho, phi):
+        """div(rho grad phi) on the full grid without a matrix, faces as in _circle_operator."""
+        out = np.zeros_like(phi)
         for a, h in enumerate(self.h):
             face = 0.5 * (rho + np.roll(rho, -1, axis=a)) / h**2
-            cols += [np.roll(idx, -1, axis=a), np.roll(idx, 1, axis=a)]
-            vals += [face, np.roll(face, 1, axis=a)]
-        vals.insert(0, -sum(vals))
-        cols.insert(0, idx)
-        return sp.coo_matrix(
-            (np.concatenate([v.ravel() for v in vals]),
-             (np.tile(idx.ravel(), len(cols)), np.concatenate([c.ravel() for c in cols]))),
-            shape=(rho.size, rho.size),
-        ).tocsr()
+            current = face * (np.roll(phi, -1, axis=a) - phi)
+            out += current - np.roll(current, 1, axis=a)
+        return out
 
     def solve(self, rho, eta):
-        w = self.geometry.volume_weights()
-        total = float(np.abs(eta).ravel() @ w.ravel())
-        mean = float(eta.ravel() @ w.ravel())
-        if total > 0 and abs(mean) > 1e-10 * total:
-            raise NonzeroMeanSource(f"source mean {mean:.2e} exceeds 1e-10 * ||eta||_1")
-        eta = eta - mean / w.sum()
-        phi, residual = _solve_deflated(self.operator(rho), eta.ravel(), w.ravel())
-        return VelocityPotential(self.geometry, phi.reshape(eta.shape), rho, eta, residual)
+        # phi = sum_a psi_a(y_a), one circle solve div(rho_a grad psi_a) = eta_a per axis
+        psis = []
+        for a, (r, h) in enumerate(zip(rho, self.h)):
+            w = np.full(r.size, h)
+            mean = float(eta[a] @ w)
+            if abs(mean) > 1e-10 * float(np.abs(eta[a]) @ w):
+                raise NonzeroMeanSource(f"source mean {mean:.2e} exceeds 1e-10 * ||eta||_1")
+            eta[a] = eta[a] - mean / w.sum()
+            psis.append(_solve_deflated(_circle_operator(r, h), eta[a], w))
+        phi, rho_full = reduce(np.add.outer, psis), _product(rho)
+        eta_full = sum(_product(rho[:a] + [e] + rho[a + 1:]) for a, e in enumerate(eta))
+        res, scale = self.flux(rho_full, phi) - eta_full, np.linalg.norm(eta_full)
+        residual = float(np.linalg.norm(res) / scale) if scale > 0 else 0.0
+        return VelocityPotential(self.geometry, phi, rho_full, eta_full, residual)
 
     def energy_gradient(self, vp, direction):
-        A = self.operator(vp.rho)
-        grad = (-(A @ vp.phi.ravel()) + vp.eta.ravel()) * self.geometry.volume_weights().ravel()
-        return float(grad @ np.asarray(direction, dtype=float).ravel())
+        grad = (vp.eta - self.flux(vp.rho, vp.phi)) * self.geometry.volume_weights()
+        return float(grad.ravel() @ np.asarray(direction, dtype=float).ravel())
 
     def potential(self, t, x, v):
         x0 = self._point(x)
         v = np.atleast_1d(np.asarray(v, dtype=float))
         if v.shape != x0.shape:
             raise TangentError(f"tangent vectors need one component per grid axis ({len(self.h)})")
-        k = self._kernels(t, x0)
-        dk = self._kernels(t, x0, deriv=1)
-        # eta = -grad_x rho . v: the offset derivative of one factor per axis
-        eta = sum(v[a] * _product(k[:a] + [dk[a]] + k[a + 1:]) for a in range(len(k)))
-        return solve_weighted_poisson(self.geometry, _floor_density(_product(k)), eta)
+        # eta = -grad_x rho . v: per axis, v_a times its factor's offset derivative
+        eta = [va * dk for va, dk in zip(v, self._kernels(t, x0, deriv=1))]
+        rho = [_floor_density(k) for k in self._kernels(t, x0)]
+        return solve_weighted_poisson(self.geometry, rho, eta)
 
     def plan(self, t, x, vp):
         # staggered quadrature: each face family carries one gradient
@@ -294,17 +304,11 @@ class _PeriodicGrid:
         return TangentPlan(np.concatenate(weights), np.concatenate(grads))
 
     def hessian_mass(self, t, x, vp):
-        # |Hess phi|^2 = sum over axis pairs of squared second differences
-        # (pure) and nested central differences (mixed)
-        phi, hess2 = vp.phi, 0.0
-        for a, ha in enumerate(self.h):
-            for b, hb in enumerate(self.h):
-                if a == b:
-                    hab = (np.roll(phi, -1, axis=a) - 2 * phi + np.roll(phi, 1, axis=a)) / ha**2
-                else:
-                    da = (np.roll(phi, -1, axis=a) - np.roll(phi, 1, axis=a)) / (2 * ha)
-                    hab = (np.roll(da, -1, axis=b) - np.roll(da, 1, axis=b)) / (2 * hb)
-                hess2 = hess2 + hab**2
+        # phi is a sum of one function per axis, so its Hessian is diagonal:
+        # |Hess phi|^2 is the sum of the squared second differences
+        phi = vp.phi
+        hess2 = sum(((np.roll(phi, -1, axis=a) - 2 * phi + np.roll(phi, 1, axis=a)) / h**2) ** 2
+                    for a, h in enumerate(self.h))
         return float(np.sum(hess2 * vp.rho * self.geometry.volume_weights()))
 
 
@@ -346,15 +350,14 @@ class _SphereMode:
 
     def __init__(self, geometry):
         self.geometry = geometry
+        self.shapes = [(geometry.n_theta,)]
 
     def check_resolution(self, t):
         # the one truncation rule: the kernel series raises on its tail
         sphere_kernel_coefficients(t, self.geometry.r, self.geometry.l_max)
 
     def solve(self, rho, eta):
-        geometry = self.geometry
-        if rho.shape != (geometry.n_theta,) or eta.shape != rho.shape:
-            raise TangentError("sphere profiles must live on the colatitude grid")
+        geometry, rho, eta = self.geometry, rho[0], eta[0]
         # reduced ODE: (sin F u')'/sin - F u / sin^2 = r^2 G
         u, residual = _solve_sphere_m1(geometry, rho, geometry.r**2 * eta)
         return VelocityPotential(geometry, u, rho, eta, residual)
@@ -408,17 +411,13 @@ def _sphere_profiles(geometry, t):
     """Kernel profile K(theta), its theta-derivative, and exact cell masses,
     computed once per (sphere, t) for the potential, the plan and the Hessian.
 
-    At small t the kernel is exponentially small near the antipode, below
-    the roundoff noise of the Legendre series; the profile is floored at
-    max(K) * 1e-13 so the solver density stays positive and well scaled.
-    The floored region carries a mass fraction below 1e-13, negligible in
-    every quadrature.
+    At small t the kernel near the antipode sinks below the roundoff of the
+    Legendre series, so the profile is floored like every solver density.
     """
     c = sphere_kernel_coefficients(t, geometry.r, geometry.l_max)
     theta = geometry.nodes()
     P, dP = legendre_table_with_derivative(geometry.l_max, np.cos(theta))
-    K = c @ P
-    K = np.maximum(K, K.max() * 1e-13)
+    K = _floor_density(c @ P)
     dK = c @ (-np.sin(theta) * dP)
     out = (K, dK, geometry.zone_integrals(c))
     for arr in out:  # shared by every caller at this (geometry, t)
@@ -457,26 +456,27 @@ def solve_weighted_poisson(geometry, rho, eta) -> VelocityPotential:
     Parameters
     ----------
     geometry : CircleGeometry | TorusGeometry | SphereGeometry
-    rho : ndarray
-        Strictly positive weight density on the geometry's grid (sphere:
-        zonal colatitude profile).
-    eta : ndarray
-        Source. On the periodic grids it must integrate to zero against the
-        volume weights within 1e-10 * ||eta||_1; the residual incompatibility
-        (at rounding level) is projected out before solving. On the sphere
-        eta is the profile G(theta) of the source G(theta) cos(psi), which
-        has zero mean automatically.
+    rho : ndarray or sequence of ndarray
+        Strictly positive weight density: one 1-D factor per periodic axis (a
+        one-axis grid also takes it plain), or the sphere's zonal profile.
+    eta : ndarray or sequence of ndarray
+        Source: one 1-D term eta_a per periodic axis, standing for
+        sum_a rho_1 x .. eta_a .. x rho_d, each integrating to zero against
+        its axis's volume weights within 1e-10 * ||eta_a||_1 (the rounding
+        left is projected out; the residual is taken on the full grid). On
+        the sphere, the profile G(theta) of the source G(theta) cos(psi),
+        which has zero mean automatically.
 
     Raises
     ------
     NonpositiveDensity, NonzeroMeanSource, UncertifiedSolve, TangentError
     """
-    rho = np.asarray(rho, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if np.any(rho <= 0):
+    disc = _discretization(geometry)
+    rho, eta = _per_axis(rho, disc.shapes), _per_axis(eta, disc.shapes)
+    if any(np.any(r <= 0) for r in rho):
         raise NonpositiveDensity("rho must be strictly positive")
-    vp = _discretization(geometry).solve(rho, eta)
-    if vp.residual > RESIDUAL_TOL:
+    vp = disc.solve(rho, eta)
+    if not vp.residual <= RESIDUAL_TOL:  # a NaN residual fails too
         raise UncertifiedSolve(f"linear solve residual {vp.residual:.2e} above {RESIDUAL_TOL:.0e}")
     return vp
 
@@ -495,12 +495,12 @@ def poisson_energy_gradient(vp: VelocityPotential, direction) -> float:
 def velocity_potential(geometry, t, x=None, v=1.0) -> VelocityPotential:
     """Potential phi_{t,x,v} of the moving heat kernel.
 
-    eta(y) = -grad_x rho(t, x, y) . v is built analytically (circle/torus:
-    kernel offset derivative; sphere: the first-azimuthal reduction with
-    G(theta) = |v| K'(theta)/r). x and v have one component per axis on the
-    periodic grids; the sphere is homogeneous, so x is ignored there and the
-    potential is computed at the north pole. Solver densities are floored at
-    max(rho) * 1e-13 for conditioning.
+    eta(y) = -grad_x rho(t, x, y) . v is built analytically (circle/torus: v_a
+    times the offset derivative of axis a's kernel factor; sphere: the first
+    azimuthal mode, G(theta) = |v| K'(theta)/r). x and v have one component
+    per axis on the periodic grids; the sphere is homogeneous, so x is ignored
+    there and the potential is computed at the north pole. Solver densities
+    are floored at max * 1e-13 for conditioning, per axis factor on the grids.
     """
     return _resolved(geometry, t).potential(t, x, v)
 

@@ -44,8 +44,7 @@ def uncertified_poisson(monkeypatch):
     solve = tangent._solve_deflated
 
     def perturbed(A, rhs, weights):
-        phi = 1.001 * solve(A, rhs, weights)[0]
-        return phi, float(np.linalg.norm(A @ phi - rhs) / np.linalg.norm(rhs))
+        return 1.001 * solve(A, rhs, weights)
 
     monkeypatch.setattr(tangent, "_solve_deflated", perturbed)
 
