@@ -21,34 +21,30 @@ from .geometry import (
     TruncationError,
 )
 from .spaces import (
-    Curve,
     DisconnectedGraph,
     FiniteMetricMeasureSpace,
     NonpositiveEdgeLength,
     NonpositiveWeight,
     SpaceError,
     build_space,
-    curve_length,
     model_circle,
     model_torus,
 )
 from .heat import (
     HeatError,
-    HeatKernel,
     HeatStructure,
     circle_kernel,
     entropy,
-    gaussian_bound_ratios,
     heat_apply,
     heat_injectivity_margin,
     heat_kernel_matrix,
     spectral_decompose,
     sphere_kernel,
-    ultracontractivity_constant,
 )
 from .transport import (
     DualPotentials,
     SinkhornNonConvergence,
+    SolverFailure,
     TransportError,
     TransportPlan,
     W2Result,
@@ -81,6 +77,7 @@ from .tangent import (
     TangencyReport,
     TangentError,
     TangentPlan,
+    UncertifiedSolve,
     UnresolvedTime,
     VelocityPotential,
     gt_derivative_bochner,

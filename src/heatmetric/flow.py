@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from .geometry import SphereGeometry, legendre_table
-from .heat import _sphere_decay, heat_apply, heat_measure_from_point, spectral_decompose
+from .heat import _sphere_decay, heat_apply, spectral_decompose
 from .spaces import _adjacency, model_circle
 from .transport import _monotone_segments, w2_exact
 
@@ -124,7 +124,7 @@ def dtilde_pairs(hs, t, pairs) -> np.ndarray:
     if t == 0:
         return np.array([space.dist[x, y] for x, y in pairs])
     points = {x for pair in pairs for x in pair}
-    measures = {x: heat_measure_from_point(hs, t, x) for x in points}
+    measures = {x: heat_apply(hs, t, space.delta(x)) for x in points}
     return np.array([w2_exact(measures[x], measures[y], space.dist).value
                      for x, y in pairs])
 
@@ -336,8 +336,8 @@ class TimeContinuityReport:
     decreasing: bool
     tol: ClassVar[float] = 1e-8  # the semigroup excess that passes
 
-    def passed(self, tol=tol) -> bool:
-        return self.decreasing and self.semigroup_excess <= tol
+    def passed(self) -> bool:
+        return self.decreasing and self.semigroup_excess <= self.tol
 
 
 def time_continuity_report(space, t, deltas) -> TimeContinuityReport:

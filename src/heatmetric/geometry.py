@@ -105,9 +105,6 @@ class CircleGeometry:
     def volume_weights(self) -> np.ndarray:
         return np.full(self.n, self.h)
 
-    def total_volume(self) -> float:
-        return self.L
-
     def ricci(self, x, v) -> float:
         """Ric(v, v); identically zero on the flat circle."""
         return 0.0
@@ -150,9 +147,6 @@ class TorusGeometry:
     def volume_weights(self) -> np.ndarray:
         h1, h2 = self.h
         return np.full((self.n1, self.n2), h1 * h2)
-
-    def total_volume(self) -> float:
-        return self.L1 * self.L2
 
     def ricci(self, x, v) -> float:
         return 0.0
@@ -202,9 +196,6 @@ class SphereGeometry:
     def volume_weights(self) -> np.ndarray:
         cf = np.cos(self.faces())
         return 2.0 * np.pi * self.r**2 * (cf[:-1] - cf[1:])
-
-    def total_volume(self) -> float:
-        return 4.0 * np.pi * self.r**2
 
     def zone_integrals(self, coeffs) -> np.ndarray:
         """Exact integrals of the zonal series sum_l c_l P_l(cos theta) over

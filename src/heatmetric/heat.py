@@ -22,7 +22,6 @@ from .spaces import FiniteMetricMeasureSpace, _adjacency
 __all__ = [
     "HeatError",
     "HeatStructure",
-    "HeatKernel",
     "spectral_decompose",
     "heat_apply",
     "heat_kernel_matrix",
@@ -30,9 +29,7 @@ __all__ = [
     "sphere_kernel",
     "sphere_kernel_coefficients",
     "entropy",
-    "ultracontractivity_constant",
     "heat_injectivity_margin",
-    "gaussian_bound_ratios",
 ]
 
 MAX_DENSE_N = 4096
@@ -62,15 +59,6 @@ class HeatStructure:
 
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
-
-
-@dataclass(frozen=True)
-class HeatKernel:
-    """Kernel values rho(t, x, y): density of H_t(delta_x) w.r.t. m."""
-
-    t: float
-    rho: np.ndarray
-    space: FiniteMetricMeasureSpace
 
 
 def conductance_matrix(space: FiniteMetricMeasureSpace) -> sp.csr_matrix:
@@ -138,23 +126,14 @@ def heat_apply(hs: HeatStructure, t: float, mu) -> np.ndarray:
     return _clip_reconstruction_noise(hs.space.measure * (U @ coeff))
 
 
-def heat_kernel_matrix(hs: HeatStructure, t: float) -> HeatKernel:
-    """Kernel matrix rho_ij = sum_k e^{-lambda_k t} u_k(i) u_k(j), t > 0."""
+def heat_kernel_matrix(hs: HeatStructure, t: float) -> np.ndarray:
+    """Kernel matrix rho_ij = sum_k e^{-lambda_k t} u_k(i) u_k(j), t > 0: row
+    i is the density of H_t(delta_i) with respect to m."""
     if t <= 0:
         raise HeatError("kernel requires t > 0")
     U, lam = hs.eigenvectors, hs.eigenvalues
     rho = (U * np.exp(-lam * t)) @ U.T
-    rho = 0.5 * (rho + rho.T)
-    return HeatKernel(t=float(t), rho=rho, space=hs.space)
-
-
-def heat_measure_from_point(hs: HeatStructure, t: float, x: int) -> np.ndarray:
-    """H_t(delta_x) as a mass vector: rho(t, x, .) m."""
-    if t == 0:
-        return hs.space.delta(x)
-    U, lam = hs.eigenvectors, hs.eigenvalues
-    col = U @ (np.exp(-lam * t) * U[x])
-    return _clip_reconstruction_noise(hs.space.measure * col)
+    return 0.5 * (rho + rho.T)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +247,6 @@ def entropy(mu, m) -> float:
     return float(np.sum(rho * np.log(rho) * m[pos]))
 
 
-def ultracontractivity_constant(hs: HeatStructure, t: float) -> float:
-    """Best L1 -> Linf smoothing constant on a finite space: max rho(t)."""
-    return float(heat_kernel_matrix(hs, t).rho.max())
-
-
 def heat_injectivity_margin(hs: HeatStructure, t: float) -> float:
     """Smallest singular value of the heat operator minus e^{-lambda_max t}.
 
@@ -283,24 +257,9 @@ def heat_injectivity_margin(hs: HeatStructure, t: float) -> float:
     """
     if t <= 0:
         raise HeatError("injectivity margin requires t > 0")
-    rho = heat_kernel_matrix(hs, t).rho
+    rho = heat_kernel_matrix(hs, t)
     sqm = np.sqrt(hs.space.measure)
     S = rho * sqm[:, None] * sqm[None, :]
     smin = float(np.linalg.svd(S, compute_uv=False)[-1])
     return smin - np.exp(-hs.lambda_max() * t)
 
-
-def gaussian_bound_ratios(hs: HeatStructure, t: float):
-    """Diagnostic ratios of rho(t, x, y) to the Gaussian envelope shape on
-    the space of hs.
-
-    The envelope e^{-d^2(x,y)/(4t)} / sqrt(m(B_sqrt(t)(x)) m(B_sqrt(t)(y)))
-    carries unspecified structure constants, so this reports ratios without
-    any pass/fail semantics.
-    """
-    space = hs.space
-    rho = heat_kernel_matrix(hs, t).rho
-    radius = np.sqrt(t)
-    ball = (space.dist <= radius) @ space.measure
-    env = np.exp(-space.dist**2 / (4 * t)) / np.sqrt(np.outer(ball, ball))
-    return rho / env

@@ -23,11 +23,9 @@ __all__ = [
     "NonpositiveWeight",
     "NonpositiveEdgeLength",
     "FiniteMetricMeasureSpace",
-    "Curve",
     "build_space",
     "model_circle",
     "model_torus",
-    "curve_length",
 ]
 
 
@@ -98,17 +96,6 @@ class FiniteMetricMeasureSpace:
         """Iterate (i, j, length) over edges."""
         for (i, j), ell in zip(self.edges, self.lengths):
             yield int(i), int(j), float(ell)
-
-
-@dataclass(frozen=True)
-class Curve:
-    """A discrete curve: the point indices it visits, in order."""
-
-    points: tuple
-
-    def __post_init__(self):
-        if len(self.points) < 1:
-            raise SpaceError("curve needs at least one point")
 
 
 def _adjacency(n, edges, values):
@@ -237,23 +224,3 @@ def model_torus(L1, L2, n1, n2):
     space = build_space(n1 * n2, edges, measure, K=0.0, conductances=np.asarray(cond))
     return geom, space
 
-
-def curve_length(curve, metric) -> float:
-    """Length of a discrete curve: sum of metric(x_i, x_{i+1}).
-
-    `metric` is either an (n, n) distance matrix indexed by the curve's
-    points, or a callable metric(a, b). A single point has length 0. The
-    value never decreases under refinement of the partition and is at least
-    metric(endpoints) by the triangle inequality.
-    """
-    pts = curve.points if isinstance(curve, Curve) else tuple(curve)
-    if len(pts) == 0:
-        raise SpaceError("empty curve")
-    if len(pts) == 1:
-        return 0.0
-    if callable(metric):
-        d = metric
-    else:
-        mat = np.asarray(metric)
-        d = lambda a, b: float(mat[a, b])
-    return float(sum(d(a, b) for a, b in zip(pts, pts[1:])))

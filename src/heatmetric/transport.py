@@ -39,6 +39,7 @@ from scipy.sparse import eye, kron, vstack
 
 __all__ = [
     "TransportError",
+    "SolverFailure",
     "SinkhornNonConvergence",
     "TransportPlan",
     "DualPotentials",
@@ -365,17 +366,17 @@ def _canonical_swap(mu, nu) -> bool:
     return False
 
 
-def dual_gap(mu, nu, value, potentials: DualPotentials, dist=None) -> float:
+def dual_gap(mu, nu, value, potentials: DualPotentials, dist) -> float:
     """Duality gap value^2/2 - (<phi, mu> + <phi_c, nu>).
 
     Nonnegative for feasible potentials (weak duality) and <= 1e-8 at an
-    optimum. When dist is supplied, infeasible potentials raise.
+    optimum. Potentials infeasible on dist raise, since their gap bounds
+    nothing.
     """
     mu, nu = _validate_pair(mu, nu)
-    if dist is not None:
-        viol = potentials.feasibility_violation(dist)
-        if viol > 1e-10:
-            raise TransportError(f"infeasible potentials (violation {viol:.2e})")
+    viol = potentials.feasibility_violation(dist)
+    if viol > 1e-10:
+        raise TransportError(f"infeasible potentials (violation {viol:.2e})")
     return float(0.5 * value**2 - (potentials.phi @ mu + potentials.phi_c @ nu))
 
 

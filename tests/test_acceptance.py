@@ -233,9 +233,9 @@ def test_criterion_9_heat_sanity():
     for space in fixtures:
         hs = hm.spectral_decompose(space)
         s, t = 0.15, 0.35
-        rho_s = hm.heat_kernel_matrix(hs, s).rho
-        rho_t = hm.heat_kernel_matrix(hs, t).rho
-        rho_st = hm.heat_kernel_matrix(hs, s + t).rho
+        rho_s = hm.heat_kernel_matrix(hs, s)
+        rho_t = hm.heat_kernel_matrix(hs, t)
+        rho_st = hm.heat_kernel_matrix(hs, s + t)
         worst_ck = max(worst_ck, float(np.abs(
             rho_s @ (space.measure[:, None] * rho_t) - rho_st).max()))
         worst_mass = max(worst_mass, float(np.abs(rho_t @ space.measure - 1).max()))

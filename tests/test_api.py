@@ -1,9 +1,11 @@
+import ast
 import importlib
 import inspect
 
 import pytest
 
 import heatmetric as hm
+from heatmetric import cli
 
 MODULES = ["cli", "flow", "geometry", "heat", "spaces", "tangent", "transport"]
 
@@ -34,3 +36,21 @@ def test_no_function_takes_a_space_and_its_decomposition(name):
             if inspect.isfunction(getattr(module, attr))
             and {"space", "hs"} <= set(inspect.signature(getattr(module, attr)).parameters)]
     assert not both, f"heatmetric.{name} functions take both space and hs: {both}"
+
+
+def test_exit_1_failures_are_exported(tmp_path, monkeypatch):
+    # the exceptions named by the handler in cli.run that returns 1
+    handlers = [node for node in ast.walk(ast.parse(inspect.getsource(cli.run)))
+                if isinstance(node, ast.ExceptHandler)
+                and any(isinstance(stmt, ast.Return) and getattr(stmt.value, "value", None) == 1
+                        for stmt in node.body)]
+    names = [elt.attr for handler in handlers for elt in handler.type.elts]
+    assert names
+    for name in names:
+        exc = getattr(hm, name)
+
+        def fail(args):
+            raise exc("uncertified")
+
+        monkeypatch.setitem(cli.COMMANDS, "selftest", fail)
+        assert cli.run(["selftest", "--out", str(tmp_path)]) == 1

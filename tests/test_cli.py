@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,3 +433,34 @@ class TestOtherCommands:
         checks = json.loads((out / "selftest_summary.json").read_text())["checks"]
         failed = [c["name"] for c in checks if not c["pass"]]
         assert failed == ["sinkhorn_vs_exact"]
+
+
+class TestRepeatedRuns:
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs = [["flow", "--geometry", "circle", "--times", "0.1", "--bogus"],
+                ["flow", "--geometry", "circle", "--n", "8", "--times", "0,0.1"],
+                ["tangency", "--geometry", "circle", "--n", "64", "--times", "0.05,0.1"]]
+        cli.build_parser.cache_clear()
+        for k, argv in enumerate(runs):
+            here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+            code = cli.run(argv + ["--out", str(here)])
+            out, err = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "heatmetric.cli", *argv,
+                                   "--out", str(fresh)], capture_output=True, text=True,
+                                  env=env, check=False)
+            assert code == proc.returncode == (2 if k == 0 else 0)
+            assert out.replace(str(here), "OUT") == proc.stdout.replace(str(fresh), "OUT")
+            assert err == proc.stderr
+            files = sorted(p.name for p in here.glob("*"))
+            assert files == sorted(p.name for p in fresh.glob("*"))
+            for name in files:
+                mine, theirs = (here / name).read_bytes(), (fresh / name).read_bytes()
+                if name.endswith("_summary.json"):
+                    mine, theirs = (json.loads(b) for b in (mine, theirs))
+                    for summary in (mine, theirs):
+                        del summary["wall_time_seconds"], summary["config"]["out"]
+                assert mine == theirs, name
+        assert cli.build_parser.cache_info().misses == 1

@@ -49,18 +49,30 @@ class TestDtilde:
     def test_pairs_compute_each_heat_measure_once(self, circle16, monkeypatch):
         _, _, hs = circle16
         calls = []
-        original = flow.heat_measure_from_point
+        original = flow.heat_apply
 
-        def counted(hs, t, x):
-            calls.append(x)
-            return original(hs, t, x)
+        def counted(hs, t, mu):
+            calls.append(int(np.argmax(mu)))
+            return original(hs, t, mu)
 
-        monkeypatch.setattr(flow, "heat_measure_from_point", counted)
+        monkeypatch.setattr(flow, "heat_apply", counted)
         pairs = [(0, 8), (0, 5), (8, 5), (5, 0)]
         vals = hm.dtilde_pairs(hs, 0.1, pairs)
         assert sorted(calls) == [0, 5, 8]
         full = hm.dtilde_matrix(hs, 0.1)
         assert vals.tolist() == [full[x, y] for x, y in pairs]
+
+    @pytest.mark.parametrize("build, size, rate", [(hypercube_space, 4, 1.0),
+                                                   (complete_graph_space, 8, 4.0)],
+                             ids=["hypercube16", "complete8"])
+    def test_edges_closed_form(self, build, size, rate):
+        # unit masses and edge lengths: a hypercube edge is the two-point space
+        # tensorized, dtilde_t = e^{-t}; on the complete graph on 8 points
+        # H_t delta_x - H_t delta_y = e^{-8t} (delta_x - delta_y), dtilde_t = e^{-4t}
+        space = build(size)
+        hs = hm.spectral_decompose(space)
+        for t in (0.01, 0.1, 0.5, 2.0):
+            assert_allclose(hm.dtilde_pairs(hs, t, space.edges), np.exp(-rate * t), rtol=1e-9)
 
     def test_percont_bound(self, circle16):
         _, space, hs = circle16

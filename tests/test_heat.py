@@ -3,11 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import heatmetric as hm
-from heatmetric.heat import (
-    _circle_fourier,
-    _circle_images,
-    heat_measure_from_point,
-)
+from heatmetric.heat import _circle_fourier, _circle_images
 
 
 class TestSpectralDecompose:
@@ -86,20 +82,20 @@ class TestKernelMatrix:
     def test_two_point_closed_form(self, two_point):
         _, hs = two_point
         t = 0.35
-        rho = hm.heat_kernel_matrix(hs, t).rho
+        rho = hm.heat_kernel_matrix(hs, t)
         assert_allclose(rho[0, 0], (1 + np.exp(-2 * t)) / 2, rtol=1e-13)
         assert_allclose(rho[0, 1], (1 - np.exp(-2 * t)) / 2, rtol=1e-13)
 
     def test_row_mass_symmetry_positivity(self, circle24):
         _, space, hs = circle24
-        kern = hm.heat_kernel_matrix(hs, 0.2)
-        assert np.abs(kern.rho @ space.measure - 1).max() < 1e-8
-        assert np.abs(kern.rho - kern.rho.T).max() < 1e-10
-        assert kern.rho.min() > 0
+        rho = hm.heat_kernel_matrix(hs, 0.2)
+        assert np.abs(rho @ space.measure - 1).max() < 1e-8
+        assert np.abs(rho - rho.T).max() < 1e-10
+        assert rho.min() > 0
 
     def test_long_time_limit(self, circle24):
         _, space, hs = circle24
-        rho = hm.heat_kernel_matrix(hs, 40.0 / hs.eigenvalues[1]).rho
+        rho = hm.heat_kernel_matrix(hs, 40.0 / hs.eigenvalues[1])
         assert_allclose(rho, 1.0 / space.total_mass, atol=1e-12)
 
     def test_requires_positive_time(self, circle24):
@@ -110,16 +106,18 @@ class TestKernelMatrix:
     def test_chapman_kolmogorov(self, circle24):
         _, space, hs = circle24
         s, t = 0.15, 0.4
-        rho_s = hm.heat_kernel_matrix(hs, s).rho
-        rho_t = hm.heat_kernel_matrix(hs, t).rho
-        rho_st = hm.heat_kernel_matrix(hs, s + t).rho
+        rho_s = hm.heat_kernel_matrix(hs, s)
+        rho_t = hm.heat_kernel_matrix(hs, t)
+        rho_st = hm.heat_kernel_matrix(hs, s + t)
         composed = rho_s @ (space.measure[:, None] * rho_t)
         assert np.abs(composed - rho_st).max() < 1e-9
 
     def test_delta_evolution_column(self, circle24):
+        # H_t(delta_x) = rho(t, x, .) m
         _, space, hs = circle24
-        mu = heat_measure_from_point(hs, 0.3, 5)
-        assert_allclose(mu, hm.heat_apply(hs, 0.3, space.delta(5)), atol=1e-12)
+        mu = hm.heat_apply(hs, 0.3, space.delta(5))
+        rho = hm.heat_kernel_matrix(hs, 0.3)
+        assert_allclose(mu, rho[5] * space.measure, atol=1e-12)
 
 
 class TestCircleKernel:
@@ -218,15 +216,16 @@ class TestEntropy:
 
 
 class TestDiagnostics:
+    # ultracontractivity: max rho(t) is the semigroup's L1 -> Linf norm
     def test_ultracontractivity_two_point(self, two_point):
         _, hs = two_point
-        assert_allclose(hm.ultracontractivity_constant(hs, 0.1),
-                        (1 + np.exp(-0.2)) / 2, rtol=1e-13)
+        assert_allclose(hm.heat_kernel_matrix(hs, 0.1).max(), (1 + np.exp(-0.2)) / 2,
+                        rtol=1e-13)
 
     def test_ultracontractivity_monotone(self, circle24):
         _, space, hs = circle24
         ts = [0.05, 0.1, 0.2, 0.5, 1.0, 3.0, 45.0]
-        vals = [hm.ultracontractivity_constant(hs, t) for t in ts]
+        vals = [hm.heat_kernel_matrix(hs, t).max() for t in ts]
         assert np.all(np.diff(vals) <= 1e-12)
         assert abs(vals[-1] - 1 / space.total_mass) < 1e-8
 
@@ -235,8 +234,3 @@ class TestDiagnostics:
         for t in (0.1, 0.5, 2.0):
             assert hm.heat_injectivity_margin(hs, t) >= -1e-12
 
-    def test_gaussian_ratio_report(self, circle24):
-        _, _, hs = circle24
-        ratios = hm.gaussian_bound_ratios(hs, 0.2)
-        assert np.all(np.isfinite(ratios))
-        assert np.all(ratios > 0)

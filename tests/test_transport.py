@@ -57,7 +57,7 @@ def circle_dist(n, L=1.0):
 def heat_rows(n, t, offsets):
     _, space = hm.model_circle(2 * np.pi, n)
     hs = hm.spectral_decompose(space)
-    return space.dist, [hm.heat.heat_measure_from_point(hs, t, k) for k in offsets]
+    return space.dist, [hm.heat_apply(hs, t, space.delta(k)) for k in offsets]
 
 
 class TestW2Exact:
@@ -186,8 +186,8 @@ class TestDuality:
         mu, nu = mu / mu.sum(), nu / nu.sum()
         res = hm.w2_exact(mu, nu, space.dist)
         shifted = hm.DualPotentials(res.potentials.phi + 0.37, res.potentials.phi_c - 0.37)
-        g0 = hm.dual_gap(mu, nu, res.value, res.potentials)
-        g1 = hm.dual_gap(mu, nu, res.value, shifted)
+        g0 = hm.dual_gap(mu, nu, res.value, res.potentials, dist=space.dist)
+        g1 = hm.dual_gap(mu, nu, res.value, shifted, dist=space.dist)
         assert abs(g0 - g1) < 1e-13
 
     def test_infeasible_potentials_rejected(self):
