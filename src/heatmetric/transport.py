@@ -14,7 +14,17 @@ in the same way.
   (_monotone_segments) on the sphere's colatitude profiles.
 * Every other metric goes to HiGHS as a linear program over the complete
   bipartite coupling polytope, whose equality-constraint duals become the
-  potentials.
+  potentials. The model is built through scipy's bundled HiGHS binding
+  (scipy.optimize._highspy, a private module; hence scipy >= 1.17) and runs
+  the dual simplex with presolve off and primal and dual feasibility
+  tolerances of 1e-10, far inside the certificate window.
+
+w2_exact_batch solves a list of pairs on one metric as one batch: the circle
+check runs once, and one LP model serves every solve on the same support
+pair. A later solve changes only the row bounds (the marginals), so the last
+optimal basis stays dual feasible and the dual simplex restarts from it. A
+new support pair rebuilds the model, and every batch starts cold; w2_exact
+is a batch of one. Nothing is kept between batches.
 
 Either way, the value comes from the plan on the given dist, and the
 potentials, for the halved-cost convention phi(x) + phi^c(y) <= d^2(x, y)/2,
@@ -24,18 +34,21 @@ window raises SolverFailure. Primal objective uses d^2 (so value = W_2),
 duals use d^2/2.
 
 Values are unique; plans need not be. The LP pivot order is HiGHS's
-deterministic default (not lowest-index), and w2_exact canonicalizes its
-argument order internally so that w2(mu, nu) == w2(nu, mu) exactly.
+deterministic default (not lowest-index), and within a batch it depends on
+the solves before, so a batched value may differ from a lone w2_exact in its
+last bits; the same batch, or the same lone solve, always gives the same
+bits. Each solve runs in a canonical argument order, so w2_exact(mu, nu) ==
+w2_exact(nu, mu) exactly, and swapping the measures of any pair in a batch
+leaves every value of the batch unchanged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import eye, kron, vstack
+from scipy.optimize import linprog  # noqa: F401  only perfbench's tracer reads it
+from scipy.optimize._highspy import _core as highs
 
 __all__ = [
     "TransportError",
@@ -45,6 +58,7 @@ __all__ = [
     "DualPotentials",
     "W2Result",
     "w2_exact",
+    "w2_exact_batch",
     "c_transform",
     "dual_gap",
     "w2_sinkhorn",
@@ -57,6 +71,12 @@ GAP_TOL = 1e-8
 SINKHORN_SCHEDULE = 0.5
 SINKHORN_MAX_ITER = 4000
 SINKHORN_MARGINAL_TOL = 1e-6
+# HiGHS options of every coupling LP: presolve off, and feasibility
+# tolerances that keep warm-started solves as accurate as cold ones
+_HIGHS_OPTIONS = {"output_flag": False, "presolve": "off", "solver": "simplex",
+                  "simplex_strategy": 1,  # dual
+                  "primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
 # quantile levels closer than this fraction of the mass coincide on circles
 _LEVEL_TOL = 1e-13
 
@@ -131,26 +151,50 @@ def _validate_pair(mu, nu):
     return mu, nu
 
 
-@lru_cache(maxsize=8)
-def _marginal_constraints(n, m):
-    """Row-sum and column-sum equality matrix of an n x m coupling."""
-    return vstack([
-        kron(eye(n, format="csr"), np.ones((1, m))),
-        kron(np.ones((1, n)), eye(m, format="csr")),
-    ]).tocsr()
+class _CouplingLP:
+    """HiGHS model of the coupling LP min <cost, gamma> over gamma >= 0 with
+    row sums a and column sums b, on one support pair.
 
+    The model is built once; each solve changes only the row bounds (the
+    marginals), so the last optimal basis stays dual feasible and the dual
+    simplex restarts from it. The first solve starts cold.
+    """
 
-def _solve_lp(mu, nu, cost):
-    """Coupling LP on the supports: plan and potentials phi on mu's atoms."""
-    n, m = len(mu), len(nu)
-    res = linprog(
-        cost.ravel(), A_eq=_marginal_constraints(n, m), b_eq=np.concatenate([mu, nu]),
-        bounds=(0, None), method="highs",
-    )
-    if res.status != 0:  # pragma: no cover
-        raise SolverFailure(f"LP solver failed: {res.message}")
-    # duals for cost d^2 -> potentials for cost d^2/2
-    return res.x.reshape(n, m), 0.5 * res.eqlin.marginals[:n]
+    def __init__(self, cost):
+        n, m = cost.shape
+        lp = highs.HighsLp()
+        lp.num_col_, lp.num_row_ = n * m, n + m
+        lp.col_cost_ = cost.ravel()
+        lp.col_lower_ = np.zeros(n * m)
+        lp.col_upper_ = np.full(n * m, highs.kHighsInf)
+        lp.row_lower_ = lp.row_upper_ = np.zeros(n + m)
+        # column (i, j) has a one in row i (its row sum) and row n + j
+        A = lp.a_matrix_
+        A.format_ = highs.MatrixFormat.kColwise
+        A.num_col_, A.num_row_ = n * m, n + m
+        A.start_ = np.arange(0, 2 * n * m + 1, 2, dtype=np.int32)
+        A.index_ = np.stack([np.repeat(np.arange(n), m),
+                             n + np.tile(np.arange(m), n)], axis=1).ravel().astype(np.int32)
+        A.value_ = np.ones(2 * n * m)
+        self.model = highs._Highs()
+        for key, value in _HIGHS_OPTIONS.items():
+            self.model.setOptionValue(key, value)
+        self.model.passModel(lp)
+        self.shape = (n, m)
+
+    def solve(self, a, b):
+        """Plan and potentials phi on a's atoms (for the cost halved)."""
+        model = self.model
+        for row, mass in enumerate(np.concatenate([a, b]).tolist()):
+            model.changeRowBounds(row, mass, mass)
+        model.run()
+        status = model.getModelStatus()
+        if status != highs.HighsModelStatus.kOptimal:
+            raise SolverFailure(f"LP solver failed: {model.modelStatusToString(status)}")
+        solution = model.getSolution()
+        gamma = np.array(solution.col_value).reshape(self.shape)
+        # duals for cost d^2 -> potentials for cost d^2/2
+        return gamma, 0.5 * np.array(solution.row_dual[:self.shape[0]])
 
 
 def _circle_spacing(dist):
@@ -311,50 +355,86 @@ def w2_exact(mu, nu, dist) -> W2Result:
 
     Zero-mass points are dropped before the solve and reinserted as zero
     rows/columns of the plan. On the metric of an equispaced circle the plan
-    comes from the periodic quantile coupling, otherwise from the LP.
+    comes from the periodic quantile coupling, otherwise from the LP, which
+    starts cold: this is a batch of one (see w2_exact_batch).
     """
     mu, nu = _validate_pair(mu, nu)
-    dist = np.asarray(dist, dtype=float)
-    n = len(mu)
-    if dist.shape != (n, n):
-        raise TransportError("dist must be square on the marginals' space")
-
-    # canonical argument order makes the value exactly symmetric in (mu, nu)
-    swapped = _canonical_swap(mu, nu)
-    if swapped:
-        res = w2_exact(nu, mu, dist)
+    batch = _Batch(dist, len(mu))
+    if _canonical_swap(mu, nu):
+        res = batch.solve(nu, mu)
         return W2Result(
             res.value,
             TransportPlan(res.plan.gamma.T.copy(), mu, nu),
             DualPotentials(res.potentials.phi_c, res.potentials.phi),
         )
+    return batch.solve(mu, nu)
 
-    smu = np.flatnonzero(mu > 0)
-    snu = np.flatnonzero(nu > 0)
-    h = _circle_spacing(dist)
-    if h is None:
-        gamma_s, phi_s = _solve_lp(mu[smu], nu[snu], dist[np.ix_(smu, snu)] ** 2)
-    else:
-        gamma_s, phi_s = _solve_circle(smu, mu[smu], snu, nu[snu], n)
-        phi_s = h * h * phi_s
 
-    gamma = np.zeros((n, n))
-    gamma[np.ix_(smu, snu)] = gamma_s
-    value = float(np.sqrt(max((dist**2 * gamma).sum(), 0.0)))
+def w2_exact_batch(pairs, dist) -> np.ndarray:
+    """Values of w2_exact(mu, nu, dist) for each (mu, nu) in pairs, each
+    solve certified in the same way, as one batch on the metric dist.
 
-    # potentials extended off-support conservatively, then made c-concave
-    # (phi^cc, phi^c); feasibility and the gap bound are structural from the
-    # c-transform definition.
-    phi = np.full(n, -np.inf)
-    phi[smu] = phi_s
-    phi_c = c_transform(phi, dist)
-    phi = c_transform(phi_c, dist.T)
-    potentials = DualPotentials(phi=phi, phi_c=phi_c)
+    The batch checks dist once and keeps one LP model while the support pair
+    stays the same, so each solve after the first restarts from the last
+    optimal basis. A value can therefore differ from a lone w2_exact call in
+    its last bits; the same batch always gives the same values.
+    """
+    batch = None
+    values = []
+    for mu, nu in pairs:
+        mu, nu = _validate_pair(mu, nu)
+        if batch is None or len(mu) != len(batch.dist):
+            batch = _Batch(dist, len(mu))  # raises on a length dist does not fit
+        if _canonical_swap(mu, nu):
+            mu, nu = nu, mu
+        values.append(batch.solve(mu, nu).value)
+    return np.array(values)
 
-    gap = 0.5 * value**2 - (phi @ mu + phi_c @ nu)
-    if not (-1e-7 <= gap <= GAP_TOL):  # pragma: no cover
-        raise SolverFailure(f"optimality certificate failed: gap {gap:.3e}")
-    return W2Result(value, TransportPlan(gamma, mu, nu), potentials)
+
+class _Batch:
+    """Solves on one metric: the circle check made once, and the LP model of
+    the last support pair."""
+
+    def __init__(self, dist, n):
+        self.dist = np.asarray(dist, dtype=float)
+        if self.dist.shape != (n, n):
+            raise TransportError("dist must be square on the marginals' space")
+        self.h = _circle_spacing(self.dist)
+        self.lp = self.support = None
+
+    def solve(self, mu, nu) -> W2Result:
+        """Certified solve of validated marginals in canonical order."""
+        dist = self.dist
+        n = len(dist)
+        smu = np.flatnonzero(mu > 0)
+        snu = np.flatnonzero(nu > 0)
+        if self.h is None:
+            if self.support is None or not (np.array_equal(smu, self.support[0])
+                                            and np.array_equal(snu, self.support[1])):
+                self.lp = _CouplingLP(dist[np.ix_(smu, snu)] ** 2)
+                self.support = (smu, snu)
+            gamma_s, phi_s = self.lp.solve(mu[smu], nu[snu])
+        else:
+            gamma_s, phi_s = _solve_circle(smu, mu[smu], snu, nu[snu], n)
+            phi_s = self.h * self.h * phi_s
+
+        gamma = np.zeros((n, n))
+        gamma[np.ix_(smu, snu)] = gamma_s
+        value = float(np.sqrt(max((dist**2 * gamma).sum(), 0.0)))
+
+        # potentials extended off-support conservatively, then made c-concave
+        # (phi^cc, phi^c); feasibility and the gap bound are structural from the
+        # c-transform definition.
+        phi = np.full(n, -np.inf)
+        phi[smu] = phi_s
+        phi_c = c_transform(phi, dist)
+        phi = c_transform(phi_c, dist.T)
+        potentials = DualPotentials(phi=phi, phi_c=phi_c)
+
+        gap = 0.5 * value**2 - (phi @ mu + phi_c @ nu)
+        if not (-1e-7 <= gap <= GAP_TOL):  # pragma: no cover
+            raise SolverFailure(f"optimality certificate failed: gap {gap:.3e}")
+        return W2Result(value, TransportPlan(gamma, mu, nu), potentials)
 
 
 def _canonical_swap(mu, nu) -> bool:

@@ -71,7 +71,7 @@ class TestDtilde:
         # H_t delta_x - H_t delta_y = e^{-8t} (delta_x - delta_y), dtilde_t = e^{-4t}
         space = build(size)
         hs = hm.spectral_decompose(space)
-        for t in (0.01, 0.1, 0.5, 2.0):
+        for t in (1e-4, 1e-3, 0.01, 0.1, 0.5, 2.0):
             assert_allclose(hm.dtilde_pairs(hs, t, space.edges), np.exp(-rate * t), rtol=1e-9)
 
     def test_percont_bound(self, circle16):

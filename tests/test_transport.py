@@ -391,7 +391,7 @@ class TestCirclePath:
         def refuse(*args):
             raise AssertionError("LP called on a circle metric")
 
-        monkeypatch.setattr(transport, "_solve_lp", refuse)
+        monkeypatch.setattr(transport, "_CouplingLP", refuse)
         dist, rows = heat_rows(64, 0.1, [0, 9])
         hm.w2_exact(rows[0], rows[1], dist)
         triangle = np.ones((3, 3)) - np.eye(3)  # the 3-point circle
@@ -419,3 +419,70 @@ class TestCirclePath:
         mu, nu = mu / mu.sum(), nu / nu.sum()
         res = hm.w2_exact(mu, nu, dist)
         assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=1e-6)
+
+
+def random_graph_dist(rng, n):
+    """Metric of a random connected graph: a random spanning tree plus about
+    n extra edges, lengths uniform in [0.5, 2]."""
+    edges = [(int(rng.integers(k)), k, rng.uniform(0.5, 2.0)) for k in range(1, n)]
+    for _ in range(n):
+        i, j = rng.choice(n, 2, replace=False)
+        edges.append((int(i), int(j), rng.uniform(0.5, 2.0)))
+    return hm.build_space(n, edges, np.ones(n)).dist
+
+
+class TestLPPath:
+    """The HiGHS coupling LP taken on every metric that is not a circle, lone
+    and batched, checked against the oracle."""
+
+    def test_path_metric_tiny_masses(self):
+        # at HiGHS's default 1e-7 feasibility tolerance 63 of these seeds
+        # failed: 53 on the certificate, 10 as "infeasible" under presolve
+        dist = np.abs(np.subtract.outer(np.arange(16), np.arange(16))).astype(float)
+        pairs = []
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            mu, nu = rng.random(16) ** 8, rng.random(16) ** 8
+            pairs.append((mu / mu.sum(), nu / nu.sum()))
+        oracle = [lp_oracle(mu, nu, dist) for mu, nu in pairs]
+        lone = [hm.w2_exact(mu, nu, dist).value for mu, nu in pairs]
+        assert_allclose(lone, oracle, rtol=1e-9)
+        assert_allclose(hm.w2_exact_batch(pairs, dist), oracle, rtol=1e-9)
+
+    @settings(max_examples=70, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 14), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
+    def test_random_graph_batch_masses_spanning_twelve_decades(self, n, seed, zeros):
+        rng = np.random.default_rng(seed)
+        dist = random_graph_dist(rng, n)
+        pairs = []
+        for _ in range(16):
+            mu = 10.0 ** rng.uniform(-12, 0, n)
+            nu = 10.0 ** rng.uniform(-12, 0, n)
+            if zeros:  # a new support pair rebuilds the model
+                mu[rng.random(n) < 0.3] = 0.0
+                nu[rng.random(n) < 0.3] = 0.0
+                mu[rng.integers(n)] += 0.5
+                nu[rng.integers(n)] += 0.5
+            pairs.append((mu / mu.sum(), nu / nu.sum()))
+        values = hm.w2_exact_batch(pairs, dist)
+        oracle = [lp_oracle(mu, nu, dist) for mu, nu in pairs]
+        assert_allclose(values, oracle, rtol=1e-6)
+        # no state leaks between batches, and each solve is canonical
+        assert hm.w2_exact_batch(pairs, dist).tolist() == values.tolist()
+        swapped = [(nu, mu) for mu, nu in pairs]
+        assert hm.w2_exact_batch(swapped, dist).tolist() == values.tolist()
+
+    def test_batch_matches_lone_solves(self, torus8):
+        _, space, hs = torus8
+        rows = [hm.heat_apply(hs, 0.2, space.delta(x)) for x in (0, 9, 27, 63)]
+        pairs = [(rows[0], rows[k]) for k in (1, 2, 3)] + [(rows[2], rows[1])]
+        lone = [hm.w2_exact(mu, nu, space.dist).value for mu, nu in pairs]
+        assert_allclose(hm.w2_exact_batch(pairs, space.dist), lone, rtol=1e-12)
+
+    def test_batch_inputs(self):
+        assert hm.w2_exact_batch([], PATH3).shape == (0,)
+        third = np.full(3, 1 / 3)
+        with pytest.raises(hm.TransportError, match="square"):
+            hm.w2_exact_batch([(third, third), (np.ones(2) / 2, np.ones(2) / 2)], PATH3)
+        with pytest.raises(hm.TransportError, match="negative"):
+            hm.w2_exact_batch([(third, third), (-third, third)], PATH3)
