@@ -51,7 +51,6 @@ from .transport import (
     c_transform,
     dual_gap,
     w2_exact,
-    w2_exact_batch,
     w2_sinkhorn,
 )
 from .flow import (

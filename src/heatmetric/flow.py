@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import shortest_path
 from .geometry import SphereGeometry, legendre_table
 from .heat import _sphere_decay, heat_apply, spectral_decompose
 from .spaces import _adjacency, model_circle
-from .transport import _monotone_segments, w2_exact, w2_exact_batch
+from .transport import _monotone_segments, _w2_exact_batch, w2_exact
 
 __all__ = [
     "FlowError",
@@ -116,7 +116,7 @@ def dtilde_matrix(hs, t) -> np.ndarray:
 def dtilde_pairs(hs, t, pairs) -> np.ndarray:
     """dtilde_t for an explicit list of point pairs of the space of hs, with
     one heat measure per distinct point and all pairs solved as one
-    w2_exact_batch; indices outside the space raise FlowError."""
+    transport batch; indices outside the space raise FlowError."""
     space = hs.space
     if t < 0:
         raise FlowError("negative time")
@@ -125,7 +125,7 @@ def dtilde_pairs(hs, t, pairs) -> np.ndarray:
         return np.array([space.dist[x, y] for x, y in pairs])
     points = {x for pair in pairs for x in pair}
     measures = {x: heat_apply(hs, t, space.delta(x)) for x in points}
-    return w2_exact_batch([(measures[x], measures[y]) for x, y in pairs], space.dist)
+    return _w2_exact_batch([(measures[x], measures[y]) for x, y in pairs], space.dist)
 
 
 def dt_arc_matrix(space, dtilde) -> np.ndarray:

@@ -15,11 +15,16 @@ in the same way.
 * Every other metric goes to HiGHS as a linear program over the complete
   bipartite coupling polytope, whose equality-constraint duals become the
   potentials. The model is built through scipy's bundled HiGHS binding
-  (scipy.optimize._highspy, a private module; hence scipy >= 1.17) and runs
-  the dual simplex with presolve off and primal and dual feasibility
-  tolerances of 1e-10, far inside the certificate window.
+  (scipy.optimize._highspy, a private module, so scipy is held to the
+  checked 1.17 series) and runs the dual simplex with presolve off and
+  primal and dual feasibility tolerances of 1e-10, far inside the
+  certificate window.
 
-w2_exact_batch solves a list of pairs on one metric as one batch: the circle
+Both scale the second measure of the canonical order (below) to the first's
+total: MASS_TOL admits totals 1e-9 apart, which the LP's equality rows and
+the circle's common period do not.
+
+_w2_exact_batch solves a list of pairs on one metric as one batch: the circle
 check runs once, and one LP model serves every solve on the same support
 pair. A later solve changes only the row bounds (the marginals), so the last
 optimal basis stays dual feasible and the dual simplex restarts from it. A
@@ -58,7 +63,6 @@ __all__ = [
     "DualPotentials",
     "W2Result",
     "w2_exact",
-    "w2_exact_batch",
     "c_transform",
     "dual_gap",
     "w2_sinkhorn",
@@ -239,8 +243,8 @@ def _monotone_segments(a, b):
 
 def _solve_circle(p, a, q, b, n):
     """Optimal plan between masses a at grid positions p and b at q (both
-    ascending) on the n-point equispaced circle, with potentials phi on p in
-    grid units (cost (i - j)^2 / 2).
+    ascending, equal totals) on the n-point equispaced circle, with
+    potentials phi on p in grid units (cost (i - j)^2 / 2).
 
     Unrolled onto the line, the quantile functions satisfy X(u + M) =
     X(u) + n, and the lifted cost C(theta) = int_0^M (X(u) - Y(u + theta))^2 du
@@ -251,7 +255,6 @@ def _solve_circle(p, a, q, b, n):
     that corner leaves a 1-D monotone coupling (_monotone_segments).
     """
     A, B = len(p), len(q)
-    b = b * (a.sum() / b.sum())  # one period M for both level sets
     F, G = np.cumsum(a), np.cumsum(b)
     M = F[-1]
     tol = _LEVEL_TOL * M
@@ -354,12 +357,16 @@ def w2_exact(mu, nu, dist) -> W2Result:
         value^2/2 - (<phi, mu> + <phi_c, nu>) <= 1e-8.
 
     Zero-mass points are dropped before the solve and reinserted as zero
-    rows/columns of the plan. On the metric of an equispaced circle the plan
-    comes from the periodic quantile coupling, otherwise from the LP, which
-    starts cold: this is a batch of one (see w2_exact_batch).
+    rows/columns of the plan. The second measure of the canonical order is
+    scaled to the first's total, so when the totals differ the plan and
+    potentials are those of the scaled pair, and dual_gap on the unscaled
+    pair can exceed 1e-8 by MASS_TOL times the largest potential. On the
+    metric of an equispaced circle the plan comes from the periodic quantile
+    coupling, otherwise from the LP, which starts cold: this is a batch of
+    one (see _w2_exact_batch).
     """
     mu, nu = _validate_pair(mu, nu)
-    batch = _Batch(dist, len(mu))
+    batch = _Batch(dist)
     if _canonical_swap(mu, nu):
         res = batch.solve(nu, mu)
         return W2Result(
@@ -370,7 +377,7 @@ def w2_exact(mu, nu, dist) -> W2Result:
     return batch.solve(mu, nu)
 
 
-def w2_exact_batch(pairs, dist) -> np.ndarray:
+def _w2_exact_batch(pairs, dist) -> np.ndarray:
     """Values of w2_exact(mu, nu, dist) for each (mu, nu) in pairs, each
     solve certified in the same way, as one batch on the metric dist.
 
@@ -379,12 +386,10 @@ def w2_exact_batch(pairs, dist) -> np.ndarray:
     optimal basis. A value can therefore differ from a lone w2_exact call in
     its last bits; the same batch always gives the same values.
     """
-    batch = None
+    batch = _Batch(dist)
     values = []
     for mu, nu in pairs:
         mu, nu = _validate_pair(mu, nu)
-        if batch is None or len(mu) != len(batch.dist):
-            batch = _Batch(dist, len(mu))  # raises on a length dist does not fit
         if _canonical_swap(mu, nu):
             mu, nu = nu, mu
         values.append(batch.solve(mu, nu).value)
@@ -395,9 +400,9 @@ class _Batch:
     """Solves on one metric: the circle check made once, and the LP model of
     the last support pair."""
 
-    def __init__(self, dist, n):
+    def __init__(self, dist):
         self.dist = np.asarray(dist, dtype=float)
-        if self.dist.shape != (n, n):
+        if self.dist.ndim != 2 or self.dist.shape[0] != self.dist.shape[1]:
             raise TransportError("dist must be square on the marginals' space")
         self.h = _circle_spacing(self.dist)
         self.lp = self.support = None
@@ -406,16 +411,23 @@ class _Batch:
         """Certified solve of validated marginals in canonical order."""
         dist = self.dist
         n = len(dist)
+        if len(mu) != n:
+            raise TransportError("dist must be square on the marginals' space")
         smu = np.flatnonzero(mu > 0)
         snu = np.flatnonzero(nu > 0)
+        # both solvers need equal totals (MASS_TOL admits a 1e-9 mismatch):
+        # the LP's equality rows are otherwise infeasible, and the circle's
+        # quantile functions lose their common period
+        a = mu[smu]
+        b = nu[snu] * (a.sum() / nu[snu].sum())
         if self.h is None:
             if self.support is None or not (np.array_equal(smu, self.support[0])
                                             and np.array_equal(snu, self.support[1])):
                 self.lp = _CouplingLP(dist[np.ix_(smu, snu)] ** 2)
                 self.support = (smu, snu)
-            gamma_s, phi_s = self.lp.solve(mu[smu], nu[snu])
+            gamma_s, phi_s = self.lp.solve(a, b)
         else:
-            gamma_s, phi_s = _solve_circle(smu, mu[smu], snu, nu[snu], n)
+            gamma_s, phi_s = _solve_circle(smu, a, snu, b, n)
             phi_s = self.h * self.h * phi_s
 
         gamma = np.zeros((n, n))
@@ -431,7 +443,9 @@ class _Batch:
         phi = c_transform(phi_c, dist.T)
         potentials = DualPotentials(phi=phi, phi_c=phi_c)
 
-        gap = 0.5 * value**2 - (phi @ mu + phi_c @ nu)
+        # the certificate of the pair solved; against the unscaled nu the gap
+        # also carries the mismatch times phi_c
+        gap = 0.5 * value**2 - (phi @ mu + phi_c[snu] @ b)
         if not (-1e-7 <= gap <= GAP_TOL):  # pragma: no cover
             raise SolverFailure(f"optimality certificate failed: gap {gap:.3e}")
         return W2Result(value, TransportPlan(gamma, mu, nu), potentials)

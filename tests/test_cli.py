@@ -255,7 +255,7 @@ class TestFlowCommand:
         def uncertified(*args, **kwargs):
             raise transport.SolverFailure("optimality certificate failed: gap -1.733e-07")
 
-        monkeypatch.setattr(flow, "w2_exact_batch", uncertified)
+        monkeypatch.setattr(flow, "_w2_exact_batch", uncertified)
         out = tmp_path / "run"
         # t = 0 needs no solve and succeeds; the failure at t = 0.1 must not
         # leave the t = 0 tables behind

@@ -447,7 +447,7 @@ class TestLPPath:
         oracle = [lp_oracle(mu, nu, dist) for mu, nu in pairs]
         lone = [hm.w2_exact(mu, nu, dist).value for mu, nu in pairs]
         assert_allclose(lone, oracle, rtol=1e-9)
-        assert_allclose(hm.w2_exact_batch(pairs, dist), oracle, rtol=1e-9)
+        assert_allclose(transport._w2_exact_batch(pairs, dist), oracle, rtol=1e-9)
 
     @settings(max_examples=70, deadline=None, derandomize=True)
     @given(n=st.integers(4, 14), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
@@ -464,25 +464,47 @@ class TestLPPath:
                 mu[rng.integers(n)] += 0.5
                 nu[rng.integers(n)] += 0.5
             pairs.append((mu / mu.sum(), nu / nu.sum()))
-        values = hm.w2_exact_batch(pairs, dist)
+        values = transport._w2_exact_batch(pairs, dist)
         oracle = [lp_oracle(mu, nu, dist) for mu, nu in pairs]
         assert_allclose(values, oracle, rtol=1e-6)
         # no state leaks between batches, and each solve is canonical
-        assert hm.w2_exact_batch(pairs, dist).tolist() == values.tolist()
+        assert transport._w2_exact_batch(pairs, dist).tolist() == values.tolist()
         swapped = [(nu, mu) for mu, nu in pairs]
-        assert hm.w2_exact_batch(swapped, dist).tolist() == values.tolist()
+        assert transport._w2_exact_batch(swapped, dist).tolist() == values.tolist()
+
+    def test_mass_mismatch_within_tolerance(self):
+        # totals may differ by MASS_TOL, but the LP's equality rows admit no
+        # mismatch: the second measure of the canonical order is scaled to the
+        # first's total, lone and batched, and certified as the scaled pair
+        rng = np.random.default_rng(11)
+        path16 = np.abs(np.subtract.outer(np.arange(16), np.arange(16))).astype(float)
+        for dist in (path16, PATH3):
+            n = len(dist)
+            pairs, oracle = [], []
+            for excess in (9e-10, -9e-10):
+                mu, nu = rng.random(n), rng.random(n)
+                mu, nu = mu / mu.sum(), nu / nu.sum() * (1 + excess)
+                if transport._canonical_swap(mu, nu):
+                    mu, nu = nu, mu
+                same_total = nu * (mu.sum() / nu.sum())
+                res = hm.w2_exact(mu, nu, dist)
+                assert_certified(res, mu, same_total, dist, marginal_tol=1e-9)
+                pairs.append((mu, nu))
+                oracle.append(lp_oracle(mu, same_total, dist))
+                assert_allclose(res.value, oracle[-1], rtol=1e-8)
+            assert_allclose(transport._w2_exact_batch(pairs, dist), oracle, rtol=1e-8)
 
     def test_batch_matches_lone_solves(self, torus8):
         _, space, hs = torus8
         rows = [hm.heat_apply(hs, 0.2, space.delta(x)) for x in (0, 9, 27, 63)]
         pairs = [(rows[0], rows[k]) for k in (1, 2, 3)] + [(rows[2], rows[1])]
         lone = [hm.w2_exact(mu, nu, space.dist).value for mu, nu in pairs]
-        assert_allclose(hm.w2_exact_batch(pairs, space.dist), lone, rtol=1e-12)
+        assert_allclose(transport._w2_exact_batch(pairs, space.dist), lone, rtol=1e-12)
 
     def test_batch_inputs(self):
-        assert hm.w2_exact_batch([], PATH3).shape == (0,)
+        assert transport._w2_exact_batch([], PATH3).shape == (0,)
         third = np.full(3, 1 / 3)
         with pytest.raises(hm.TransportError, match="square"):
-            hm.w2_exact_batch([(third, third), (np.ones(2) / 2, np.ones(2) / 2)], PATH3)
+            transport._w2_exact_batch([(third, third), (np.ones(2) / 2, np.ones(2) / 2)], PATH3)
         with pytest.raises(hm.TransportError, match="negative"):
-            hm.w2_exact_batch([(third, third), (-third, third)], PATH3)
+            transport._w2_exact_batch([(third, third), (-third, third)], PATH3)
