@@ -111,8 +111,8 @@ def parse_times(text):
     times = parse_list(text, float, "time")
     if not times or any(t < 0 for t in times):
         raise InputError("times must be >= 0")
-    if sorted(times) != times:
-        raise InputError("times must be sorted ascending")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise InputError("times must be strictly ascending")
     return times
 
 
@@ -234,6 +234,8 @@ def cmd_contraction(args):
     space, geom = resolve_input(args)
     times = parse_times(args.times)
     if isinstance(geom, SphereGeometry):
+        if args.pairs:
+            raise InputError("the sphere runs on zonal pairs from --widths, not --pairs")
         widths = parse_list(args.widths, float, "width")
         report = flow_mod.sphere_contraction_report(geom, times, _zonal_pairs(geom, widths))
     else:

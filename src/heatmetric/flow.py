@@ -343,11 +343,14 @@ def time_continuity_report(space, t, deltas) -> TimeContinuityReport:
     """Right continuity of the flow: sup |dtilde_{t+d} - dtilde_t| per delta,
     plus the semigroup bounds dtilde_{t+d} <= e^{-Kd} dtilde_t and
     d_{t+d} <= e^{-Kd} d_t entrywise, with K the space's declared bound.
-    K and the deltas are checked before the space is decomposed."""
+    K and the deltas (at least one, none negative) are checked before the
+    space is decomposed."""
     K = space.K
     if K is None:
         raise FlowError("time continuity bounds need a declared K")
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
+    if deltas.size == 0:
+        raise FlowError("time continuity needs at least one delta")
     if np.any(deltas < 0):
         raise FlowError("deltas must be >= 0")
     hs = spectral_decompose(space)

@@ -23,12 +23,13 @@ kernel and its source are products of circle_kernel factors, the flux
 operator is a conservative second-order stencil with one face family per
 axis (constant mode deflated), the plan is staggered on those faces, and the
 Hessian is a second-difference stencil. The operator is a Kronecker sum, so
-each axis gets one circle LU (density floored per axis factor) and their sum
-is certified on the full stencil, applied without a matrix. On the sphere the
-source and solution of a unit tangent at the pole are pure first-azimuthal
-modes, eta = G(theta) cos(psi), phi = u(theta) cos(psi), which collapses the
-PDE to a tridiagonal ODE on the colatitude grid with natural pole regularity
-(the sin(theta) flux factor vanishes at both poles).
+each axis gets one tridiagonal circle solve (first node pinned, density
+floored per axis factor) and their sum is certified on the full stencil,
+applied without a matrix. On the sphere the source and solution of a unit
+tangent at the pole are pure first-azimuthal modes, eta = G(theta) cos(psi),
+phi = u(theta) cos(psi), which collapses the PDE to a tridiagonal ODE on the
+colatitude grid with natural pole regularity (the sin(theta) flux factor
+vanishes at both poles). Each solve is one banded LU (_solve_tridiagonal).
 """
 from __future__ import annotations
 
@@ -37,8 +38,6 @@ from functools import lru_cache, reduce
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
 from . import transport
@@ -169,23 +168,18 @@ class MetricSpeedReport:
 # ---------------------------------------------------------------------------
 # shared numerics
 
-def _solve_deflated(A, rhs, weights):
-    """Solve the singular system A phi = rhs (constants in the kernel) by
-    pinning one unknown, then restore the volume-weighted zero-mean gauge.
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve the tridiagonal system lower[i] x[i-1] + diag[i] x[i] +
+    upper[i] x[i+1] = rhs[i] (lower[0] and upper[-1] are unused) by banded LU.
 
-    The system is symmetrically Jacobi-equilibrated first: kernel densities
-    span hundreds of orders of magnitude at small times, and the raw LU
-    factorization breaks down without the scaling. The first unknown is
-    pinned to zero by slicing it off, and sparse LU factors the rest once,
-    ordered by MMD_AT_PLUS_A because the equilibrated operator is symmetric.
+    Both callers' operators are diagonally dominant, so banded LU is stable
+    without equilibration, however many decades the densities span.
     """
-    d = np.sqrt(np.abs(A.diagonal()))
-    Dinv = sp.diags(1.0 / d)
-    As = (Dinv @ A @ Dinv).tocsc()
-    phi = np.zeros_like(rhs)
-    phi[1:] = spla.spsolve(As[1:, 1:], rhs[1:] / d[1:], permc_spec="MMD_AT_PLUS_A") / d[1:]
-    phi -= (weights @ phi) / weights.sum()
-    return phi
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper[:-1]
+    ab[1] = diag
+    ab[2, :-1] = lower[1:]
+    return solve_banded((1, 1), ab, rhs)
 
 
 def _per_axis(arrays, shapes):
@@ -210,14 +204,6 @@ def _floor_density(rho):
 def _product(factors):
     """Tensor product of one 1-D factor per axis."""
     return reduce(np.multiply.outer, factors)
-
-
-def _circle_operator(rho, h):
-    """Flux operator div(rho grad .) on one periodic axis: face densities are
-    the averages of the two adjacent nodes."""
-    face, n = 0.5 * (rho + np.roll(rho, -1)) / h**2, rho.size
-    return sp.diags([face[-1:], face[:-1], -(face + np.roll(face, 1)), face[:-1], face[-1:]],
-                    [1 - n, -1, 0, 1, n - 1], format="csr")
 
 
 class _PeriodicGrid:
@@ -249,7 +235,7 @@ class _PeriodicGrid:
                 for L, h, y, c in zip(self.lengths, self.h, self.coords, x0)]
 
     def flux(self, rho, phi):
-        """div(rho grad phi) on the full grid without a matrix, faces as in _circle_operator."""
+        """div(rho grad phi) on the full grid without a matrix, faces as in solve."""
         out = np.zeros_like(phi)
         for a, h in enumerate(self.h):
             face = 0.5 * (rho + np.roll(rho, -1, axis=a)) / h**2
@@ -266,7 +252,12 @@ class _PeriodicGrid:
             if abs(mean) > 1e-10 * float(np.abs(eta[a]) @ w):
                 raise NonzeroMeanSource(f"source mean {mean:.2e} exceeds 1e-10 * ||eta||_1")
             eta[a] = eta[a] - mean / w.sum()
-            psis.append(_solve_deflated(_circle_operator(r, h), eta[a], w))
+            # constants are the null space: pin psi[0] = 0 and drop its row,
+            # which leaves the tridiagonal block of the other n - 1 nodes
+            face = 0.5 * (r + np.roll(r, -1)) / h**2
+            psi = np.zeros(r.size)
+            psi[1:] = _solve_tridiagonal(face[:-1], -(face[:-1] + face[1:]), face[1:], eta[a][1:])
+            psis.append(psi - (w @ psi) / w.sum())
         phi, rho_full = reduce(np.add.outer, psis), _product(rho)
         eta_full = sum(_product(rho[:a] + [e] + rho[a + 1:]) for a, e in enumerate(eta))
         res, scale = self.flux(rho_full, phi) - eta_full, np.linalg.norm(eta_full)
@@ -324,11 +315,7 @@ def _solve_sphere_m1(geom, rho_profile, rhs):
     a = sf[:-1] * rho_f[:-1] / h**2 / sc
     b = sf[1:] * rho_f[1:] / h**2 / sc
     diag = -(a + b) - rho_profile / sc**2
-    ab = np.zeros((3, geom.n_theta))
-    ab[0, 1:] = b[:-1]
-    ab[1] = diag
-    ab[2, :-1] = a[1:]
-    u = solve_banded((1, 1), ab, rhs)
+    u = _solve_tridiagonal(a, diag, b, rhs)
     res = a * np.concatenate([[0.0], u[:-1]]) + diag * u + b * np.concatenate([u[1:], [0.0]]) - rhs
     scale = np.linalg.norm(rhs)
     residual = float(np.linalg.norm(res) / scale) if scale > 0 else 0.0

@@ -39,14 +39,14 @@ def torus8():
 
 @pytest.fixture()
 def uncertified_poisson(monkeypatch):
-    """Every periodic-grid Poisson solve returns phi scaled by 1.001, so its
-    residual is 1e-3."""
-    solve = tangent._solve_deflated
+    """Every Poisson solve (each periodic axis and the sphere's mode) returns
+    its tridiagonal solution scaled by 1.001, so its residual is 1e-3."""
+    solve = tangent._solve_tridiagonal
 
-    def perturbed(A, rhs, weights):
-        return 1.001 * solve(A, rhs, weights)
+    def perturbed(lower, diag, upper, rhs):
+        return 1.001 * solve(lower, diag, upper, rhs)
 
-    monkeypatch.setattr(tangent, "_solve_deflated", perturbed)
+    monkeypatch.setattr(tangent, "_solve_tridiagonal", perturbed)
 
 
 def complete_graph_space(n):

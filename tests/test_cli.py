@@ -118,6 +118,15 @@ class TestOptionSurface:
               "--pairs", "0:99"], "pair 0:99 is out of range for 16 points"),
             (["flow", "--geometry", "circle", "--n", "16", "--times", "0.1",
               "--tol", "1e-6"], "unrecognized arguments: --tol"),
+            # no vacuous pass, no repeated solve, no silently ignored option
+            (["continuity", "--geometry", "circle", "--n", "16", "--t", "0.1",
+              "--deltas", ","], "time continuity needs at least one delta"),
+            (["flow", "--geometry", "circle", "--n", "16", "--times", "0.1,0.1"],
+             "times must be strictly ascending"),
+            (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1,0.1"],
+             "times must be strictly ascending"),
+            (["contraction", "--geometry", "sphere", "--times", "0.1", "--pairs", "0:1"],
+             "zonal pairs from --widths, not --pairs"),
         ]:
             assert cli.run(argv + ["--out", str(out)]) == 2
             assert message in capsys.readouterr().err

@@ -235,6 +235,15 @@ class TestTimeContinuity:
         assert rep.semigroup_excess <= 1e-8
 
 
+    def test_no_deltas_rejected_before_decomposition(self, two_point, monkeypatch):
+        def refuse(space):
+            raise AssertionError("decomposed before the input checks")
+
+        monkeypatch.setattr(flow, "spectral_decompose", refuse)
+        with pytest.raises(hm.FlowError, match="time continuity needs at least one delta"):
+            hm.time_continuity_report(two_point[0], 0.1, [])
+
+
 class TestRefinement:
     def test_small_study_order(self):
         rep = hm.refinement_stability(2 * np.pi, 0.1, [16, 32, 64], [(0.0, 0.5)])

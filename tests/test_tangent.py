@@ -131,9 +131,11 @@ class TestSolveWeightedPoisson:
         assert np.abs(vp.phi.ravel() - ref).max() <= 1e-9 * np.abs(ref).max()
         assert vp.residual <= 1e-8
 
-    def test_uncertified_solve_raises(self, uncertified_poisson):
+    @pytest.mark.parametrize("geom", [CIRCLE, TORUS, hm.SphereGeometry(1.0, 128, 60)],
+                             ids=["circle", "torus", "sphere"])
+    def test_uncertified_solve_raises(self, uncertified_poisson, geom):
         with pytest.raises(tangent.UncertifiedSolve, match="linear solve residual 1.00e-03"):
-            hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=1.0)
+            hm.velocity_potential(geom, 0.2, v=(1.0, -0.5) if geom is TORUS else 1.0)
 
     def test_energy_gradient_vanishes(self, rng):
         vp = hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=1.0)
