@@ -83,7 +83,6 @@ from .tangent import (
     gt_derivative_bochner,
     metric_gt,
     metric_speed_check,
-    poisson_energy_gradient,
     ric_pairing,
     solve_weighted_poisson,
     squared_hessian_mass,

@@ -109,8 +109,8 @@ def parse_list(text, convert, what):
 
 def parse_times(text):
     times = parse_list(text, float, "time")
-    if not times or any(t < 0 for t in times):
-        raise InputError("times must be >= 0")
+    if not times or not all(0 <= t < np.inf for t in times):
+        raise InputError(f"times must be finite and >= 0: {text!r}")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise InputError("times must be strictly ascending")
     return times
@@ -199,8 +199,8 @@ def cmd_tangency(args):
     if args.times:
         t_grid = parse_times(args.times)
     else:
-        if args.tmax <= 0 or args.tmin <= 0 or args.tmin > args.tmax:
-            raise InputError("need 0 < tmin <= tmax")
+        if not 0 < args.tmin <= args.tmax < np.inf:
+            raise InputError(f"need 0 < tmin <= tmax < inf, not tmin={args.tmin} tmax={args.tmax}")
         t_grid, t = [], args.tmax
         while t >= args.tmin * (1 - 1e-12):
             t_grid.append(t)
@@ -234,15 +234,19 @@ def cmd_contraction(args):
     space, geom = resolve_input(args)
     times = parse_times(args.times)
     if isinstance(geom, SphereGeometry):
-        if args.pairs:
-            raise InputError("the sphere runs on zonal pairs from --widths, not --pairs")
-        widths = parse_list(args.widths, float, "width")
+        if args.pairs or args.seed is not None:
+            raise InputError("the sphere runs on zonal pairs from --widths, not --pairs or --seed")
+        widths = parse_list("0.1,0.3" if args.widths is None else args.widths, float, "width")
         report = flow_mod.sphere_contraction_report(geom, times, _zonal_pairs(geom, widths))
     else:
+        if args.widths is not None:
+            raise InputError("--widths applies only on the sphere")
         if args.pairs:
+            if args.seed is not None:
+                raise InputError("--seed draws random pairs, so it cannot go with --pairs")
             pairs = parse_pairs(args.pairs)
         else:
-            rng = np.random.default_rng(args.seed)
+            rng = np.random.default_rng(0 if args.seed is None else args.seed)
             idx = rng.choice(space.n, size=(min(4, space.n // 2), 2), replace=False)
             pairs = [tuple(map(int, p)) for p in idx]
         report = flow_mod.contraction_report(space, times, pairs)
@@ -380,8 +384,8 @@ def build_parser():
     _add_geometry_args(p, sphere=True)
     p.add_argument("--times", required=True)
     p.add_argument("--pairs")
-    p.add_argument("--widths", default="0.1,0.3")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--widths")  # default 0.1,0.3 on the sphere
+    p.add_argument("--seed", type=int)  # default 0 without --pairs
 
     p = sub.add_parser("continuity", help="time continuity of the flow")
     p.add_argument("--space")

@@ -100,8 +100,8 @@ def dtilde_matrix(hs, t) -> np.ndarray:
     rejected at every t, 0 included (use dtilde_pairs for a pair list).
     """
     space = hs.space
-    if t < 0:
-        raise FlowError("negative time")
+    if not 0 <= t < np.inf:
+        raise FlowError(f"time must be finite and >= 0, not {t}")
     if space.n > FULL_MATRIX_CAP:
         raise FlowError(f"full matrices capped at n = {FULL_MATRIX_CAP}; "
                         "use dtilde_pairs (--pairs on the command line)")
@@ -118,8 +118,8 @@ def dtilde_pairs(hs, t, pairs) -> np.ndarray:
     one heat measure per distinct point and all pairs solved as one
     transport batch; indices outside the space raise FlowError."""
     space = hs.space
-    if t < 0:
-        raise FlowError("negative time")
+    if not 0 <= t < np.inf:
+        raise FlowError(f"time must be finite and >= 0, not {t}")
     pairs = [_point_pair(space, p) for p in pairs]
     if t == 0:
         return np.array([space.dist[x, y] for x, y in pairs])
@@ -196,8 +196,9 @@ def _as_measure_pair(space, pair):
 def _contraction(K, times, labelled_pairs, w2, evolve) -> ContractionReport:
     """Ratios W_2(evolve(t, mu), evolve(t, nu)) / W_2(mu, nu) against e^{-Kt}
     for each (mu, nu, label); t = 0 reuses W_2(mu, nu)."""
-    if any(t < 0 for t in times):
-        raise FlowError("negative time")
+    bad = [t for t in times if not 0 <= t < np.inf]
+    if bad:
+        raise FlowError(f"time must be finite and >= 0, not {bad[0]}")
     records = []
     for mu, nu, label in labelled_pairs:
         w0 = w2(mu, nu)
@@ -351,8 +352,9 @@ def time_continuity_report(space, t, deltas) -> TimeContinuityReport:
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     if deltas.size == 0:
         raise FlowError("time continuity needs at least one delta")
-    if np.any(deltas < 0):
-        raise FlowError("deltas must be >= 0")
+    bad = [d for d in deltas if not 0 <= d < np.inf]
+    if bad:
+        raise FlowError(f"deltas must be >= 0 and finite, not {bad[0]}")
     hs = spectral_decompose(space)
     base = flow_matrices(hs, t)
     sups, excess = [], 0.0

@@ -127,6 +127,41 @@ class TestOptionSurface:
              "times must be strictly ascending"),
             (["contraction", "--geometry", "sphere", "--times", "0.1", "--pairs", "0:1"],
              "zonal pairs from --widths, not --pairs"),
+            (["contraction", "--geometry", "sphere", "--times", "0.1", "--seed", "5"],
+             "not --pairs or --seed"),
+            (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1",
+              "--pairs", "0:8", "--widths", "0.5"], "--widths applies only on the sphere"),
+            (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1",
+              "--widths", "0.5"], "--widths applies only on the sphere"),
+            (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1",
+              "--pairs", "0:8", "--seed", "3"], "--seed draws random pairs"),
+            # non-finite times (an infinite --tmax would halve forever)
+            (["tangency", "--geometry", "circle", "--n", "64", "--tmax", "inf"],
+             "need 0 < tmin <= tmax < inf, not tmin=0.0125 tmax=inf"),
+            (["tangency", "--geometry", "circle", "--n", "64", "--tmin", "nan"],
+             "need 0 < tmin <= tmax < inf, not tmin=nan"),
+            (["tangency", "--geometry", "circle", "--n", "64", "--times", "0.2,nan"],
+             "times must be finite and >= 0: '0.2,nan'"),
+            (["flow", "--geometry", "circle", "--n", "16", "--times", "nan"],
+             "times must be finite and >= 0: 'nan'"),
+            (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1,inf"],
+             "times must be finite and >= 0: '0.1,inf'"),
+            (["continuity", "--geometry", "circle", "--n", "16", "--t", "0.2",
+              "--deltas", "0.1,nan"], "deltas must be >= 0 and finite, not nan"),
+            (["continuity", "--geometry", "circle", "--n", "16", "--t", "0.2",
+              "--deltas", "inf"], "deltas must be >= 0 and finite, not inf"),
+        ]:
+            assert cli.run(argv + ["--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+        # the flow checks a single time where it first uses it, after the
+        # decomposition
+        monkeypatch.undo()
+        for argv, message in [
+            (["continuity", "--geometry", "circle", "--n", "16", "--t", "nan",
+              "--deltas", "0.1"], "time must be finite and >= 0, not nan"),
+            (["refine", "--t", "inf", "--grids", "16,32,64"],
+             "time must be finite and >= 0, not inf"),
         ]:
             assert cli.run(argv + ["--out", str(out)]) == 2
             assert message in capsys.readouterr().err

@@ -137,20 +137,6 @@ class TestSolveWeightedPoisson:
         with pytest.raises(tangent.UncertifiedSolve, match="linear solve residual 1.00e-03"):
             hm.velocity_potential(geom, 0.2, v=(1.0, -0.5) if geom is TORUS else 1.0)
 
-    def test_energy_gradient_vanishes(self, rng):
-        vp = hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=1.0)
-        scale = np.linalg.norm(vp.eta)
-        for _ in range(5):
-            d = rng.normal(size=CIRCLE.n)
-            d /= np.linalg.norm(d)
-            assert abs(hm.poisson_energy_gradient(vp, d)) <= 1e-8 * scale
-
-    def test_energy_gradient_torus(self, rng):
-        vp = hm.velocity_potential(TORUS, 0.3, v=(1.0, -0.5))
-        d = rng.normal(size=(TORUS.n1, TORUS.n2))
-        d /= np.linalg.norm(d)
-        assert abs(hm.poisson_energy_gradient(vp, d)) <= 1e-8 * np.linalg.norm(vp.eta)
-
 
 class TestVelocityPotential:
     def test_zero_vector(self):
@@ -441,6 +427,33 @@ class TestTangencyExperiment:
         tangent._sphere_profiles.cache_clear()
         hm.tangency_experiment(sph, v=1.0, t_grid=grid)
         assert len(calls) == len(grid)
+
+    @pytest.mark.parametrize("geom, v", [
+        (CIRCLE, 1.0), (TORUS, (0.6, 0.8)), (hm.SphereGeometry(1.0, 256, 100), 1.0),
+    ], ids=["circle", "torus", "sphere"])
+    def test_one_evaluation_per_time(self, monkeypatch, geom, v):
+        # every quantity at (t, x, v) is read from one solve of the same potential
+        solves = []
+        solve = tangent.solve_weighted_poisson
+
+        def counted(*args):
+            solves.append(args[0])
+            return solve(*args)
+
+        monkeypatch.setattr(tangent, "solve_weighted_poisson", counted)
+        grid = [0.8, 0.4, 0.2]
+        rep = hm.tangency_experiment(geom, v=v, t_grid=grid)
+        assert len(solves) == len(grid)
+        for t, g, hess in zip(rep.ts, rep.gt_values, rep.hessian_mass):
+            for quantity in (hm.velocity_potential, hm.tangent_plan, hm.ric_pairing):
+                solves.clear()
+                quantity(geom, t, v=v)
+                assert len(solves) == 1, quantity.__name__
+            solves.clear()
+            assert hm.metric_gt(geom, t, v=v) == g
+            assert hm.squared_hessian_mass(geom, t, v=v) == hess
+            assert hm.gt_derivative_bochner(geom, t, v=v) == -hess - geom.K * g
+            assert len(solves) == 3
 
     def test_grid_validation(self):
         with pytest.raises(hm.TangentError):
