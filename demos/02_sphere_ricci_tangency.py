@@ -4,8 +4,8 @@ On the unit sphere Ric(v, v) = |v|^2, so the slope of t -> g_t(v, v) at
 t = 0 should be -2 for a unit vector. The flat torus and circle have zero
 Ricci curvature and their slopes vanish. The script prints the slope tables,
 the Richardson extrapolation, and two companion quantities: the Ricci
-pairing against the transport plan (which tends to Ric(v, v) = 1), and the
-Hessian mass (reported only; its small-time limit is not asserted).
+pairing against the transport plan, K g_t (which tends to Ric(v, v) = 1),
+and the Hessian mass (reported only; its small-time limit is not asserted).
 """
 import numpy as np
 
@@ -25,7 +25,7 @@ print(f"extrapolated slope: {rep.extrapolated_slope:+.5f} "
 print()
 print("Ricci pairing along the plan (tends to Ric(v,v) = 1):")
 for t in (0.1, 0.05, 0.025):
-    print(f"  t={t:6.3f}: {hm.ric_pairing(sphere, t, v=1.0):.6f}")
+    print(f"  t={t:6.3f}: {sphere.K * hm.metric_gt(sphere, t, v=1.0):.6f}")
 
 print()
 torus = hm.TorusGeometry(L1=2 * np.pi, L2=2 * np.pi, n1=128, n2=128)

@@ -77,18 +77,16 @@ from .tangent import (
     TangencyReport,
     TangentError,
     TangentPlan,
+    TangentState,
     UncertifiedSolve,
     UnresolvedTime,
     VelocityPotential,
     gt_derivative_bochner,
     metric_gt,
     metric_speed_check,
-    ric_pairing,
     solve_weighted_poisson,
-    squared_hessian_mass,
-    tangent_plan,
     tangency_experiment,
-    velocity_potential,
+    tangent_state,
 )
 
 __version__ = "0.1.0"

@@ -22,8 +22,9 @@ contraction (1e-6) and continuity (1e-8), AXIOM_TOL (1e-8) for the flow
 axioms and MIN_ORDER (1.0) for refinement. The curvature bound K is the
 space's. Input checks the library makes are left to it: each geometry checks
 its own parameters, and contraction and continuity take only the space and
-decompose it after their own checks. There is no unseeded randomness anywhere
-(the one random fixture, the 16-point Sinkhorn comparison, takes --seed).
+decompose it after their own checks. There is no unseeded randomness anywhere:
+the one random fixture, the 16-point Sinkhorn comparison, takes --seed, and
+contraction without --pairs draws up to four pairs with seed 0.
 """
 from __future__ import annotations
 
@@ -234,19 +235,17 @@ def cmd_contraction(args):
     space, geom = resolve_input(args)
     times = parse_times(args.times)
     if isinstance(geom, SphereGeometry):
-        if args.pairs or args.seed is not None:
-            raise InputError("the sphere runs on zonal pairs from --widths, not --pairs or --seed")
+        if args.pairs:
+            raise InputError("the sphere runs on zonal pairs from --widths, not --pairs")
         widths = parse_list("0.1,0.3" if args.widths is None else args.widths, float, "width")
         report = flow_mod.sphere_contraction_report(geom, times, _zonal_pairs(geom, widths))
     else:
         if args.widths is not None:
             raise InputError("--widths applies only on the sphere")
         if args.pairs:
-            if args.seed is not None:
-                raise InputError("--seed draws random pairs, so it cannot go with --pairs")
             pairs = parse_pairs(args.pairs)
         else:
-            rng = np.random.default_rng(0 if args.seed is None else args.seed)
+            rng = np.random.default_rng(0)
             idx = rng.choice(space.n, size=(min(4, space.n // 2), 2), replace=False)
             pairs = [tuple(map(int, p)) for p in idx]
         report = flow_mod.contraction_report(space, times, pairs)
@@ -385,7 +384,6 @@ def build_parser():
     p.add_argument("--times", required=True)
     p.add_argument("--pairs")
     p.add_argument("--widths")  # default 0.1,0.3 on the sphere
-    p.add_argument("--seed", type=int)  # default 0 without --pairs
 
     p = sub.add_parser("continuity", help="time continuity of the flow")
     p.add_argument("--space")

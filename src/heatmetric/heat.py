@@ -115,8 +115,8 @@ def heat_apply(hs: HeatStructure, t: float, mu) -> np.ndarray:
 
     Mass is preserved exactly up to rounding; t = 0 returns mu unchanged.
     """
-    if t < 0:
-        raise HeatError("negative time")
+    if not 0 <= t < np.inf:
+        raise HeatError(f"time must be finite and >= 0, not {t}")
     mu = np.asarray(mu, dtype=float)
     if t == 0:
         return mu.copy()
@@ -129,8 +129,8 @@ def heat_apply(hs: HeatStructure, t: float, mu) -> np.ndarray:
 def heat_kernel_matrix(hs: HeatStructure, t: float) -> np.ndarray:
     """Kernel matrix rho_ij = sum_k e^{-lambda_k t} u_k(i) u_k(j), t > 0: row
     i is the density of H_t(delta_i) with respect to m."""
-    if t <= 0:
-        raise HeatError("kernel requires t > 0")
+    if not 0 < t < np.inf:
+        raise HeatError(f"kernel requires a finite t > 0, not {t}")
     U, lam = hs.eigenvectors, hs.eigenvalues
     rho = (U * np.exp(-lam * t)) @ U.T
     return 0.5 * (rho + rho.T)
@@ -186,8 +186,8 @@ def circle_kernel(t, L, s, deriv=0):
     deriv selects d/ds (1) or d^2/ds^2 (2); the latter equals d/dt by the
     heat equation.
     """
-    if t <= 0:
-        raise HeatError("kernel requires t > 0")
+    if not 0 < t < np.inf:
+        raise HeatError(f"kernel requires a finite t > 0, not {t}")
     scalar = np.isscalar(s)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if t >= L**2 / (4 * np.pi):
@@ -200,8 +200,8 @@ def circle_kernel(t, L, s, deriv=0):
 def _sphere_decay(t, r, l_max):
     """Sphere heat decay e^{-l(l+1)t/r^2}, l = 0..l_max; TruncationError when
     the kernel's last coefficient is not below 1e-12 (series not converged)."""
-    if t <= 0:
-        raise HeatError("kernel requires t > 0")
+    if not 0 < t < np.inf:
+        raise HeatError(f"kernel requires a finite t > 0, not {t}")
     ls = np.arange(l_max + 1)
     decay = np.exp(-ls * (ls + 1) * t / r**2)
     tail = (2 * l_max + 1) / (4 * np.pi * r**2) * decay[-1]
@@ -255,8 +255,8 @@ def heat_injectivity_margin(hs: HeatStructure, t: float) -> float:
     margin is nonnegative up to rounding; a value >= -1e-12 certifies
     invertibility of the heat map at time t.
     """
-    if t <= 0:
-        raise HeatError("injectivity margin requires t > 0")
+    if not 0 < t < np.inf:
+        raise HeatError(f"injectivity margin requires a finite t > 0, not {t}")
     rho = heat_kernel_matrix(hs, t)
     sqm = np.sqrt(hs.space.measure)
     S = rho * sqm[:, None] * sqm[None, :]

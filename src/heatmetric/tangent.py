@@ -36,15 +36,15 @@ grid or the kernel series cannot resolve t. solve(rho, eta) solves one
 weighted Poisson system and measures its residual; it is reached only
 through solve_weighted_poisson, which checks the input and certifies the
 residual. evaluate(t, x, v) builds the source of (t, x, v), solves it once
-through solve_weighted_poisson, and returns the potential, the tangent plan
-and the Hessian mass int |Hess phi|^2 rho dvol. Every public quantity reads
-its field from one evaluate call.
+through solve_weighted_poisson, and returns its TangentState: the potential,
+the tangent plan and the Hessian mass int |Hess phi|^2 rho dvol. That call is
+the public tangent_state; every other public quantity reads its fields.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -62,15 +62,13 @@ __all__ = [
     "UncertifiedSolve",
     "VelocityPotential",
     "TangentPlan",
+    "TangentState",
     "TangencyReport",
     "MetricSpeedReport",
     "solve_weighted_poisson",
-    "velocity_potential",
+    "tangent_state",
     "metric_gt",
     "gt_derivative_bochner",
-    "ric_pairing",
-    "squared_hessian_mass",
-    "tangent_plan",
     "metric_speed_check",
     "tangency_experiment",
 ]
@@ -109,7 +107,6 @@ class VelocityPotential:
     relative norm of the discrete operator residual, certified <= 1e-8.
     """
 
-    geometry: object
     phi: np.ndarray
     rho: np.ndarray
     eta: np.ndarray
@@ -131,6 +128,16 @@ class TangentPlan:
 
     def second_moment(self) -> float:
         return float(self.weights @ self.grad_sq)
+
+
+class TangentState(NamedTuple):
+    """Everything at (t, x, v) from one Poisson solve: the potential
+    phi_{t,x,v}, its plan (y, grad(phi)(y)) pushed by rho dvol, and the
+    reported Hessian mass int |Hess(phi)|^2 rho dvol."""
+
+    potential: VelocityPotential
+    plan: TangentPlan
+    hessian_mass: float
 
 
 @dataclass(frozen=True)
@@ -270,7 +277,7 @@ class _PeriodicGrid:
         eta_full = sum(_product(rho[:a] + [e] + rho[a + 1:]) for a, e in enumerate(eta))
         res, scale = self.flux(rho_full, phi) - eta_full, np.linalg.norm(eta_full)
         residual = float(np.linalg.norm(res) / scale) if scale > 0 else 0.0
-        return VelocityPotential(self.geometry, phi, rho_full, eta_full, residual)
+        return VelocityPotential(phi, rho_full, eta_full, residual)
 
     def evaluate(self, t, x, v):
         x0 = self._point(x)
@@ -295,8 +302,8 @@ class _PeriodicGrid:
         # |Hess phi|^2 is the sum of the squared second differences
         hess2 = sum(((np.roll(phi, -1, axis=a) - 2 * phi + np.roll(phi, 1, axis=a)) / h**2) ** 2
                     for a, h in enumerate(self.h))
-        return (vp, TangentPlan(np.concatenate(weights), np.concatenate(grads)),
-                float(np.sum(hess2 * vp.rho * w)))
+        return TangentState(vp, TangentPlan(np.concatenate(weights), np.concatenate(grads)),
+                            float(np.sum(hess2 * vp.rho * w)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +342,7 @@ class _SphereMode:
         geometry, rho, eta = self.geometry, rho[0], eta[0]
         # reduced ODE: (sin F u')'/sin - F u / sin^2 = r^2 G
         u, residual = _solve_sphere_m1(geometry, rho, geometry.r**2 * eta)
-        return VelocityPotential(geometry, u, rho, eta, residual)
+        return VelocityPotential(u, rho, eta, residual)
 
     def evaluate(self, t, x, v):
         # G(theta) = |v| K'(theta) / r, sign fixed by finite-difference
@@ -363,7 +370,7 @@ class _SphereMode:
         H22 = (du * cot - u / sc**2) / r**2
         hess2_avg = 0.5 * (H11**2 + 2 * H12**2 + H22**2)
         grad2 = (du**2 + (u / sc) ** 2) / (2 * r**2)
-        return vp, TangentPlan(masses, grad2), float(masses @ hess2_avg)
+        return TangentState(vp, TangentPlan(masses, grad2), float(masses @ hess2_avg))
 
 
 @lru_cache(maxsize=32)
@@ -399,8 +406,8 @@ def _discretization(geometry):
 
 def _resolved(geometry, t):
     """The geometry's discretization, once it is checked to resolve t."""
-    if t <= 0:
-        raise TangentError("velocity potentials require t > 0")
+    if not 0 < t < np.inf:
+        raise TangentError(f"tangent states require a finite t > 0, not t={t}")
     disc = _discretization(geometry)
     disc.check_resolution(t)
     return disc
@@ -443,8 +450,8 @@ def solve_weighted_poisson(geometry, rho, eta) -> VelocityPotential:
     return vp
 
 
-def velocity_potential(geometry, t, x=None, v=1.0) -> VelocityPotential:
-    """Potential phi_{t,x,v} of the moving heat kernel.
+def tangent_state(geometry, t, x=None, v=1.0) -> TangentState:
+    """The velocity of s -> H_s(delta_x) at s = t in the direction v.
 
     eta(y) = -grad_x rho(t, x, y) . v is built analytically (circle/torus: v_a
     times the offset derivative of axis a's kernel factor; sphere: the first
@@ -452,13 +459,9 @@ def velocity_potential(geometry, t, x=None, v=1.0) -> VelocityPotential:
     per axis on the periodic grids; the sphere is homogeneous, so x is ignored
     there and the potential is computed at the north pole. Solver densities
     are floored at max * 1e-13 for conditioning, per axis factor on the grids.
+    The Hessian mass is reported only; its limit as t -> 0 is left open.
     """
-    return _resolved(geometry, t).evaluate(t, x, v)[0]
-
-
-def tangent_plan(geometry, t, x=None, v=1.0) -> TangentPlan:
-    """Quadrature plan (kernel weights, |grad phi|^2) for (t, x, v)."""
-    return _resolved(geometry, t).evaluate(t, x, v)[1]
+    return _resolved(geometry, t).evaluate(t, x, v)
 
 
 def metric_gt(geometry, t, x=None, v=1.0) -> float:
@@ -467,26 +470,12 @@ def metric_gt(geometry, t, x=None, v=1.0) -> float:
     t = 0 returns |v|^2 (the continuity of g_t at zero), computed exactly.
     On the circle the value admits the closed form |v|^2 (1 - L^2 / I_t) with
     I_t the loop integral of 1/rho_t, used as an independent oracle in tests.
+    The pairing int Ric(grad phi, grad phi) rho dvol is K g_t(v, v), since
+    every model geometry has Ric = K |w|^2.
     """
     if t == 0:
         return float(np.sum(np.square(v)))
-    return tangent_plan(geometry, t, x, v).second_moment()
-
-
-def ric_pairing(geometry, t, x=None, v=1.0) -> float:
-    """int Ric(grad phi, grad phi) rho dvol via the tangent plan.
-
-    The Ricci form is K |w|^2 on every model geometry, so the pairing is
-    K g_t(v, v): zero on the flat circle and torus, g_t(v, v) / r^2 on the
-    sphere.
-    """
-    return geometry.K * tangent_plan(geometry, t, x, v).second_moment()
-
-
-def squared_hessian_mass(geometry, t, x=None, v=1.0) -> float:
-    """Reported quantity int |Hess(phi)|^2 rho dvol (no assertion attached:
-    whether it vanishes as t -> 0 is left open)."""
-    return _resolved(geometry, t).evaluate(t, x, v)[2]
+    return tangent_state(geometry, t, x, v).plan.second_moment()
 
 
 def gt_derivative_bochner(geometry, t, x=None, v=1.0) -> float:
@@ -496,7 +485,7 @@ def gt_derivative_bochner(geometry, t, x=None, v=1.0) -> float:
     Matches the centered finite difference of metric_gt within 1% in the
     resolved range and always lies below -K g_t (up to 1e-8).
     """
-    _, plan, hess = _resolved(geometry, t).evaluate(t, x, v)
+    _, plan, hess = tangent_state(geometry, t, x, v)
     return -hess - geometry.K * plan.second_moment()
 
 
@@ -537,15 +526,16 @@ def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
 def tangency_experiment(geometry, x=None, v=1.0, *, t_grid) -> TangencyReport:
     """Small-time slopes of g_t(v, v) against the -2 Ric(v, v) target.
 
-    t_grid must decrease geometrically (ratio about 1/2) to a t_min resolved
-    by the discretization. Slopes (g_t - |v|^2)/t are Richardson-extrapolated
-    to t = 0 from the two smallest times; the report also records the
+    t_grid must decrease geometrically (each ratio within [0.25, 0.85]) to a
+    t_min resolved by the discretization. Slopes (g_t - |v|^2)/t are
+    Richardson-extrapolated to t = 0 from the two smallest times, with their
+    own ratio q: (s_min - q s_prev) / (1 - q). The report also records the
     one-sided bound that every sufficiently small-t slope stays below
     -2 Ric(v,v) (1 - 0.05) + 0.05 |v|^2.
     """
     ts = np.asarray(sorted(t_grid, reverse=True), dtype=float)
-    if len(ts) < 2 or np.any(ts <= 0):
-        raise TangentError("t_grid needs at least two positive times")
+    if len(ts) < 2 or not np.all((0 < ts) & (ts < np.inf)):
+        raise TangentError(f"t_grid needs at least two finite positive times, not {ts.tolist()}")
     ratios = ts[1:] / ts[:-1]
     if np.any(ratios < 0.25) or np.any(ratios > 0.85):
         raise TangentError("t_grid should decrease geometrically (ratio about 1/2)")
@@ -556,12 +546,14 @@ def tangency_experiment(geometry, x=None, v=1.0, *, t_grid) -> TangencyReport:
     sp2 = float(np.sum(np.square(v)))
     gts, hms = np.zeros(ts.size), np.zeros(ts.size)
     for i, t in enumerate(ts):
-        _, plan, hms[i] = disc.evaluate(t, x, v)
-        gts[i] = plan.second_moment()
+        state = disc.evaluate(t, x, v)
+        gts[i], hms[i] = state.plan.second_moment(), state.hessian_mass
     slopes = (gts - sp2) / ts
 
-    # one Richardson level on the halving grid kills the O(t) term
-    extrapolated = float(2 * slopes[-1] - slopes[-2])
+    # one Richardson level kills the O(t) term; on a halving grid (q = 1/2)
+    # this is 2 s_min - s_prev to the last bit
+    q = ts[-1] / ts[-2]
+    extrapolated = float((slopes[-1] - q * slopes[-2]) / (1 - q))
     target = -2.0 * geometry.ricci(x, v)
     deviation = abs(extrapolated - target) / max(abs(target), sp2)
     bound = target * (1 - 0.05) + 0.05 * sp2

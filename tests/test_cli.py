@@ -78,13 +78,13 @@ class TestOptionSurface:
             "flow": ["--space", *self.GRID, "--times", "--pairs"],
             "tangency": [*self.GRID, *self.SPHERE, "--v", "--tmax", "--tmin", "--times"],
             "contraction": ["--space", *self.GRID, *self.SPHERE, "--times", "--pairs",
-                            "--widths", "--seed"],
+                            "--widths"],
             "continuity": ["--space", *self.GRID, "--t", "--deltas"],
             "refine": ["--L", "--t", "--grids", "--probes"],
             "selftest": ["--seed"],
         }
         assert options == {name: sorted(opts + ["--out"]) for name, opts in expected.items()}
-        assert sum(map(len, options.values())) == 60
+        assert sum(map(len, options.values())) == 59
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--geometry", "sphere", "--times", "0.1"],
@@ -128,13 +128,13 @@ class TestOptionSurface:
             (["contraction", "--geometry", "sphere", "--times", "0.1", "--pairs", "0:1"],
              "zonal pairs from --widths, not --pairs"),
             (["contraction", "--geometry", "sphere", "--times", "0.1", "--seed", "5"],
-             "not --pairs or --seed"),
+             "unrecognized arguments: --seed 5"),
             (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1",
               "--pairs", "0:8", "--widths", "0.5"], "--widths applies only on the sphere"),
             (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1",
               "--widths", "0.5"], "--widths applies only on the sphere"),
             (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1",
-              "--pairs", "0:8", "--seed", "3"], "--seed draws random pairs"),
+              "--pairs", "0:8", "--seed", "3"], "unrecognized arguments: --seed 3"),
             # non-finite times (an infinite --tmax would halve forever)
             (["tangency", "--geometry", "circle", "--n", "64", "--tmax", "inf"],
              "need 0 < tmin <= tmax < inf, not tmin=0.0125 tmax=inf"),

@@ -234,3 +234,25 @@ class TestDiagnostics:
         for t in (0.1, 0.5, 2.0):
             assert hm.heat_injectivity_margin(hs, t) >= -1e-12
 
+
+
+NONFINITE_TIME_CALLS = {
+    "heat_apply": lambda hs, t: hm.heat_apply(hs, t, hs.space.delta(0)),
+    "heat_kernel_matrix": hm.heat_kernel_matrix,
+    "circle_kernel": lambda hs, t: hm.circle_kernel(t, 2 * np.pi, 0.5),
+    "sphere_kernel": lambda hs, t: hm.sphere_kernel(t, 0.5, 1.0, 40),
+    "heat_injectivity_margin": hm.heat_injectivity_margin,
+    "metric_gt_circle": lambda hs, t: hm.metric_gt(hm.CircleGeometry(2 * np.pi, 64), t),
+    "tangent_state_sphere": lambda hs, t: hm.tangent_state(hm.SphereGeometry(1.0, 64, 40), t),
+    "tangency_experiment": lambda hs, t: hm.tangency_experiment(
+        hm.CircleGeometry(2 * np.pi, 64), t_grid=[0.4, 0.2, t]),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", NONFINITE_TIME_CALLS.values(), ids=NONFINITE_TIME_CALLS)
+def test_nonfinite_time_rejected(circle16, call, bad):
+    # such times used to return NaNs or 0, or fail deep inside the numerics
+    _, _, hs = circle16
+    with pytest.raises((hm.HeatError, hm.TangentError), match=f"not .*{bad}"):
+        call(hs, bad)

@@ -118,7 +118,7 @@ class TestSolveWeightedPoisson:
         # gauge. (np.linalg.lstsq on the singular system cuts off the small
         # singular values of the 13-decade operator and lands 1.4 relative
         # off on the 64 x 64 torus.)
-        vp = hm.velocity_potential(geom, t, v=v)
+        vp = hm.tangent_state(geom, t, v=v).potential
         A = dense_flux_operator(geom, vp.rho)
         d = np.sqrt(-A.diagonal())
         n = d.size
@@ -135,18 +135,19 @@ class TestSolveWeightedPoisson:
                              ids=["circle", "torus", "sphere"])
     def test_uncertified_solve_raises(self, uncertified_poisson, geom):
         with pytest.raises(tangent.UncertifiedSolve, match="linear solve residual 1.00e-03"):
-            hm.velocity_potential(geom, 0.2, v=(1.0, -0.5) if geom is TORUS else 1.0)
+            hm.tangent_state(geom, 0.2, v=(1.0, -0.5) if geom is TORUS else 1.0)
 
 
 class TestVelocityPotential:
     def test_zero_vector(self):
-        vp = hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=0.0)
+        vp = hm.tangent_state(CIRCLE, 0.2, x=0.0, v=0.0).potential
         assert np.abs(vp.phi).max() == 0.0
-        assert np.abs(hm.velocity_potential(hm.SphereGeometry(1.0, 128, 60), 0.2, v=0.0).phi).max() == 0.0
+        sph = hm.SphereGeometry(1.0, 128, 60)
+        assert np.abs(hm.tangent_state(sph, 0.2, v=0.0).potential.phi).max() == 0.0
 
     def test_linearity_in_v(self):
-        a = hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=1.0)
-        b = hm.velocity_potential(CIRCLE, 0.2, x=0.0, v=-2.5)
+        a = hm.tangent_state(CIRCLE, 0.2, x=0.0, v=1.0).potential
+        b = hm.tangent_state(CIRCLE, 0.2, x=0.0, v=-2.5).potential
         assert np.abs(b.phi + 2.5 * a.phi).max() < 1e-10
 
     def test_circle_flux_oracle(self):
@@ -156,7 +157,7 @@ class TestVelocityPotential:
         C = -v * L / I
         for n, tol in ((256, 0.05), (512, 0.025)):
             geom = hm.CircleGeometry(L=L, n=n)
-            vp = hm.velocity_potential(geom, t, x=0.0, v=v)
+            vp = hm.tangent_state(geom, t, x=0.0, v=v).potential
             dphi = (np.roll(vp.phi, -1) - vp.phi) / geom.h
             oracle = v + C / circle_kernel(t, L, geom.faces())
             rel = np.abs((dphi - oracle) / oracle).max()
@@ -167,7 +168,7 @@ class TestVelocityPotential:
         # probed at exact cell centers
         geom = hm.SphereGeometry(1.0, 256, 100)
         t = 0.15
-        vp = hm.velocity_potential(geom, t, v=1.0)
+        vp = hm.tangent_state(geom, t, v=1.0).potential
         eps = 1e-5
         for i in (30, 100, 180):
             theta = geom.nodes()[i]
@@ -182,7 +183,7 @@ class TestVelocityPotential:
         geom = hm.SphereGeometry(1.0, 512, 120)
         ups = []
         for t in (0.025, 0.0125):
-            u = hm.velocity_potential(geom, t, v=1.0).phi
+            u = hm.tangent_state(geom, t, v=1.0).potential.phi
             ups.append((-3 * u[0] + 4 * u[1] - u[2]) / (2 * geom.h))
         extrapolated = 2 * ups[1] - ups[0]
         assert abs(extrapolated - 1.0) < 0.02
@@ -190,7 +191,7 @@ class TestVelocityPotential:
     def test_under_resolved_time(self):
         coarse = hm.CircleGeometry(L=2 * np.pi, n=16)
         with pytest.raises(hm.UnresolvedTime):
-            hm.velocity_potential(coarse, 0.05, v=1.0)
+            hm.tangent_state(coarse, 0.05, v=1.0)
 
 
 class TestMetricGt:
@@ -259,8 +260,8 @@ class TestPeriodicGrid:
             g_c = hm.metric_gt(circle, t, v=0.7)
             g_t = hm.metric_gt(torus, t, v=(0.7, 0.0))
             assert abs(g_t - g_c) <= 1e-12 * abs(g_c)
-            m_c = hm.squared_hessian_mass(circle, t, v=0.7)
-            m_t = hm.squared_hessian_mass(torus, t, v=(0.7, 0.0))
+            m_c = hm.tangent_state(circle, t, v=0.7).hessian_mass
+            m_t = hm.tangent_state(torus, t, v=(0.7, 0.0)).hessian_mass
             assert abs(m_t - m_c) <= 1e-12 * abs(m_c)
 
     @pytest.mark.parametrize("t", [0.1, 0.005])
@@ -271,7 +272,8 @@ class TestPeriodicGrid:
         v = (0.6, -0.8)
         torus = hm.TorusGeometry(L1=1.0, L2=1.5, n1=64, n2=48)
         circles = (hm.CircleGeometry(L=1.0, n=64), hm.CircleGeometry(L=1.5, n=48))
-        for f in (hm.metric_gt, hm.squared_hessian_mass):
+        hessian_mass = lambda geom, t, v: hm.tangent_state(geom, t, v=v).hessian_mass
+        for f in (hm.metric_gt, hessian_mass):
             expected = sum(va**2 * f(c, t, v=1.0) for va, c in zip(v, circles))
             assert abs(f(torus, t, v=v) - expected) <= 1e-12 * expected
 
@@ -297,19 +299,19 @@ class TestPeriodicGrid:
 
 class TestTangentPlan:
     def test_mass_and_moment_circle(self):
-        plan = hm.tangent_plan(CIRCLE, 0.2, x=0.0, v=1.0)
+        plan = hm.tangent_state(CIRCLE, 0.2, x=0.0, v=1.0).plan
         assert abs(plan.weights.sum() - 1.0) < 1e-8
         assert plan.second_moment() == hm.metric_gt(CIRCLE, 0.2, x=0.0, v=1.0)
         assert np.all(np.isfinite(plan.grad_sq))
 
     def test_mass_and_moment_sphere(self):
         sph = hm.SphereGeometry(1.0, 256, 100)
-        plan = hm.tangent_plan(sph, 0.1, v=1.0)
+        plan = hm.tangent_state(sph, 0.1, v=1.0).plan
         assert abs(plan.weights.sum() - 1.0) < 1e-8
         assert plan.second_moment() == hm.metric_gt(sph, 0.1, v=1.0)
 
     def test_mass_and_moment_torus(self):
-        plan = hm.tangent_plan(TORUS, 0.3, v=(0.6, 0.8))
+        plan = hm.tangent_state(TORUS, 0.3, v=(0.6, 0.8)).plan
         assert abs(plan.weights.sum() - 1.0) < 1e-8
         assert plan.second_moment() == hm.metric_gt(TORUS, 0.3, v=(0.6, 0.8))
 
@@ -339,26 +341,17 @@ class TestBochnerDerivative:
 
     def test_hessian_mass_reported(self):
         sph = hm.SphereGeometry(1.0, 256, 100)
-        vals = [hm.squared_hessian_mass(sph, t, v=1.0) for t in (0.2, 0.1, 0.05)]
+        vals = [hm.tangent_state(sph, t, v=1.0).hessian_mass for t in (0.2, 0.1, 0.05)]
         assert np.all(np.isfinite(vals))
         assert np.all(np.array(vals) >= 0)
 
 
 class TestRicPairing:
-    def test_flat_geometries_exactly_zero(self):
-        assert hm.ric_pairing(CIRCLE, 0.2, v=1.0) == 0.0
-        assert hm.ric_pairing(TORUS, 0.3, v=(1.0, 1.0)) == 0.0
-
-    def test_sphere_equals_gt_over_r_squared(self):
-        sph = hm.SphereGeometry(2.0, 256, 100)
-        p = hm.ric_pairing(sph, 0.2, v=1.0)
-        g = hm.metric_gt(sph, 0.2, v=1.0)
-        assert_allclose(p, g / 4.0, rtol=1e-14)
-
     def test_small_time_limit_unit_sphere(self):
+        # int Ric(grad phi, grad phi) rho dvol = K g_t(v, v) tends to K |v|^2
         sph = hm.SphereGeometry(1.0, 512, 120)
-        p1 = hm.ric_pairing(sph, 0.05, v=1.0)
-        p2 = hm.ric_pairing(sph, 0.025, v=1.0)
+        p1 = sph.K * hm.metric_gt(sph, 0.05, v=1.0)
+        p2 = sph.K * hm.metric_gt(sph, 0.025, v=1.0)
         assert abs(2 * p2 - p1 - 1.0) < 0.05
 
 
@@ -445,15 +438,19 @@ class TestTangencyExperiment:
         rep = hm.tangency_experiment(geom, v=v, t_grid=grid)
         assert len(solves) == len(grid)
         for t, g, hess in zip(rep.ts, rep.gt_values, rep.hessian_mass):
-            for quantity in (hm.velocity_potential, hm.tangent_plan, hm.ric_pairing):
-                solves.clear()
-                quantity(geom, t, v=v)
-                assert len(solves) == 1, quantity.__name__
             solves.clear()
+            state = hm.tangent_state(geom, t, v=v)
+            assert isinstance(state, hm.TangentState) and len(solves) == 1
+            assert state.plan.second_moment() == g and state.hessian_mass == hess
             assert hm.metric_gt(geom, t, v=v) == g
-            assert hm.squared_hessian_mass(geom, t, v=v) == hess
             assert hm.gt_derivative_bochner(geom, t, v=v) == -hess - geom.K * g
             assert len(solves) == 3
+
+    def test_extrapolates_with_the_grid_ratio(self):
+        # a ratio-0.8 grid: extrapolating as if it halved lands at -1.98
+        sph = hm.SphereGeometry(1.0, 512, 120)
+        rep = hm.tangency_experiment(sph, v=1.0, t_grid=[0.1, 0.08, 0.064, 0.0512, 0.04096])
+        assert abs(rep.extrapolated_slope + 2.0) <= 5e-3
 
     def test_grid_validation(self):
         with pytest.raises(hm.TangentError):
