@@ -6,6 +6,11 @@ metric, so the triangle inequality holds exactly. Model geometries (circle,
 flat torus) are discretized onto such spaces with grid measures and
 conductances chosen so the graph Laplacian is second-order consistent with
 the Laplace-Beltrami operator.
+
+A space may declare symmetries: point permutations that preserve its
+measure and its edges with their lengths and conductances, hence its metric
+and its heat semigroup. build_space checks every declared permutation and
+never infers one; the model grids declare generators of their groups.
 """
 from __future__ import annotations
 
@@ -68,6 +73,11 @@ class FiniteMetricMeasureSpace:
     conductances : ndarray, shape (m,) or None
         Per-edge heat conductances. When None, the heat module applies its
         default rule min(m_i, m_j) / length^2.
+    symmetries : tuple of ndarray, shape (n,), int
+        Checked point permutations g that preserve the space: m(g x) = m(x),
+        and the edge (g i, g j) carries the length and conductance of
+        (i, j). They generate the declared group; empty when none is
+        declared.
     """
 
     n: int
@@ -77,6 +87,7 @@ class FiniteMetricMeasureSpace:
     measure: np.ndarray
     K: float | None = None
     conductances: np.ndarray | None = None
+    symmetries: tuple = ()
 
     @property
     def total_mass(self) -> float:
@@ -108,7 +119,36 @@ def _adjacency(n, edges, values):
     return m.tocsr()
 
 
-def build_space(points, edges, measure, K=None, conductances=None) -> FiniteMetricMeasureSpace:
+def _edge_table(edges, lengths, cond):
+    """Rows (min end, max end, length, conductance) in lexicographic order:
+    one canonical form of the edge multiset."""
+    table = np.column_stack([np.sort(edges, axis=1), lengths,
+                             np.zeros(len(edges)) if cond is None else cond])
+    return table[np.lexsort(table.T[::-1])]
+
+
+def _checked_symmetry(g, n, edges, lengths, measure, cond):
+    """g as a read-only int permutation, once it is checked to map the
+    measure and the edge multiset (lengths and conductances included) onto
+    themselves exactly. The metric is the edges' shortest-path metric, so
+    it is preserved too."""
+    g = np.array(g)
+    if (g.shape != (n,) or g.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(g), np.arange(n))):
+        raise SpaceError(f"a symmetry must be a permutation of 0..{n - 1}")
+    if not np.array_equal(measure[g], measure):
+        raise SpaceError("a symmetry does not preserve the measure")
+    if not np.array_equal(_edge_table(g[edges], lengths, cond),
+                          _edge_table(edges, lengths, cond)):
+        raise SpaceError("a symmetry does not map the edges, their lengths "
+                         "and their conductances onto themselves")
+    g = g.astype(int)
+    g.flags.writeable = False
+    return g
+
+
+def build_space(points, edges, measure, K=None, conductances=None,
+                symmetries=()) -> FiniteMetricMeasureSpace:
     """Construct a finite metric-measure space from an edge list.
 
     Parameters
@@ -123,10 +163,15 @@ def build_space(points, edges, measure, K=None, conductances=None) -> FiniteMetr
         Declared lower Ricci bound.
     conductances : array_like, optional
         Per-edge heat conductances overriding the default rule.
+    symmetries : sequence of array_like, optional
+        Point permutations declared to preserve the space; each is checked
+        exactly (O(m log m) for m edges) and kept as a generator.
 
     Raises
     ------
     DisconnectedGraph, NonpositiveWeight, NonpositiveEdgeLength
+        SpaceError also when a declared symmetry is not a permutation or
+        moves the measure, an edge, its length or its conductance.
     """
     n = int(points)
     measure = np.asarray(measure, dtype=float)
@@ -165,10 +210,12 @@ def build_space(points, edges, measure, K=None, conductances=None) -> FiniteMetr
         if np.any(cond < 0):
             raise SpaceError("conductances must be >= 0")
 
+    symmetries = tuple(_checked_symmetry(g, n, edge_arr, lengths, measure, cond)
+                       for g in symmetries)
     return FiniteMetricMeasureSpace(
         n=n, edges=edge_arr, lengths=lengths, dist=dist,
         measure=measure, K=None if K is None else float(K),
-        conductances=cond,
+        conductances=cond, symmetries=symmetries,
     )
 
 
@@ -178,14 +225,18 @@ def model_circle(L, n):
     Returns (CircleGeometry, FiniteMetricMeasureSpace); the geometry checks
     L and n. Nodes carry measure L/n, adjacent nodes are joined by edges of
     length L/n with conductance mean(m)/h^2, so the spectral generator is the
-    standard second-order periodic Laplacian. K = 0, Ricci = 0.
+    standard second-order periodic Laplacian. K = 0, Ricci = 0. The space
+    declares its dihedral group by two generators: the one-step rotation
+    and the reflection i -> -i.
     """
     geom = CircleGeometry(L, n)
     h = L / n
     edges = [(i, (i + 1) % n, h) for i in range(n)]
     measure = np.full(n, h)
     cond = np.full(n, h / h**2)  # mean-of-neighbors measure / h^2
-    space = build_space(n, edges, measure, K=0.0, conductances=cond)
+    i = np.arange(n)
+    space = build_space(n, edges, measure, K=0.0, conductances=cond,
+                        symmetries=[(i + 1) % n, -i % n])
     return geom, space
 
 
@@ -199,7 +250,9 @@ def model_torus(L1, L2, n1, n2):
     Heat conductances m/h^2 sit on the axis edges only; diagonal edges are
     metric-only (conductance 0), because putting the grid rule on diagonals
     as well would double the generator and break the second-order
-    consistency with the flat Laplacian.
+    consistency with the flat Laplacian. The space declares the unit
+    translations along both axes and both axis reflections, and the axis
+    swap when L1 == L2 and n1 == n2.
     """
     geom = TorusGeometry(L1, L2, n1, n2)
     h1, h2 = L1 / n1, L2 / n2
@@ -221,6 +274,11 @@ def model_torus(L1, L2, n1, n2):
             edges.append((idx(i, j), idx(i + 1, j - 1), hd))
             cond.append(0.0)
     measure = np.full(n1 * n2, cell)
-    space = build_space(n1 * n2, edges, measure, K=0.0, conductances=np.asarray(cond))
+    i, j = np.divmod(np.arange(n1 * n2), n2)
+    symmetries = [idx(i + 1, j), idx(i, j + 1), idx(-i, j), idx(i, -j)]
+    if L1 == L2 and n1 == n2:
+        symmetries.append(idx(j, i))
+    space = build_space(n1 * n2, edges, measure, K=0.0, conductances=np.asarray(cond),
+                        symmetries=symmetries)
     return geom, space
 

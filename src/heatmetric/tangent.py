@@ -461,7 +461,15 @@ def tangent_state(geometry, t, x=None, v=1.0) -> TangentState:
     are floored at max * 1e-13 for conditioning, per axis factor on the grids.
     The Hessian mass is reported only; its limit as t -> 0 is left open.
     """
-    return _resolved(geometry, t).evaluate(t, x, v)
+    return _resolved(geometry, t).evaluate(t, x, _tangent_vector(v))
+
+
+def _tangent_vector(v):
+    """v as a float array, once it is checked to be finite."""
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise TangentError(f"tangent vector v must be finite, not v={v.tolist()}")
+    return v
 
 
 def metric_gt(geometry, t, x=None, v=1.0) -> float:
@@ -474,7 +482,7 @@ def metric_gt(geometry, t, x=None, v=1.0) -> float:
     every model geometry has Ric = K |w|^2.
     """
     if t == 0:
-        return float(np.sum(np.square(v)))
+        return float(np.sum(np.square(_tangent_vector(v))))
     return tangent_state(geometry, t, x, v).plan.second_moment()
 
 
@@ -499,10 +507,12 @@ def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
     spacing: for sub-grid steps the discrete transport cost is dominated by
     grid quantization (it scales like h * h_grid instead of h^2), while at
     grid multiples the shifted kernel measure is an exact translate and the
-    quotient converges at first order in h.
+    quotient converges at first order in h, which must be finite and > 0.
     """
     if not isinstance(geometry, CircleGeometry):
         raise TangentError("metric speed check is implemented on the circle")
+    if not 0 < h < np.inf:
+        raise TangentError(f"the probe step must be finite and > 0, not h={h}")
     _resolved(geometry, t)
     grid_h = geometry.h
     k = max(1, int(round(h / grid_h)))

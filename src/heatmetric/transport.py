@@ -24,12 +24,13 @@ Both scale the second measure of the canonical order (below) to the first's
 total: MASS_TOL admits totals 1e-9 apart, which the LP's equality rows and
 the circle's common period do not.
 
-_w2_exact_batch solves a list of pairs on one metric as one batch: the circle
-check runs once, and one LP model serves every solve on the same support
-pair. A later solve changes only the row bounds (the marginals), so the last
-optimal basis stays dual feasible and the dual simplex restarts from it. A
-new support pair rebuilds the model, and every batch starts cold; w2_exact
-is a batch of one. Nothing is kept between batches.
+_w2_exact_batch solves a list of pairs on one metric as one batch, cut into
+_BATCH_CHUNKS contiguous chunks that run on the process's cores. Within a
+chunk one LP model serves every solve on the same support pair. A later
+solve changes only the row bounds (the marginals), so the last optimal basis
+stays dual feasible and the dual simplex restarts from it. A new support
+pair rebuilds the model, and every chunk starts cold; w2_exact is a batch
+of one. Nothing is kept between batches.
 
 Either way, the value comes from the plan on the given dist, and the
 potentials, for the halved-cost convention phi(x) + phi^c(y) <= d^2(x, y)/2,
@@ -39,15 +40,19 @@ window raises SolverFailure. Primal objective uses d^2 (so value = W_2),
 duals use d^2/2.
 
 Values are unique; plans need not be. The LP pivot order is HiGHS's
-deterministic default (not lowest-index), and within a batch it depends on
+deterministic default (not lowest-index), and within a chunk it depends on
 the solves before, so a batched value may differ from a lone w2_exact in its
-last bits; the same batch, or the same lone solve, always gives the same
-bits. Each solve runs in a canonical argument order, so w2_exact(mu, nu) ==
-w2_exact(nu, mu) exactly, and swapping the measures of any pair in a batch
-leaves every value of the batch unchanged.
+last bits. The chunking is fixed by the batch's length alone, so the same
+batch, or the same lone solve, gives the same bits on any machine and with
+any number of cores. Each solve runs in a canonical argument order, so
+w2_exact(mu, nu) == w2_exact(nu, mu) exactly, and swapping the measures of
+any pair in a batch leaves every value of the batch unchanged.
 """
 from __future__ import annotations
 
+import copy
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,6 +88,9 @@ _HIGHS_OPTIONS = {"output_flag": False, "presolve": "off", "solver": "simplex",
                   "dual_feasibility_tolerance": 1e-10}
 # quantile levels closer than this fraction of the mass coincide on circles
 _LEVEL_TOL = 1e-13
+# contiguous chunks of a batch, each with its own cold-started LP model; a
+# constant, so the values never depend on the core count
+_BATCH_CHUNKS = 4
 
 
 class TransportError(ValueError):
@@ -381,19 +389,55 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
     """Values of w2_exact(mu, nu, dist) for each (mu, nu) in pairs, each
     solve certified in the same way, as one batch on the metric dist.
 
-    The batch checks dist once and keeps one LP model while the support pair
-    stays the same, so each solve after the first restarts from the last
-    optimal basis. A value can therefore differ from a lone w2_exact call in
-    its last bits; the same batch always gives the same values.
+    The batch checks dist and validates and canonically orders every pair
+    first. It then cuts the pairs into min(len(pairs), _BATCH_CHUNKS)
+    contiguous chunks. Each chunk keeps one LP model while the support pair
+    stays the same, so each solve after the chunk's first restarts from the
+    last optimal basis. A value can therefore differ from a lone w2_exact
+    call in its last bits. The calling thread and up to one helper thread
+    per further core pull chunks from one shared iterator (HiGHS releases
+    the GIL); the values depend on the chunking only, so the same batch
+    gives the same bits with any number of cores. An error in a chunk ends
+    that chunk, and the first failing chunk's exception is raised in the
+    caller.
     """
-    batch = _Batch(dist)
-    values = []
+    template = _Batch(dist)
+    canonical = []
     for mu, nu in pairs:
         mu, nu = _validate_pair(mu, nu)
-        if _canonical_swap(mu, nu):
-            mu, nu = nu, mu
-        values.append(batch.solve(mu, nu).value)
-    return np.array(values)
+        canonical.append((nu, mu) if _canonical_swap(mu, nu) else (mu, nu))
+    count = len(canonical)
+    chunks = min(count, _BATCH_CHUNKS)
+    bounds = [count * k // max(chunks, 1) for k in range(chunks + 1)]
+    values = np.empty(count)
+    errors = [None] * chunks
+    todo = iter(range(chunks))  # next() on a range iterator is atomic under the GIL
+
+    def drain():
+        for k in todo:
+            batch = template.fresh()
+            try:
+                for i in range(bounds[k], bounds[k + 1]):
+                    values[i] = batch.solve(*canonical[i]).value
+            except Exception as exc:  # re-raised by the caller
+                errors[k] = exc
+
+    helpers = [threading.Thread(target=drain)
+               for _ in range(min(chunks, _cores()) - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return values
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    return len(os.sched_getaffinity(0))
 
 
 class _Batch:
@@ -406,6 +450,12 @@ class _Batch:
             raise TransportError("dist must be square on the marginals' space")
         self.h = _circle_spacing(self.dist)
         self.lp = self.support = None
+
+    def fresh(self) -> "_Batch":
+        """A batch on the same checked metric whose first LP starts cold."""
+        batch = copy.copy(self)
+        batch.lp = batch.support = None
+        return batch
 
     def solve(self, mu, nu) -> W2Result:
         """Certified solve of validated marginals in canonical order."""

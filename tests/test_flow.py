@@ -58,7 +58,8 @@ class TestDtilde:
         monkeypatch.setattr(flow, "heat_apply", counted)
         pairs = [(0, 8), (0, 5), (8, 5), (5, 0)]
         vals = hm.dtilde_pairs(hs, 0.1, pairs)
-        assert sorted(calls) == [0, 5, 8]
+        # (8, 5) is solved as its orbit's representative (0, 3)
+        assert sorted(calls) == [0, 3, 5, 8]
         full = hm.dtilde_matrix(hs, 0.1)
         assert vals.tolist() == [full[x, y] for x, y in pairs]
 
@@ -86,6 +87,66 @@ class TestDtilde:
         d1 = hm.dtilde_matrix(hs, t)
         d2 = hm.dtilde_matrix(hs, t + h)
         assert float((d2 - np.exp(-space.K * h) * d1).max()) <= 1e-8
+
+
+def _counted_batch(monkeypatch, solve=True):
+    """Patch flow's transport batch to record the number of pairs of each
+    call; with solve=False it returns zeros instead of solving."""
+    counts = []
+    original = flow._w2_exact_batch
+
+    def counted(pairs, dist):
+        counts.append(len(pairs))
+        return original(pairs, dist) if solve else np.zeros(len(pairs))
+
+    monkeypatch.setattr(flow, "_w2_exact_batch", counted)
+    return counts
+
+
+class TestOrbits:
+    """One transport solve per orbit of point pairs under the declared
+    symmetries of the model grids."""
+
+    def test_solves_per_orbit(self, circle24, torus8, monkeypatch):
+        counts = _counted_batch(monkeypatch)
+        hm.dtilde_matrix(circle24[2], 0.25)
+        hm.dtilde_matrix(torus8[2], 0.25)
+        assert counts == [12, 14]
+
+    def test_orbits_of_the_16x16_torus_counted(self, monkeypatch):
+        counts = _counted_batch(monkeypatch, solve=False)
+        _, space = hm.model_torus(2 * np.pi, 2 * np.pi, 16, 16)
+        hm.dtilde_matrix(hm.spectral_decompose(space), 0.25)
+        assert counts == [44]
+
+    @pytest.mark.parametrize("fixture", ["circle24", "torus8"])
+    def test_matches_lone_solves(self, fixture, request):
+        _, space, hs = request.getfixturevalue(fixture)
+        full = hm.dtilde_matrix(hs, 0.25)
+        # every orbit holds a pair (0, y); add pairs away from the origin
+        pairs = [(0, y) for y in range(1, space.n)] + [(9, 20), (space.n - 1, 5), (7, 3)]
+        heat = {x: hm.heat_apply(hs, 0.25, space.delta(x)) for x in {x for p in pairs for x in p}}
+        lone = [hm.w2_exact(heat[x], heat[y], space.dist).value for x, y in pairs]
+        assert_allclose([full[p] for p in pairs], lone, rtol=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["circle24", "torus8"])
+    def test_matrix_invariant_under_the_group(self, fixture, request):
+        _, space, hs = request.getfixturevalue(fixture)
+        full = hm.dtilde_matrix(hs, 0.25)
+        for g in space.symmetries:
+            assert np.array_equal(full[np.ix_(g, g)], full)
+
+    def test_pairs_equal_matrix_entries(self, circle24):
+        _, _, hs = circle24
+        pairs = [(5, 17), (17, 5), (0, 12), (23, 1)]
+        full = hm.dtilde_matrix(hs, 0.25)
+        assert hm.dtilde_pairs(hs, 0.25, pairs).tolist() == [full[p] for p in pairs]
+
+    def test_space_without_symmetries_solves_each_pair(self, monkeypatch):
+        counts = _counted_batch(monkeypatch)
+        space = hypercube_space(3)
+        hm.dtilde_matrix(hm.spectral_decompose(space), 0.2)
+        assert counts == [28]
 
 
 class TestDtArc:

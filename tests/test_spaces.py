@@ -165,3 +165,71 @@ class TestGeometryGuards:
         with pytest.raises(hm.GeometryError, match=message):
             geometry(*args)
 
+
+
+def _ring(n, lengths=None, measure=None, cond=None):
+    """The n-cycle with unit lengths, masses and conductances unless given."""
+    lengths = np.ones(n) if lengths is None else lengths
+    edges = [(i, (i + 1) % n, lengths[i]) for i in range(n)]
+    return edges, np.ones(n) if measure is None else measure, np.ones(n) if cond is None else cond
+
+
+class TestSymmetries:
+    """Declared point permutations are checked exactly, never trusted."""
+
+    ROTATION = (np.arange(6) + 1) % 6
+
+    def test_ring_rotation_and_reflection_accepted(self):
+        edges, measure, cond = _ring(6)
+        space = hm.build_space(6, edges, measure, conductances=cond,
+                               symmetries=[self.ROTATION, -np.arange(6) % 6])
+        assert len(space.symmetries) == 2
+        assert not space.symmetries[0].flags.writeable
+
+    @pytest.mark.parametrize("g", [[0, 0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6],
+                                   [1.0, 2.0, 3.0, 4.0, 5.0, 0.0]],
+                             ids=["repeat", "short", "out-of-range", "float"])
+    def test_non_permutation(self, g):
+        edges, measure, cond = _ring(6)
+        with pytest.raises(hm.SpaceError, match="permutation of 0..5"):
+            hm.build_space(6, edges, measure, conductances=cond, symmetries=[g])
+
+    @pytest.mark.parametrize("what, kwargs, message", [
+        ("measure", {"measure": np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0])}, "measure"),
+        ("length", {"lengths": np.array([1.0, 1.0, 1.0, 1.5, 1.0, 1.0])}, "edges"),
+        ("conductance", {"cond": np.array([1.0, 1.0, 2.0, 1.0, 1.0, 1.0])}, "edges"),
+    ])
+    def test_rotation_of_a_broken_ring(self, what, kwargs, message):
+        edges, measure, cond = _ring(6, **kwargs)
+        hm.build_space(6, edges, measure, conductances=cond)  # valid without the rotation
+        with pytest.raises(hm.SpaceError, match=message):
+            hm.build_space(6, edges, measure, conductances=cond, symmetries=[self.ROTATION])
+
+    def test_default_conductances_compare_lengths(self):
+        edges, measure, _ = _ring(6, lengths=np.array([1.0, 1.0, 1.0, 1.5, 1.0, 1.0]))
+        with pytest.raises(hm.SpaceError, match="edges"):
+            hm.build_space(6, edges, measure, symmetries=[self.ROTATION])
+
+    def test_lengthened_model_circle_edge(self):
+        _, space = hm.model_circle(2 * np.pi, 24)
+        lengths = space.lengths.copy()
+        lengths[5] *= 1.25
+        edges = [(i, j, ell) for (i, j), ell in zip(space.edges, lengths)]
+        with pytest.raises(hm.SpaceError, match="edges"):
+            hm.build_space(24, edges, space.measure, conductances=space.conductances,
+                           symmetries=space.symmetries)
+
+    @pytest.mark.parametrize("build, count", [
+        (lambda: hm.model_circle(2 * np.pi, 24), 2),
+        (lambda: hm.model_torus(2 * np.pi, 2 * np.pi, 8, 8), 5),
+        (lambda: hm.model_torus(2 * np.pi, 2 * np.pi, 8, 12), 4),
+    ], ids=["circle24", "torus8x8", "torus8x12"])
+    def test_model_generators_preserve_the_metric(self, build, count):
+        _, space = build()
+        assert len(space.symmetries) == count
+        for g in space.symmetries:
+            assert np.array_equal(space.dist[np.ix_(g, g)], space.dist)
+            assert np.array_equal(space.measure[g], space.measure)
+
+    def test_none_declared(self):
+        assert hm.build_space(2, [(0, 1, 1.0)], [1.0, 1.0]).symmetries == ()

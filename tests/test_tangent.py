@@ -195,6 +195,24 @@ class TestVelocityPotential:
 
 
 class TestMetricGt:
+    @pytest.mark.parametrize("geom, v", [
+        (hm.CircleGeometry(2 * np.pi, 64), np.nan),
+        (hm.CircleGeometry(2 * np.pi, 64), np.inf),
+        (TORUS, (np.nan, 1.0)),
+        (hm.SphereGeometry(1.0, 64, 40), np.nan),
+    ], ids=["circle-nan", "circle-inf", "torus-nan", "sphere-nan"])
+    def test_nonfinite_tangent_vector(self, geom, v, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved with a non-finite tangent vector")
+
+        monkeypatch.setattr(tangent, "solve_weighted_poisson", refuse)
+        for t in (0.0, 0.2):
+            with pytest.raises(hm.TangentError,
+                               match=r"tangent vector v must be finite, not v=.*(nan|inf)"):
+                hm.metric_gt(geom, t, v=v)
+        with pytest.raises(hm.TangentError, match="tangent vector v must be finite"):
+            hm.tangent_state(geom, 0.2, v=v)
+
     def test_zero_time_returns_speed(self):
         assert hm.metric_gt(CIRCLE, 0.0, v=3.0) == 9.0
         assert hm.metric_gt(TORUS, 0.0, v=(0.6, 0.8)) == pytest.approx(1.0, abs=1e-15)
@@ -380,6 +398,16 @@ class TestMetricSpeed:
         s0 = 5 * CIRCLE.h
         w_b = hm.w2_exact(measure(s0), measure(s0 + k * CIRCLE.h), space.dist).value
         assert abs(w_a - w_b) < 1e-10
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0])
+    def test_probe_step_must_be_positive_and_finite(self, h, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved with an invalid probe step")
+
+        monkeypatch.setattr(tangent, "solve_weighted_poisson", refuse)
+        monkeypatch.setattr(hm.transport, "w2_exact", refuse)
+        with pytest.raises(hm.TangentError, match=f"probe step must be finite and > 0, not h={h}"):
+            hm.metric_speed_check(hm.CircleGeometry(2 * np.pi, 64), 0.2, h)
 
     def test_under_resolved(self):
         coarse = hm.CircleGeometry(L=2 * np.pi, n=16)

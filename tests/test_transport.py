@@ -1,4 +1,7 @@
 import itertools
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -500,6 +503,90 @@ class TestLPPath:
         pairs = [(rows[0], rows[k]) for k in (1, 2, 3)] + [(rows[2], rows[1])]
         lone = [hm.w2_exact(mu, nu, space.dist).value for mu, nu in pairs]
         assert_allclose(transport._w2_exact_batch(pairs, space.dist), lone, rtol=1e-12)
+
+    @staticmethod
+    def _graph_batch(count):
+        rng = np.random.default_rng(5)
+        dist = random_graph_dist(rng, 10)
+        pairs = []
+        for _ in range(count):
+            mu, nu = rng.random(10), rng.random(10)
+            pairs.append((mu / mu.sum(), nu / nu.sum()))
+        return pairs, dist
+
+    def test_batch_bits_do_not_depend_on_the_cores(self, monkeypatch):
+        pairs, dist = self._graph_batch(11)
+        values = []
+        for cores in (1, 2):
+            monkeypatch.setattr(transport, "_cores", lambda: cores)
+            values.append(transport._w2_exact_batch(pairs, dist).tolist())
+        assert values[0] == values[1]
+        oracle = [lp_oracle(mu, nu, dist) for mu, nu in pairs]
+        assert_allclose(values[0], oracle, rtol=1e-9)
+
+    @pytest.mark.parametrize("count, helpers", [(0, 0), (1, 0), (3, 2), (11, 3)])
+    def test_batch_helper_threads(self, monkeypatch, count, helpers):
+        # one thread per chunk beyond the caller's, at most one per core
+        started = []
+        thread = transport.threading.Thread
+
+        def counted(*args, **kwargs):
+            started.append(1)
+            return thread(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "_cores", lambda: 8)
+        monkeypatch.setattr(transport.threading, "Thread", counted)
+        pairs, dist = self._graph_batch(count)
+        assert transport._w2_exact_batch(pairs, dist).shape == (count,)
+        assert len(started) == helpers
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_bad_pair_in_the_last_chunk(self, monkeypatch, cores):
+        monkeypatch.setattr(transport, "_cores", lambda: cores)
+        third = np.full(3, 1 / 3)
+        with pytest.raises(hm.TransportError, match="dist must be square"):
+            transport._w2_exact_batch([(third, third)] * 8 + [(np.ones(2) / 2,) * 2], PATH3)
+        with pytest.raises(hm.TransportError, match="negative masses"):
+            transport._w2_exact_batch([(third, third)] * 8 + [(-third, third)], PATH3)
+
+    def test_batch_stress_more_workers_than_cores(self, monkeypatch):
+        # every chunk is taken exactly once and every value lands, with four
+        # workers on a short switch interval
+        pairs, dist = self._graph_batch(9)
+        monkeypatch.setattr(transport, "_cores", lambda: 1)
+        serial = transport._w2_exact_batch(pairs, dist).tolist()
+        fresh, taken = transport._Batch.fresh, []
+
+        def counted(batch):
+            taken.append(1)
+            return fresh(batch)
+
+        monkeypatch.setattr(transport, "_cores", lambda: 4)
+        monkeypatch.setattr(transport._Batch, "fresh", counted)
+        interval, threads = sys.getswitchinterval(), threading.active_count()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rep in range(10):
+                assert transport._w2_exact_batch(pairs, dist).tolist() == serial
+                assert len(taken) == 4 * (rep + 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads  # every helper joined
+
+    def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
+        solve = transport._Batch.solve
+
+        def solve_or_fail(batch, mu, nu):
+            if threading.current_thread() is not threading.main_thread():
+                raise hm.SolverFailure("failed in a helper thread")
+            time.sleep(0.05)  # leaves chunks to the helper
+            return solve(batch, mu, nu)
+
+        monkeypatch.setattr(transport, "_cores", lambda: 2)
+        monkeypatch.setattr(transport._Batch, "solve", solve_or_fail)
+        pairs, dist = self._graph_batch(8)
+        with pytest.raises(hm.SolverFailure, match="failed in a helper thread"):
+            transport._w2_exact_batch(pairs, dist)
 
     def test_batch_inputs(self):
         assert transport._w2_exact_batch([], PATH3).shape == (0,)
