@@ -84,8 +84,10 @@ def _triangle_violation(mat) -> float:
 
 
 def _point_pair(space, pair):
-    """The pair's point indices, each checked to lie in 0..n-1."""
+    """The pair's point indices, each checked to be an integer in 0..n-1."""
     x, y = pair
+    if not all(isinstance(i, (int, np.integer)) for i in pair):
+        raise FlowError(f"pair {x}:{y} does not hold two point indices")
     if not (0 <= x < space.n and 0 <= y < space.n):
         raise FlowError(f"pair {x}:{y} is out of range for {space.n} points")
     return int(x), int(y)
@@ -95,22 +97,19 @@ def dtilde_matrix(hs, t) -> np.ndarray:
     """Full matrix of dtilde_t(x, y) = W_2(H_t delta_x, H_t delta_y) on the
     space of hs.
 
-    t = 0 returns the original metric exactly. The upper triangle goes to
-    dtilde_pairs, so one transport solve serves each orbit of point pairs
-    under the space's declared symmetries (12 solves on circle 24, 14 on
-    the 8x8 torus), and the matrix is exactly invariant under them; with
-    none declared it costs n(n - 1)/2 solves. Spaces beyond FULL_MATRIX_CAP
-    points are rejected at every t, 0 included (use dtilde_pairs for a pair
-    list).
+    Spaces beyond FULL_MATRIX_CAP points are rejected first, at every t
+    (use dtilde_pairs for a pair list). The upper triangle goes to
+    dtilde_pairs, which checks t, so one transport solve serves each orbit
+    of point pairs under the space's declared symmetries (12 solves on
+    circle 24, 14 on the 8x8 torus), and the matrix is exactly invariant
+    under them; with none declared it costs n(n - 1)/2 solves. t = 0
+    returns the original metric exactly, since build_space makes it exactly
+    symmetric with a zero diagonal.
     """
     space = hs.space
-    if not 0 <= t < np.inf:
-        raise FlowError(f"time must be finite and >= 0, not {t}")
     if space.n > FULL_MATRIX_CAP:
         raise FlowError(f"full matrices capped at n = {FULL_MATRIX_CAP}; "
                         "use dtilde_pairs (--pairs on the command line)")
-    if t == 0:
-        return space.dist.copy()
     upper = np.triu_indices(space.n, 1)
     out = np.zeros((space.n, space.n))
     out[upper] = dtilde_pairs(hs, t, zip(*upper))
@@ -119,7 +118,8 @@ def dtilde_matrix(hs, t) -> np.ndarray:
 
 def dtilde_pairs(hs, t, pairs) -> np.ndarray:
     """dtilde_t for an explicit list of point pairs of the space of hs;
-    indices outside the space raise FlowError.
+    t must be finite and >= 0, and each index an integer inside the space
+    (FlowError otherwise). t = 0 reads the original metric.
 
     A symmetry of the space commutes with H_t, so dtilde_t is constant on
     each orbit of pairs under the declared symmetries and (x, y) -> (y, x).

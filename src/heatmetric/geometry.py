@@ -1,8 +1,9 @@
 """Model geometries: circle, flat torus, round sphere.
 
-Each geometry carries its curvature data (the Ricci quadratic form and the
-lower bound K), a quadrature grid whose weights sum to the total volume
-exactly, and enough structure for the analytic heat kernels in
+Each geometry carries its curvature as one number K: every model geometry
+here has Ric(v, v) = K |v|^2 exactly, so K is both the lower Ricci bound and
+the Ricci form. It also carries a quadrature grid whose weights sum to the
+total volume exactly, and enough structure for the analytic heat kernels in
 :mod:`heatmetric.heat`. The sphere is represented by a one-dimensional
 colatitude grid: every operation on it here reduces an azimuthally symmetric
 or first-azimuthal-mode problem to that grid, so no 2-D mesh is ever built.
@@ -105,10 +106,6 @@ class CircleGeometry:
     def volume_weights(self) -> np.ndarray:
         return np.full(self.n, self.h)
 
-    def ricci(self, x, v) -> float:
-        """Ric(v, v); identically zero on the flat circle."""
-        return 0.0
-
 
 @dataclass(frozen=True)
 class TorusGeometry:
@@ -140,16 +137,9 @@ class TorusGeometry:
         """(L, n) of each periodic grid axis: two axes."""
         return ((self.L1, self.n1), (self.L2, self.n2))
 
-    def nodes(self):
-        h1, h2 = self.h
-        return np.arange(self.n1) * h1, np.arange(self.n2) * h2
-
     def volume_weights(self) -> np.ndarray:
         h1, h2 = self.h
         return np.full((self.n1, self.n2), h1 * h2)
-
-    def ricci(self, x, v) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -181,6 +171,7 @@ class SphereGeometry:
 
     @property
     def K(self) -> float:
+        """Ric(v, v) = K |v|^2 with K = 1 / r^2 ((n - 1) / r^2 at n = 2)."""
         return 1.0 / self.r**2
 
     @property
@@ -207,8 +198,3 @@ class SphereGeometry:
         for l in range(1, self.l_max + 1):
             anti[l] = (Pf[l + 1] - Pf[l - 1]) / (2 * l + 1)
         return 2 * np.pi * self.r**2 * (coeffs @ (anti[:, :-1] - anti[:, 1:]))
-
-    def ricci(self, x, v) -> float:
-        """Ric(v, v) = |v|^2 / r^2 (classical (n-1)/r^2 with n = 2)."""
-        v = np.asarray(v, dtype=float)
-        return float(np.dot(v.ravel(), v.ravel())) / self.r**2

@@ -1,12 +1,12 @@
 """Heat semigroups: spectral on finite spaces, analytic on model geometries.
 
 The generator on a finite space is (Lf)(i) = (1/m_i) sum_j w_ij (f(i) - f(j))
-with conductances w_ij taken from the space (model grids set them so L is the
-second-order discrete Laplace-Beltrami operator) or from the default rule
-w_ij = min(m_i, m_j) / length(i,j)^2. The semigroup is e^{-tL}, computed from
-the full dense eigendecomposition, which is exact up to rounding and keeps
-everything deterministic; inputs beyond n = 4096 are rejected rather than
-approximated.
+with the space's conductances w_ij: build_space resolves them, to the given
+ones (model grids set them so L is the second-order discrete Laplace-Beltrami
+operator) or to its default min(m_i, m_j) / length(i,j)^2. The semigroup is
+e^{-tL}, computed from the full dense eigendecomposition, which is exact up
+to rounding and keeps everything deterministic; inputs beyond n = 4096 are
+rejected rather than approximated.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .geometry import TruncationError, legendre_table
 from .spaces import FiniteMetricMeasureSpace, _adjacency
@@ -53,28 +52,8 @@ class HeatStructure:
     eigenvectors: np.ndarray
     space: FiniteMetricMeasureSpace
 
-    @property
-    def n(self) -> int:
-        return self.space.n
-
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
-
-
-def conductance_matrix(space: FiniteMetricMeasureSpace) -> sp.csr_matrix:
-    """Symmetric conductance matrix W from the space's edges.
-
-    Uses explicit per-edge conductances when the space carries them,
-    otherwise the default rule min(m_i, m_j) / length^2.
-    """
-    if space.conductances is not None:
-        w = space.conductances
-    else:
-        m = space.measure
-        w = np.array([
-            min(m[i], m[j]) / ell**2 for i, j, ell in space.edge_pairs()
-        ])
-    return _adjacency(space.n, space.edges, w)
 
 
 def spectral_decompose(space: FiniteMetricMeasureSpace) -> HeatStructure:
@@ -86,7 +65,7 @@ def spectral_decompose(space: FiniteMetricMeasureSpace) -> HeatStructure:
     """
     if space.n > MAX_DENSE_N:
         raise HeatError(f"space too large for dense decomposition (n > {MAX_DENSE_N})")
-    W = conductance_matrix(space).toarray()
+    W = _adjacency(space.n, space.edges, space.conductances).toarray()
     deg = W.sum(axis=1)
     lap = np.diag(deg) - W
     s = 1.0 / np.sqrt(space.measure)
@@ -151,10 +130,8 @@ def _circle_fourier(t, L, s, deriv):
         vals = 1.0 + 2.0 * np.cos(arg) @ decay
     elif deriv == 1:
         vals = -2.0 * np.sin(arg) @ (om * decay)
-    elif deriv == 2:
-        vals = -2.0 * np.cos(arg) @ (om**2 * decay)
     else:
-        raise HeatError("deriv must be 0, 1 or 2")
+        vals = -2.0 * np.cos(arg) @ (om**2 * decay)
     return vals / L
 
 
@@ -171,10 +148,8 @@ def _circle_images(t, L, s, deriv):
             out += g
         elif deriv == 1:
             out += g * (-z / (2 * t))
-        elif deriv == 2:
-            out += g * (z**2 / (4 * t**2) - 1.0 / (2 * t))
         else:
-            raise HeatError("deriv must be 0, 1 or 2")
+            out += g * (z**2 / (4 * t**2) - 1.0 / (2 * t))
     return out
 
 
@@ -188,6 +163,8 @@ def circle_kernel(t, L, s, deriv=0):
     """
     if not 0 < t < np.inf:
         raise HeatError(f"kernel requires a finite t > 0, not {t}")
+    if deriv not in (0, 1, 2):
+        raise HeatError("deriv must be 0, 1 or 2")
     scalar = np.isscalar(s)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if t >= L**2 / (4 * np.pi):

@@ -68,11 +68,11 @@ class FiniteMetricMeasureSpace:
         Mass per point, all > 0. Kept as given; operations that need a
         probability measure normalize internally.
     K : float or None
-        Declared lower Ricci bound. Never computed; operations that need it
-        fail when absent.
-    conductances : ndarray, shape (m,) or None
-        Per-edge heat conductances. When None, the heat module applies its
-        default rule min(m_i, m_j) / length^2.
+        Declared lower Ricci bound, finite when given. Never computed;
+        operations that need it fail when absent.
+    conductances : ndarray, shape (m,)
+        Per-edge heat conductances, finite and >= 0: the ones given to
+        build_space, or its default min(m_i, m_j) / length^2. Never None.
     symmetries : tuple of ndarray, shape (n,), int
         Checked point permutations g that preserve the space: m(g x) = m(x),
         and the edge (g i, g j) carries the length and conductance of
@@ -85,8 +85,8 @@ class FiniteMetricMeasureSpace:
     lengths: np.ndarray
     dist: np.ndarray
     measure: np.ndarray
+    conductances: np.ndarray
     K: float | None = None
-    conductances: np.ndarray | None = None
     symmetries: tuple = ()
 
     @property
@@ -103,11 +103,6 @@ class FiniteMetricMeasureSpace:
         mu[x] = 1.0
         return mu
 
-    def edge_pairs(self):
-        """Iterate (i, j, length) over edges."""
-        for (i, j), ell in zip(self.edges, self.lengths):
-            yield int(i), int(j), float(ell)
-
 
 def _adjacency(n, edges, values):
     m = sp.coo_matrix(
@@ -122,8 +117,7 @@ def _adjacency(n, edges, values):
 def _edge_table(edges, lengths, cond):
     """Rows (min end, max end, length, conductance) in lexicographic order:
     one canonical form of the edge multiset."""
-    table = np.column_stack([np.sort(edges, axis=1), lengths,
-                             np.zeros(len(edges)) if cond is None else cond])
+    table = np.column_stack([np.sort(edges, axis=1), lengths, cond])
     return table[np.lexsort(table.T[::-1])]
 
 
@@ -147,6 +141,13 @@ def _checked_symmetry(g, n, edges, lengths, measure, cond):
     return g
 
 
+def _reject(values, ok, error, what):
+    """Raise error naming the first of values that is non-finite or not ok."""
+    bad = values[~(ok & np.isfinite(values))]
+    if bad.size:
+        raise error(f"{what}, not {bad[0]}")
+
+
 def build_space(points, edges, measure, K=None, conductances=None,
                 symmetries=()) -> FiniteMetricMeasureSpace:
     """Construct a finite metric-measure space from an edge list.
@@ -156,13 +157,15 @@ def build_space(points, edges, measure, K=None, conductances=None,
     points : int
         Number of points.
     edges : sequence of (i, j, length)
-        Undirected edges, lengths > 0.
+        Undirected edges between distinct points, lengths finite and > 0.
     measure : array_like, shape (points,)
-        Strictly positive weights.
+        Finite, strictly positive weights.
     K : float, optional
-        Declared lower Ricci bound.
+        Declared lower Ricci bound, finite.
     conductances : array_like, optional
-        Per-edge heat conductances overriding the default rule.
+        Per-edge heat conductances, finite and >= 0. When omitted, each edge
+        gets the default min(m_i, m_j) / length^2, so the space always
+        carries its conductances.
     symmetries : sequence of array_like, optional
         Point permutations declared to preserve the space; each is checked
         exactly (O(m log m) for m edges) and kept as a generator.
@@ -170,30 +173,29 @@ def build_space(points, edges, measure, K=None, conductances=None,
     Raises
     ------
     DisconnectedGraph, NonpositiveWeight, NonpositiveEdgeLength
-        SpaceError also when a declared symmetry is not a permutation or
-        moves the measure, an edge, its length or its conductance.
+        The last two also on a non-finite weight or length. SpaceError,
+        naming the value, also on a non-finite K or conductance, and when a
+        declared symmetry is not a permutation or moves the measure, an
+        edge, its length or its conductance.
     """
     n = int(points)
     measure = np.asarray(measure, dtype=float)
     if measure.shape != (n,):
         raise SpaceError(f"measure must have shape ({n},)")
-    if np.any(measure <= 0):
-        raise NonpositiveWeight("all measure weights must be > 0")
+    _reject(measure, measure > 0, NonpositiveWeight, "measure weights must be finite and > 0")
+    K = None if K is None else float(K)
+    if K is not None and not np.isfinite(K):
+        raise SpaceError(f"K must be finite, not {K}")
 
-    edge_arr = np.array([(int(i), int(j)) for i, j, _ in edges], dtype=int)
+    edge_arr = np.array([(int(i), int(j)) for i, j, _ in edges], dtype=int).reshape(-1, 2)
     lengths = np.array([float(ell) for _, _, ell in edges], dtype=float)
-    if len(edge_arr) == 0:
-        if n > 1:
-            raise DisconnectedGraph("no edges on a multi-point space")
-        edge_arr = np.zeros((0, 2), dtype=int)
-    if np.any(lengths <= 0):
-        raise NonpositiveEdgeLength("all edge lengths must be > 0")
-    if edge_arr.size and (edge_arr.min() < 0 or edge_arr.max() >= n):
+    _reject(lengths, lengths > 0, NonpositiveEdgeLength, "edge lengths must be finite and > 0")
+    if np.any((edge_arr < 0) | (edge_arr >= n)):
         raise SpaceError("edge endpoint out of range")
-    if edge_arr.size and np.any(edge_arr[:, 0] == edge_arr[:, 1]):
+    if np.any(edge_arr[:, 0] == edge_arr[:, 1]):
         raise SpaceError("self loops are not allowed")
 
-    adj = _adjacency(n, edge_arr, lengths) if n > 1 else sp.csr_matrix((1, 1))
+    adj = _adjacency(n, edge_arr, lengths)
     ncomp, _ = connected_components(adj, directed=False)
     if ncomp != 1:
         raise DisconnectedGraph(f"edge graph has {ncomp} components")
@@ -202,20 +204,19 @@ def build_space(points, edges, measure, K=None, conductances=None,
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0.0)
 
-    cond = None
-    if conductances is not None:
+    if conductances is None:
+        cond = np.minimum(measure[edge_arr[:, 0]], measure[edge_arr[:, 1]]) / lengths**2
+    else:
         cond = np.asarray(conductances, dtype=float)
         if cond.shape != (len(edge_arr),):
             raise SpaceError("conductances must match the edge list")
-        if np.any(cond < 0):
-            raise SpaceError("conductances must be >= 0")
+        _reject(cond, cond >= 0, SpaceError, "conductances must be finite and >= 0")
 
     symmetries = tuple(_checked_symmetry(g, n, edge_arr, lengths, measure, cond)
                        for g in symmetries)
     return FiniteMetricMeasureSpace(
-        n=n, edges=edge_arr, lengths=lengths, dist=dist,
-        measure=measure, K=None if K is None else float(K),
-        conductances=cond, symmetries=symmetries,
+        n=n, edges=edge_arr, lengths=lengths, dist=dist, measure=measure,
+        conductances=cond, K=K, symmetries=symmetries,
     )
 
 

@@ -534,10 +534,12 @@ def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
 
 
 def tangency_experiment(geometry, x=None, v=1.0, *, t_grid) -> TangencyReport:
-    """Small-time slopes of g_t(v, v) against the -2 Ric(v, v) target.
+    """Small-time slopes of g_t(v, v) against the -2 Ric(v, v) = -2 K |v|^2
+    target.
 
-    t_grid must decrease geometrically (each ratio within [0.25, 0.85]) to a
-    t_min resolved by the discretization. Slopes (g_t - |v|^2)/t are
+    v must be finite; it is checked once, before any solve. t_grid must
+    decrease geometrically (each ratio within [0.25, 0.85]) to a t_min
+    resolved by the discretization. Slopes (g_t - |v|^2)/t are
     Richardson-extrapolated to t = 0 from the two smallest times, with their
     own ratio q: (s_min - q s_prev) / (1 - q). The report also records the
     one-sided bound that every sufficiently small-t slope stays below
@@ -549,6 +551,7 @@ def tangency_experiment(geometry, x=None, v=1.0, *, t_grid) -> TangencyReport:
     ratios = ts[1:] / ts[:-1]
     if np.any(ratios < 0.25) or np.any(ratios > 0.85):
         raise TangentError("t_grid should decrease geometrically (ratio about 1/2)")
+    v = _tangent_vector(v)
     disc = _discretization(geometry)
     for t in ts:
         disc.check_resolution(t)
@@ -564,7 +567,7 @@ def tangency_experiment(geometry, x=None, v=1.0, *, t_grid) -> TangencyReport:
     # this is 2 s_min - s_prev to the last bit
     q = ts[-1] / ts[-2]
     extrapolated = float((slopes[-1] - q * slopes[-2]) / (1 - q))
-    target = -2.0 * geometry.ricci(x, v)
+    target = -2.0 * geometry.K * sp2
     deviation = abs(extrapolated - target) / max(abs(target), sp2)
     bound = target * (1 - 0.05) + 0.05 * sp2
     one_sided = bool(np.all(slopes[-2:] <= bound + 1e-9))

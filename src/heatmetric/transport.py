@@ -44,13 +44,15 @@ deterministic default (not lowest-index), and within a chunk it depends on
 the solves before, so a batched value may differ from a lone w2_exact in its
 last bits. The chunking is fixed by the batch's length alone, so the same
 batch, or the same lone solve, gives the same bits on any machine and with
-any number of cores. Each solve runs in a canonical argument order, so
+any number of cores. The canonical argument order is decided in one place,
+_Batch.solve, which every exact solve, lone or batched, goes through: it
+solves the pair in that order and swaps the plan and potentials back. So
 w2_exact(mu, nu) == w2_exact(nu, mu) exactly, and swapping the measures of
-any pair in a batch leaves every value of the batch unchanged.
+any pair in a batch leaves every value of the batch unchanged. w2_sinkhorn
+orders its pair by the same rule.
 """
 from __future__ import annotations
 
-import copy
 import os
 import threading
 from dataclasses import dataclass
@@ -374,24 +376,16 @@ def w2_exact(mu, nu, dist) -> W2Result:
     one (see _w2_exact_batch).
     """
     mu, nu = _validate_pair(mu, nu)
-    batch = _Batch(dist)
-    if _canonical_swap(mu, nu):
-        res = batch.solve(nu, mu)
-        return W2Result(
-            res.value,
-            TransportPlan(res.plan.gamma.T.copy(), mu, nu),
-            DualPotentials(res.potentials.phi_c, res.potentials.phi),
-        )
-    return batch.solve(mu, nu)
+    return _Batch(*_checked_metric(dist)).solve(mu, nu)
 
 
 def _w2_exact_batch(pairs, dist) -> np.ndarray:
     """Values of w2_exact(mu, nu, dist) for each (mu, nu) in pairs, each
     solve certified in the same way, as one batch on the metric dist.
 
-    The batch checks dist and validates and canonically orders every pair
-    first. It then cuts the pairs into min(len(pairs), _BATCH_CHUNKS)
-    contiguous chunks. Each chunk keeps one LP model while the support pair
+    The batch checks dist, with its circle check, once for all its chunks,
+    and validates every pair first. It then cuts the pairs into
+    min(len(pairs), _BATCH_CHUNKS) contiguous chunks. Each chunk keeps one LP model while the support pair
     stays the same, so each solve after the chunk's first restarts from the
     last optimal basis. A value can therefore differ from a lone w2_exact
     call in its last bits. The calling thread and up to one helper thread
@@ -401,12 +395,9 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
     that chunk, and the first failing chunk's exception is raised in the
     caller.
     """
-    template = _Batch(dist)
-    canonical = []
-    for mu, nu in pairs:
-        mu, nu = _validate_pair(mu, nu)
-        canonical.append((nu, mu) if _canonical_swap(mu, nu) else (mu, nu))
-    count = len(canonical)
+    metric = _checked_metric(dist)
+    pairs = [_validate_pair(mu, nu) for mu, nu in pairs]
+    count = len(pairs)
     chunks = min(count, _BATCH_CHUNKS)
     bounds = [count * k // max(chunks, 1) for k in range(chunks + 1)]
     values = np.empty(count)
@@ -415,10 +406,10 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
 
     def drain():
         for k in todo:
-            batch = template.fresh()
+            batch = _Batch(*metric)
             try:
                 for i in range(bounds[k], bounds[k + 1]):
-                    values[i] = batch.solve(*canonical[i]).value
+                    values[i] = batch.solve(*pairs[i]).value
             except Exception as exc:  # re-raised by the caller
                 errors[k] = exc
 
@@ -440,25 +431,29 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _Batch:
-    """Solves on one metric: the circle check made once, and the LP model of
-    the last support pair."""
+def _checked_metric(dist):
+    """dist as a square float matrix, and its circle spacing (or None)."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise TransportError("dist must be square on the marginals' space")
+    return dist, _circle_spacing(dist)
 
-    def __init__(self, dist):
-        self.dist = np.asarray(dist, dtype=float)
-        if self.dist.ndim != 2 or self.dist.shape[0] != self.dist.shape[1]:
-            raise TransportError("dist must be square on the marginals' space")
-        self.h = _circle_spacing(self.dist)
+
+class _Batch:
+    """Solves on one checked metric (see _checked_metric), keeping the LP
+    model of the last support pair; each new batch starts cold."""
+
+    def __init__(self, dist, h):
+        self.dist, self.h = dist, h
         self.lp = self.support = None
 
-    def fresh(self) -> "_Batch":
-        """A batch on the same checked metric whose first LP starts cold."""
-        batch = copy.copy(self)
-        batch.lp = batch.support = None
-        return batch
-
     def solve(self, mu, nu) -> W2Result:
-        """Certified solve of validated marginals in canonical order."""
+        """Certified solve of validated marginals. It runs in canonical
+        order, and the plan and potentials are swapped back for the caller,
+        so solve(mu, nu) and solve(nu, mu) agree bit for bit."""
+        swapped = _canonical_swap(mu, nu)
+        if swapped:
+            mu, nu = nu, mu
         dist = self.dist
         n = len(dist)
         if len(mu) != n:
@@ -491,14 +486,16 @@ class _Batch:
         phi[smu] = phi_s
         phi_c = c_transform(phi, dist)
         phi = c_transform(phi_c, dist.T)
-        potentials = DualPotentials(phi=phi, phi_c=phi_c)
 
         # the certificate of the pair solved; against the unscaled nu the gap
         # also carries the mismatch times phi_c
         gap = 0.5 * value**2 - (phi @ mu + phi_c[snu] @ b)
         if not (-1e-7 <= gap <= GAP_TOL):  # pragma: no cover
             raise SolverFailure(f"optimality certificate failed: gap {gap:.3e}")
-        return W2Result(value, TransportPlan(gamma, mu, nu), potentials)
+        if swapped:
+            return W2Result(value, TransportPlan(gamma.T.copy(), nu, mu),
+                            DualPotentials(phi=phi_c, phi_c=phi))
+        return W2Result(value, TransportPlan(gamma, mu, nu), DualPotentials(phi=phi, phi_c=phi_c))
 
 
 def _canonical_swap(mu, nu) -> bool:

@@ -479,6 +479,89 @@ class TestOtherCommands:
         assert failed == ["sinkhorn_vs_exact"]
 
 
+class TestInputBranches:
+    """Input paths that the command tests above do not take."""
+
+    TORUS8 = ["--geometry", "torus", "--n1", "8", "--n2", "8"]
+
+    @pytest.mark.parametrize("argv, table", [
+        (["flow", "--times", "0.25", "--pairs", "0:9,0:27"], "dtilde_pairs_0p25.csv"),
+        (["contraction", "--times", "0.1", "--pairs", "0:9"], "contraction.csv"),
+        (["continuity", "--t", "0.2", "--deltas", "0.1"], "continuity.csv"),
+    ], ids=["flow", "contraction", "continuity"])
+    def test_torus_geometry(self, tmp_path, capture, argv, table):
+        built = capture(cli, "model_torus")
+        out = tmp_path / "run"
+        assert cli.run(argv + self.TORUS8 + ["--out", str(out)]) == 0
+        assert [space.n for _, space in built] == [64]
+        assert (out / table).exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tangency", "--n", "64"], "tangency needs --geometry"),
+        (["flow", "--geometry", "circle", "--n", "16", "--times", "0.1,abc"], "bad time 'abc'"),
+        (["flow", "--geometry", "circle", "--n", "16", "--times", "0.1", "--pairs", "0:1,2"],
+         "bad i:j pair '2'"),
+        (["flow", "--geometry", "circle", "--n", "16", "--times", "0.1", "--pairs", ","],
+         "empty pair list"),
+    ], ids=["tangency-no-geometry", "bad-time", "bad-pair", "empty-pairs"])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run"
+        assert cli.run(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, "points: 2"], ids=["missing", "not-json"])
+    def test_unreadable_space_file_exits_2(self, tmp_path, capsys, content):
+        path, out = tmp_path / "space.json", tmp_path / "run"
+        if content is not None:
+            path.write_text(content)
+        assert cli.run(["flow", "--space", str(path), "--times", "0.1", "--out", str(out)]) == 2
+        assert f"cannot read space file {path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["contraction", "--times", "0.1,0.5", "--pairs", "0:1"],
+        ["continuity", "--t", "0.1", "--deltas", "0.05"],
+    ], ids=["contraction", "continuity"])
+    def test_nonfinite_K_exits_2(self, tmp_path, capsys, argv):
+        # Python's json reads and writes NaN
+        path, out = tmp_path / "space.json", tmp_path / "run"
+        path.write_text(json.dumps({"points": 2, "edges": [[0, 1, 1.0]],
+                                    "measure": [1.0, 1.0], "K": float("nan")}))
+        assert '"K": NaN' in path.read_text()
+        assert cli.run(argv + ["--space", str(path), "--out", str(out)]) == 2
+        assert "K must be finite, not nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("geometry, v", [
+        (["circle", "--n", "64"], "nan"), (["circle", "--n", "64"], "inf"),
+        (["sphere"], "nan"), (["sphere"], "inf"),
+        (["torus", "--n1", "64", "--n2", "64"], "nan,1.0"),
+    ], ids=["circle-nan", "circle-inf", "sphere-nan", "sphere-inf", "torus-nan"])
+    def test_tangency_nonfinite_v_exits_2(self, tmp_path, capsys, monkeypatch, geometry, v):
+        def refuse(*args):
+            raise AssertionError("solved with a non-finite tangent vector")
+
+        monkeypatch.setattr(tangent, "solve_weighted_poisson", refuse)
+        out = tmp_path / "run"
+        assert cli.run(["tangency", "--geometry", *geometry, f"--v={v}", "--out", str(out)]) == 2
+        assert "tangent vector v must be finite, not v=" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tangency_torus_default_v(self, tmp_path, monkeypatch):
+        seen, experiment = [], tangent.tangency_experiment
+
+        def recorder(geometry, **kwargs):
+            seen.append(kwargs["v"])
+            return experiment(geometry, **kwargs)
+
+        monkeypatch.setattr(tangent, "tangency_experiment", recorder)
+        code = cli.run(["tangency", "--geometry", "torus", "--n1", "64", "--n2", "64",
+                        "--tmax", "0.4", "--tmin", "0.1", "--out", str(tmp_path)])
+        assert code == 0
+        assert seen == [(1.0, 0.0)]
+
+
 class TestRepeatedRuns:
     def test_runs_in_one_process_match_fresh_processes(self, tmp_path, capsys):
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -217,6 +217,20 @@ class TestContraction:
         with pytest.raises(hm.FlowError):
             hm.contraction_report(space, times, [pair])
 
+    @pytest.mark.parametrize("pair", [(0, 1.5), (0.0, 1), ("0", 1)])
+    def test_point_indices_are_integers(self, circle16, pair):
+        _, space, hs = circle16
+        message = "does not hold two point indices"
+        with pytest.raises(hm.FlowError, match=message):
+            hm.dtilde_pairs(hs, 0.1, [pair])
+        with pytest.raises(hm.FlowError, match=message):
+            hm.contraction_report(space, [0.1], [pair])
+
+    def test_numpy_point_indices(self, circle16):
+        _, _, hs = circle16
+        assert (hm.dtilde_pairs(hs, 0.1, [(np.int64(0), np.int32(1))])
+                == hm.dtilde_pairs(hs, 0.1, [(0, 1)])).all()
+
     def test_complete_graph_and_hypercube(self):
         for space in (complete_graph_space(8), hypercube_space(4)):
             rep = hm.contraction_report(space, [0.1, 0.5], [(0, space.n - 1)])

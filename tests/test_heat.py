@@ -40,7 +40,7 @@ class TestSpectralDecompose:
     def test_dense_cap(self):
         fake = hm.FiniteMetricMeasureSpace(
             n=4097, edges=np.zeros((0, 2), dtype=int), lengths=np.zeros(0),
-            dist=np.zeros((1, 1)), measure=np.ones(4097),
+            dist=np.zeros((1, 1)), measure=np.ones(4097), conductances=np.zeros(0),
         )
         with pytest.raises(hm.HeatError):
             hm.spectral_decompose(fake)

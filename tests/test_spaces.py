@@ -70,6 +70,47 @@ class TestBuildSpace:
         assert np.all(offdiag > 0)
 
 
+class TestBuildSpaceInputs:
+    """build_space rejects each bad input with a SpaceError naming it."""
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"measure": [1.0, np.nan]}, hm.NonpositiveWeight,
+         "measure weights must be finite and > 0, not nan"),
+        ({"measure": [np.inf, 1.0]}, hm.NonpositiveWeight, "not inf"),
+        ({"measure": [1.0, 1.0, 1.0]}, hm.SpaceError, r"measure must have shape \(2,\)"),
+        ({"edges": [(0, 1, np.nan)]}, hm.NonpositiveEdgeLength,
+         "edge lengths must be finite and > 0, not nan"),
+        ({"edges": [(0, 1, np.inf)]}, hm.NonpositiveEdgeLength, "not inf"),
+        ({"edges": [(0, 2, 1.0)]}, hm.SpaceError, "edge endpoint out of range"),
+        ({"edges": [(0, 1, 1.0), (1, 1, 1.0)]}, hm.SpaceError, "self loops are not allowed"),
+        ({"edges": []}, hm.DisconnectedGraph, "edge graph has 2 components"),
+        ({"conductances": [np.nan]}, hm.SpaceError,
+         "conductances must be finite and >= 0, not nan"),
+        ({"conductances": [np.inf]}, hm.SpaceError, "not inf"),
+        ({"conductances": [-1.0]}, hm.SpaceError, "not -1.0"),
+        ({"conductances": [1.0, 1.0]}, hm.SpaceError, "conductances must match the edge list"),
+        ({"K": np.nan}, hm.SpaceError, "K must be finite, not nan"),
+        ({"K": -np.inf}, hm.SpaceError, "K must be finite, not -inf"),
+    ], ids=["measure-nan", "measure-inf", "measure-shape", "length-nan", "length-inf",
+            "endpoint", "self-loop", "no-edges", "conductance-nan", "conductance-inf",
+            "conductance-negative", "conductance-count", "K-nan", "K-inf"])
+    def test_rejects(self, kwargs, error, message):
+        args = {"points": 2, "edges": [(0, 1, 1.0)], "measure": [1.0, 1.0], **kwargs}
+        with pytest.raises(error, match=message):
+            hm.build_space(**args)
+
+    def test_single_point(self):
+        space = hm.build_space(1, [], [2.0], K=0.0)
+        assert space.dist.tolist() == [[0.0]]
+        assert space.edges.shape == (0, 2) and space.conductances.shape == (0,)
+        assert hm.spectral_decompose(space).eigenvalues.tolist() == [0.0]
+
+    def test_default_conductances(self):
+        # min(m_i, m_j) / length^2 per edge, resolved once by build_space
+        space = hm.build_space(3, [(0, 1, 2.0), (1, 2, 0.5)], [1.0, 3.0, 2.0])
+        assert space.conductances.tolist() == [0.25, 8.0]
+
+
 class TestModelCircle:
     def test_antipodal(self):
         _, space = hm.model_circle(2 * np.pi, 8)
@@ -90,7 +131,7 @@ class TestModelCircle:
     def test_volume_weights(self):
         geom, _ = hm.model_circle(2 * np.pi, 32)
         assert_allclose(geom.volume_weights().sum(), 2 * np.pi, rtol=1e-10)
-        assert geom.ricci(0.3, 2.0) == 0.0
+        assert geom.K == 0.0
 
 
 class TestModelTorus:
@@ -117,19 +158,27 @@ class TestModelTorus:
 
     def test_flat_ricci_and_volume(self):
         geom, _ = hm.model_torus(2.0, 3.0, 8, 8)
-        assert geom.ricci((0.1, 0.2), (1.0, -2.0)) == 0.0
+        assert geom.K == 0.0
         assert_allclose(geom.volume_weights().sum(), 6.0, rtol=1e-10)
 
 
 class TestModelSphere:
     def test_unit_ricci(self):
-        geom = hm.SphereGeometry(1.0, 64, 40)
-        assert_allclose(geom.ricci(None, 1.0), 1.0, rtol=1e-15)
+        # Ric(v, v) = K |v|^2 with K = 1 / r^2
+        assert hm.SphereGeometry(1.0, 64, 40).K == 1.0
+        assert hm.SphereGeometry(2.0, 64, 40).K == 0.25
 
     def test_quadratic_form(self):
+        # the Ricci pairing K g_t(v, v) and the Bochner derivative are
+        # quadratic in v
         geom = hm.SphereGeometry(2.0, 64, 40)
         v = np.array([0.3, -0.4])
-        assert_allclose(geom.ricci(None, 2 * v), 4 * geom.ricci(None, v), rtol=1e-14)
+        assert_allclose(hm.metric_gt(geom, 0.0, v=2 * v), 4 * hm.metric_gt(geom, 0.0, v=v),
+                        rtol=1e-14)
+        assert_allclose(geom.K * hm.metric_gt(geom, 0.2, v=2 * v),
+                        4 * geom.K * hm.metric_gt(geom, 0.2, v=v), rtol=1e-14)
+        assert_allclose(hm.gt_derivative_bochner(geom, 0.2, v=2 * v),
+                        4 * hm.gt_derivative_bochner(geom, 0.2, v=v), rtol=1e-14)
 
     def test_area(self):
         geom = hm.SphereGeometry(1.7, 128, 60)

@@ -195,6 +195,15 @@ class TestVelocityPotential:
 
 
 class TestMetricGt:
+    @pytest.mark.parametrize("x, v, message", [
+        ((0.0,), (1.0, 0.0), r"points need one coordinate per grid axis \(2\)"),
+        (None, 1.0, r"tangent vectors need one component per grid axis \(2\)"),
+        (None, (1.0, 0.0, 0.0), r"tangent vectors need one component per grid axis \(2\)"),
+    ], ids=["point", "vector-short", "vector-long"])
+    def test_component_count(self, x, v, message):
+        with pytest.raises(hm.TangentError, match=message):
+            hm.tangent_state(TORUS, 0.2, x=x, v=v)
+
     @pytest.mark.parametrize("geom, v", [
         (hm.CircleGeometry(2 * np.pi, 64), np.nan),
         (hm.CircleGeometry(2 * np.pi, 64), np.inf),
@@ -414,8 +423,29 @@ class TestMetricSpeed:
         with pytest.raises(hm.UnresolvedTime):
             hm.metric_speed_check(coarse, 0.2, coarse.h)
 
+    def test_under_resolved_probe_step(self):
+        # the grid resolves t = 0.2, the snapped step 12 h = 0.29 does not
+        with pytest.raises(hm.UnresolvedTime, match="under-resolves the probe step"):
+            hm.metric_speed_check(CIRCLE, 0.2, 0.3)
+
+    def test_circle_only(self):
+        with pytest.raises(hm.TangentError, match="implemented on the circle"):
+            hm.metric_speed_check(TORUS, 0.2, TORUS.h[0])
+
 
 class TestTangencyExperiment:
+    @pytest.mark.parametrize("geom", [
+        CIRCLE, hm.SphereGeometry(1.0, 64, 40),
+        hm.TorusGeometry(L1=2 * np.pi, L2=2 * np.pi, n1=64, n2=64),
+    ], ids=["circle", "sphere", "torus"])
+    def test_nonfinite_tangent_vector(self, geom, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved with a non-finite tangent vector")
+
+        monkeypatch.setattr(tangent, "solve_weighted_poisson", refuse)
+        with pytest.raises(hm.TangentError, match=r"tangent vector v must be finite, not v=\[nan, 1.0\]"):
+            hm.tangency_experiment(geom, v=(np.nan, 1.0), t_grid=[0.4, 0.2])
+
     def test_circle_slope_to_zero(self):
         rep = hm.tangency_experiment(CIRCLE, v=1.0, t_grid=[0.2, 0.1, 0.05, 0.025])
         assert abs(rep.extrapolated_slope) < 0.05

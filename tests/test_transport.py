@@ -64,6 +64,14 @@ def heat_rows(n, t, offsets):
 
 
 class TestW2Exact:
+    @pytest.mark.parametrize("mu, dist, message", [
+        (np.full(2, 0.5), PATH3, "marginals must be vectors on the same space"),
+        (np.full(3, 1 / 3), np.ones((3, 2)), "dist must be square"),
+    ], ids=["unequal-shapes", "non-square-dist"])
+    def test_input_shapes(self, mu, dist, message):
+        with pytest.raises(hm.TransportError, match=message):
+            hm.w2_exact(mu, np.full(3, 1 / 3), dist)
+
     def test_identical_marginals(self, rng):
         mu = rng.random(6) + 0.1
         mu /= mu.sum()
@@ -555,14 +563,14 @@ class TestLPPath:
         pairs, dist = self._graph_batch(9)
         monkeypatch.setattr(transport, "_cores", lambda: 1)
         serial = transport._w2_exact_batch(pairs, dist).tolist()
-        fresh, taken = transport._Batch.fresh, []
+        init, taken = transport._Batch.__init__, []
 
-        def counted(batch):
+        def counted(batch, dist, h):
             taken.append(1)
-            return fresh(batch)
+            init(batch, dist, h)
 
         monkeypatch.setattr(transport, "_cores", lambda: 4)
-        monkeypatch.setattr(transport._Batch, "fresh", counted)
+        monkeypatch.setattr(transport._Batch, "__init__", counted)
         interval, threads = sys.getswitchinterval(), threading.active_count()
         sys.setswitchinterval(1e-6)
         try:
