@@ -43,7 +43,7 @@ from . import heat as heat_mod
 from . import tangent as tangent_mod
 from . import transport as transport_mod
 from .geometry import CircleGeometry, SphereGeometry, TorusGeometry
-from .spaces import SpaceError, build_space, model_circle, model_torus
+from .spaces import build_space, model_circle, model_torus
 
 __all__ = ["main", "run"]
 
@@ -87,13 +87,9 @@ def load_space(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read space file {path}: {exc}") from exc
     try:
-        edges = [(int(i), int(j), float(ell)) for i, j, ell in data["edges"]]
-        cond = data.get("conductances")
-        return build_space(
-            int(data["points"]), edges, np.asarray(data["measure"], dtype=float),
-            K=data.get("K"), conductances=None if cond is None else np.asarray(cond, float),
-        )
-    except (KeyError, TypeError, ValueError, SpaceError) as exc:
+        return build_space(data["points"], data["edges"], data["measure"],
+                           K=data.get("K"), conductances=data.get("conductances"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed space file {path}: {exc}") from exc
 
 
@@ -209,7 +205,7 @@ def cmd_tangency(args):
     v = tuple(float(s) for s in args.v.split(",")) if "," in args.v else float(args.v)
     if isinstance(geom, TorusGeometry) and not isinstance(v, tuple):
         v = (float(v), 0.0)
-    report = tangent_mod.tangency_experiment(geom, x=None, v=v, t_grid=t_grid)
+    report = tangent_mod.tangency_experiment(geom, v=v, t_grid=t_grid)
     columns = ("t", "g_t", "slope", "hessian_mass", "target", "deviation")
     rows = [[row[k] for k in columns] + [""] for row in report.rows()]
     rows.append(["extrapolated", report.extrapolated_slope, "", "", report.target,
@@ -445,7 +441,7 @@ def run(argv=None) -> int:
         # valid input the solver could not certify: a failed run, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, SpaceError, ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for c in checks:

@@ -22,11 +22,10 @@ from functools import cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
-from .geometry import SphereGeometry, legendre_table
+from .geometry import SphereGeometry, _require_integers, legendre_table
 from .heat import _sphere_decay, heat_apply, spectral_decompose
-from .spaces import _adjacency, model_circle
+from .spaces import _adjacency, _path_metric, model_circle
 from .transport import _monotone_segments, _w2_exact_batch, w2_exact
 
 __all__ = [
@@ -173,17 +172,13 @@ def _orbit_representatives(pairs, symmetries):
 
 
 def dt_arc_matrix(space, dtilde) -> np.ndarray:
-    """Arc distance: all-pairs shortest paths over the original edge set with
-    dtilde edge weights. Dominates dtilde entrywise by its triangle
-    inequality; at t = 0 it reproduces the original metric exactly. A graph
-    file has no grid scale to take longer jumps from, so its d_t stays on
-    the edge graph."""
+    """Arc distance: the space's own path-metric builder over the original
+    edge set with dtilde edge weights, so at t = 0 it is the original metric
+    exactly. It dominates dtilde entrywise by its triangle inequality. A graph
+    file has no grid scale to take longer jumps from, so d_t stays on it."""
     dtilde = np.asarray(dtilde)
-    adj = _adjacency(space.n, space.edges, dtilde[space.edges[:, 0], space.edges[:, 1]])
-    dt = shortest_path(adj, directed=False)
-    dt = np.minimum(dt, dt.T)
-    np.fill_diagonal(dt, 0.0)
-    return dt
+    return _path_metric(_adjacency(space.n, space.edges,
+                                   dtilde[space.edges[:, 0], space.edges[:, 1]]))
 
 
 def flow_matrices(hs, t) -> FlowDistanceMatrix:
@@ -241,15 +236,17 @@ def _as_measure_pair(space, pair):
 
 def _contraction(K, times, labelled_pairs, w2, evolve) -> ContractionReport:
     """Ratios W_2(evolve(t, mu), evolve(t, nu)) / W_2(mu, nu) against e^{-Kt}
-    for each (mu, nu, label); t = 0 reuses W_2(mu, nu)."""
+    for each (mu, nu, label), at least one pair and one time."""
     bad = [t for t in times if not 0 <= t < np.inf]
     if bad:
         raise FlowError(f"time must be finite and >= 0, not {bad[0]}")
+    if len(times) == 0 or not labelled_pairs:
+        raise FlowError("contraction needs at least one pair and one time")
     records = []
     for mu, nu, label in labelled_pairs:
         w0 = w2(mu, nu)
         for t in times:
-            wt = w0 if t == 0 else w2(evolve(t, mu), evolve(t, nu))
+            wt = w2(evolve(t, mu), evolve(t, nu))
             records.append(ContractionRecord(
                 t=float(t), pair=label, w2_initial=w0, w2_evolved=wt,
                 bound=float(np.exp(-K * t)),
@@ -280,21 +277,24 @@ def contraction_report(space, times, pairs) -> ContractionReport:
 class ZonalMeasure:
     """Rotation-invariant probability measure on the sphere.
 
-    Either a finite list of latitude-ring atoms [(colatitude, mass)] or a
-    density given by Legendre coefficients of its profile with respect to
-    the volume measure. Heat evolution multiplies the coefficients by
-    e^{-l(l+1)t/r^2} under the sphere kernel's truncation rule (a tail above
-    1e-12 raises TruncationError); ring atoms are expanded with the exact
-    coefficients (2l+1) P_l(cos theta0) / (4 pi r^2) when evolved.
+    Either the unit ring at one colatitude (a pole at 0 or pi) or a density
+    given by Legendre coefficients of its profile with respect to the volume
+    measure. Heat evolution multiplies the coefficients by e^{-l(l+1)t/r^2}
+    under the sphere kernel's truncation rule (a tail above 1e-12 raises
+    TruncationError); a ring is expanded with the exact coefficients
+    (2l+1) P_l(cos theta0) / (4 pi r^2) when evolved.
     """
 
     geometry: SphereGeometry
     coeffs: np.ndarray | None = None
-    atoms: tuple | None = None
+    colatitude: float | None = None
 
     @staticmethod
-    def ring(geometry, colatitude, mass=1.0):
-        return ZonalMeasure(geometry, atoms=((float(colatitude), float(mass)),))
+    def ring(geometry, colatitude):
+        """The unit ring at a colatitude in [0, pi] (FlowError otherwise)."""
+        if not 0 <= colatitude <= np.pi:
+            raise FlowError(f"a ring's colatitude must lie in [0, pi], not {colatitude}")
+        return ZonalMeasure(geometry, colatitude=float(colatitude))
 
     @staticmethod
     def pole(geometry, south=False):
@@ -305,25 +305,20 @@ class ZonalMeasure:
         """H_t of a pole mass, as exact coefficients."""
         return ZonalMeasure.pole(geometry, south=south).evolve(t)
 
-    def _atom_coeffs(self):
-        ls = np.arange(self.geometry.l_max + 1)
-        c = np.zeros(self.geometry.l_max + 1)
-        for theta0, mass in self.atoms:
-            P = legendre_table(self.geometry.l_max, np.array([np.cos(theta0)]))[:, 0]
-            c += mass * (2 * ls + 1) * P / (4 * np.pi * self.geometry.r**2)
-        return c
-
     def evolve(self, t) -> "ZonalMeasure":
         if t == 0:
             return self
-        decay = _sphere_decay(t, self.geometry.r, self.geometry.l_max)
-        c = self.coeffs if self.coeffs is not None else self._atom_coeffs()
-        return ZonalMeasure(self.geometry, coeffs=c * decay)
+        r, l_max = self.geometry.r, self.geometry.l_max
+        c = self.coeffs
+        if c is None:
+            P = legendre_table(l_max, np.array([np.cos(self.colatitude)]))[:, 0]
+            c = (2 * np.arange(l_max + 1) + 1) * P / (4 * np.pi * r**2)
+        return ZonalMeasure(self.geometry, coeffs=c * _sphere_decay(t, r, l_max))
 
     def cell_masses(self) -> np.ndarray:
         """Exact integrals of the density over the colatitude cells."""
         if self.coeffs is None:
-            raise FlowError("ring atoms have no density; w2_zonal couples them as atoms")
+            raise FlowError("a ring has no density; w2_zonal couples it as one atom")
         return np.clip(self.geometry.zone_integrals(self.coeffs), 0.0, None)
 
 
@@ -332,8 +327,8 @@ def w2_zonal(mu: ZonalMeasure, nu: ZonalMeasure) -> float:
 
     Transport runs along meridians, so the sphere distance reduces to
     r |theta - theta'| and the optimal coupling is monotone in colatitude.
-    The circle solver's walk couples the ordered pieces (ring atoms, or cells
-    of uniform density between their faces). Both quantile functions are
+    The circle solver's walk couples the ordered pieces (a ring, or cells of
+    uniform density between their faces). Both quantile functions are
     linear on each segment of mass m, so W_2^2 is the exact sum of
     m (d0^2 + d0 d1 + d1^2) / 3 over the segments' end gaps d0 and d1.
     """
@@ -345,14 +340,14 @@ def w2_zonal(mu: ZonalMeasure, nu: ZonalMeasure) -> float:
 
 
 def _pieces(measure):
-    """(mass, lo, hi) of the ordered colatitude pieces of total mass 1, where
-    a ring atom has lo == hi; zero-mass pieces (clipped cells) are dropped."""
-    if measure.atoms is not None:
-        theta, mass = np.array(sorted(measure.atoms)).T
-        lo = hi = theta
-    else:
-        faces = measure.geometry.faces()
-        mass, lo, hi = measure.cell_masses(), faces[:-1], faces[1:]
+    """(mass, lo, hi) of the ordered colatitude pieces of total mass 1: a
+    ring is one piece with lo == hi, a density its cells of positive mass
+    (clipped cells are dropped)."""
+    if measure.colatitude is not None:
+        theta = np.array([measure.colatitude])
+        return np.ones(1), theta, theta
+    faces = measure.geometry.faces()
+    mass, lo, hi = measure.cell_masses(), faces[:-1], faces[1:]
     keep = mass > 0
     return mass[keep] / mass.sum(), lo[keep], hi[keep]
 
@@ -366,7 +361,7 @@ def _quantile(pieces, k, u):
 
 def sphere_contraction_report(geometry, times, pairs) -> ContractionReport:
     """Contraction ratios on the sphere (K = 1/r^2) for zonal measure pairs."""
-    labelled = ((mu, nu, (f"zonal{idx}a", f"zonal{idx}b")) for idx, (mu, nu) in enumerate(pairs))
+    labelled = [(mu, nu, (f"zonal{idx}a", f"zonal{idx}b")) for idx, (mu, nu) in enumerate(pairs)]
     return _contraction(geometry.K, times, labelled, w2_zonal, lambda t, mu: mu.evolve(t))
 
 
@@ -415,7 +410,7 @@ def time_continuity_report(space, t, deltas) -> TimeContinuityReport:
         excess = max(excess, float((shifted.dt - factor * base.dt).max()))
     sups = np.array(sups)
     pos = sups[deltas > 0]
-    decreasing = bool(np.all(np.diff(pos) <= 1e-12)) if pos.size > 1 else True
+    decreasing = bool(np.all(np.diff(pos) <= 1e-12))
     return TimeContinuityReport(t=float(t), deltas=deltas, sup_differences=sups,
                                 semigroup_excess=excess, decreasing=decreasing)
 
@@ -444,8 +439,9 @@ def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
 
     probe_pairs are pairs of circle fractions in [0, 1); each must land on a
     node of every grid. Reports dtilde_{n,t} at the matched nodes, successive
-    differences, and the empirical convergence order (expected >= 1).
-    """
+    differences, and the empirical convergence order (expected >= 1). Grid
+    sizes must be integers, checked before any grid is built."""
+    _require_integers("each grid size", grid_sizes, FlowError)
     sizes = tuple(int(n) for n in grid_sizes)
     if len(sizes) < 3:  # an order compares two differences
         raise FlowError("refinement needs at least three grid sizes")

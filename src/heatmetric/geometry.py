@@ -13,6 +13,7 @@ GeometryError on values it cannot discretize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,10 +36,17 @@ class TruncationError(GeometryError):
     """Spectral truncation too small for the requested evaluation."""
 
 
-def _require_integers(**sizes):
-    for name, value in sizes.items():
-        if not isinstance(value, (int, np.integer)):
-            raise GeometryError(f"{name} must be an integer, got {value!r}")
+def _require_integers(what, values, error=GeometryError):
+    """Raise error naming the first of values that is not an integer."""
+    bad = [v for v in values if not isinstance(v, (int, np.integer))]
+    if bad:
+        raise error(f"{what} must be an integer, got {bad[0]!r}")
+
+
+def _require_lengths(what, *values):
+    for value in values:
+        if not 0 < value < np.inf:
+            raise GeometryError(f"{what} must be > 0 and finite, not {value}")
 
 
 def legendre_table(l_max, x):
@@ -71,21 +79,18 @@ def legendre_table_with_derivative(l_max, x):
 
 @dataclass(frozen=True)
 class CircleGeometry:
-    """Circle of circumference L > 0 on n >= 8 equispaced nodes, n an integer."""
+    """Circle of finite circumference L > 0 on n >= 8 equispaced nodes, n an
+    integer."""
 
     L: float
     n: int
+    K: ClassVar[float] = 0.0
 
     def __post_init__(self):
-        _require_integers(n=self.n)
-        if self.L <= 0:
-            raise GeometryError("L must be > 0")
+        _require_integers("n", [self.n])
+        _require_lengths("L", self.L)
         if self.n < 8:
             raise GeometryError("circle grid needs n >= 8")
-
-    @property
-    def K(self) -> float:
-        return 0.0
 
     @property
     def h(self) -> float:
@@ -99,10 +104,6 @@ class CircleGeometry:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n) * self.h
 
-    def faces(self) -> np.ndarray:
-        """Midpoints between consecutive nodes (periodic)."""
-        return self.nodes() + 0.5 * self.h
-
     def volume_weights(self) -> np.ndarray:
         return np.full(self.n, self.h)
 
@@ -110,23 +111,20 @@ class CircleGeometry:
 @dataclass(frozen=True)
 class TorusGeometry:
     """Flat torus [0, L1) x [0, L2), discretized by an n1 x n2 grid; the sides
-    must be > 0 and n1, n2 integers >= 8."""
+    must be finite and > 0, and n1, n2 integers >= 8."""
 
     L1: float
     L2: float
     n1: int
     n2: int
+    K: ClassVar[float] = 0.0
 
     def __post_init__(self):
-        _require_integers(n1=self.n1, n2=self.n2)
-        if self.L1 <= 0 or self.L2 <= 0:
-            raise GeometryError("torus side lengths must be > 0")
+        _require_integers("n1", [self.n1])
+        _require_integers("n2", [self.n2])
+        _require_lengths("torus side lengths", self.L1, self.L2)
         if self.n1 < 8 or self.n2 < 8:
             raise GeometryError("torus grid needs n1, n2 >= 8")
-
-    @property
-    def K(self) -> float:
-        return 0.0
 
     @property
     def h(self):
@@ -152,8 +150,9 @@ class SphereGeometry:
     agree with 2 pi r^2 sin(theta) dtheta to second order and telescope to
     the exact total area 4 pi r^2.
 
-    Requires r > 0 and integers n_theta >= 64, l_max >= 40. Small times also
-    need the kernel's last Legendre coefficient at most 1e-12 (TruncationError).
+    Requires a finite r > 0 and integers n_theta >= 64, l_max >= 40. Small
+    times also need the kernel's last Legendre coefficient at most 1e-12
+    (TruncationError).
     """
 
     r: float
@@ -161,9 +160,9 @@ class SphereGeometry:
     l_max: int
 
     def __post_init__(self):
-        _require_integers(n_theta=self.n_theta, l_max=self.l_max)
-        if self.r <= 0:
-            raise GeometryError("radius must be > 0")
+        _require_integers("n_theta", [self.n_theta])
+        _require_integers("l_max", [self.l_max])
+        _require_lengths("radius", self.r)
         if self.n_theta < 64:
             raise GeometryError("sphere grid needs n_theta >= 64")
         if self.l_max < 40:

@@ -52,9 +52,6 @@ class HeatStructure:
     eigenvectors: np.ndarray
     space: FiniteMetricMeasureSpace
 
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
-
 
 def spectral_decompose(space: FiniteMetricMeasureSpace) -> HeatStructure:
     """Full eigendecomposition of the measure-weighted graph generator.
@@ -128,10 +125,8 @@ def _circle_fourier(t, L, s, deriv):
     arg = np.outer(s, om)
     if deriv == 0:
         vals = 1.0 + 2.0 * np.cos(arg) @ decay
-    elif deriv == 1:
-        vals = -2.0 * np.sin(arg) @ (om * decay)
     else:
-        vals = -2.0 * np.cos(arg) @ (om**2 * decay)
+        vals = -2.0 * np.sin(arg) @ (om * decay)
     return vals / L
 
 
@@ -146,10 +141,8 @@ def _circle_images(t, L, s, deriv):
         g = norm * np.exp(-z**2 / (4 * t))
         if deriv == 0:
             out += g
-        elif deriv == 1:
-            out += g * (-z / (2 * t))
         else:
-            out += g * (z**2 / (4 * t**2) - 1.0 / (2 * t))
+            out += g * (-z / (2 * t))
     return out
 
 
@@ -158,13 +151,12 @@ def circle_kernel(t, L, s, deriv=0):
 
     Uses the Fourier series for t >= L^2 / (4 pi) and the Gaussian image sum
     otherwise; the two representations agree at the crossover to ~1e-15.
-    deriv selects d/ds (1) or d^2/ds^2 (2); the latter equals d/dt by the
-    heat equation.
+    deriv 1 selects d/ds.
     """
     if not 0 < t < np.inf:
         raise HeatError(f"kernel requires a finite t > 0, not {t}")
-    if deriv not in (0, 1, 2):
-        raise HeatError("deriv must be 0, 1 or 2")
+    if deriv not in (0, 1):
+        raise HeatError("deriv must be 0 or 1")
     scalar = np.isscalar(s)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if t >= L**2 / (4 * np.pi):
@@ -238,5 +230,5 @@ def heat_injectivity_margin(hs: HeatStructure, t: float) -> float:
     sqm = np.sqrt(hs.space.measure)
     S = rho * sqm[:, None] * sqm[None, :]
     smin = float(np.linalg.svd(S, compute_uv=False)[-1])
-    return smin - np.exp(-hs.lambda_max() * t)
+    return smin - np.exp(-hs.eigenvalues[-1] * t)
 

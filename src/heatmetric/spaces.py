@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .geometry import CircleGeometry, TorusGeometry
+from .geometry import CircleGeometry, TorusGeometry, _require_integers
 
 __all__ = [
     "SpaceError",
@@ -114,6 +114,15 @@ def _adjacency(n, edges, values):
     return m.tocsr()
 
 
+def _path_metric(adj):
+    """All-pairs shortest paths over the weighted adjacency adj, made exactly
+    symmetric with a zero diagonal: the space's metric, and d_t."""
+    dist = shortest_path(adj, directed=False)
+    dist = np.minimum(dist, dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
 def _edge_table(edges, lengths, cond):
     """Rows (min end, max end, length, conductance) in lexicographic order:
     one canonical form of the edge multiset."""
@@ -155,9 +164,10 @@ def build_space(points, edges, measure, K=None, conductances=None,
     Parameters
     ----------
     points : int
-        Number of points.
+        Number of points, a Python or NumPy integer.
     edges : sequence of (i, j, length)
-        Undirected edges between distinct points, lengths finite and > 0.
+        Undirected edges between distinct points, given by Python or NumPy
+        integers, lengths finite and > 0.
     measure : array_like, shape (points,)
         Finite, strictly positive weights.
     K : float, optional
@@ -174,10 +184,12 @@ def build_space(points, edges, measure, K=None, conductances=None,
     ------
     DisconnectedGraph, NonpositiveWeight, NonpositiveEdgeLength
         The last two also on a non-finite weight or length. SpaceError,
-        naming the value, also on a non-finite K or conductance, and when a
+        naming the value, also on a point count or edge endpoint that is not
+        an integer, on a non-finite K or conductance, and when a
         declared symmetry is not a permutation or moves the measure, an
         edge, its length or its conductance.
     """
+    _require_integers("the point count", [points], SpaceError)
     n = int(points)
     measure = np.asarray(measure, dtype=float)
     if measure.shape != (n,):
@@ -187,7 +199,8 @@ def build_space(points, edges, measure, K=None, conductances=None,
     if K is not None and not np.isfinite(K):
         raise SpaceError(f"K must be finite, not {K}")
 
-    edge_arr = np.array([(int(i), int(j)) for i, j, _ in edges], dtype=int).reshape(-1, 2)
+    _require_integers("each edge endpoint", [e for i, j, _ in edges for e in (i, j)], SpaceError)
+    edge_arr = np.array([(i, j) for i, j, _ in edges], dtype=int).reshape(-1, 2)
     lengths = np.array([float(ell) for _, _, ell in edges], dtype=float)
     _reject(lengths, lengths > 0, NonpositiveEdgeLength, "edge lengths must be finite and > 0")
     if np.any((edge_arr < 0) | (edge_arr >= n)):
@@ -200,9 +213,7 @@ def build_space(points, edges, measure, K=None, conductances=None,
     if ncomp != 1:
         raise DisconnectedGraph(f"edge graph has {ncomp} components")
 
-    dist = shortest_path(adj, directed=False)
-    dist = np.minimum(dist, dist.T)
-    np.fill_diagonal(dist, 0.0)
+    dist = _path_metric(adj)
 
     if conductances is None:
         cond = np.minimum(measure[edge_arr[:, 0]], measure[edge_arr[:, 1]]) / lengths**2

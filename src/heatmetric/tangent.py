@@ -241,6 +241,8 @@ class _PeriodicGrid:
         x0 = np.zeros(len(self.h)) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
         if x0.shape != (len(self.h),):
             raise TangentError(f"points need one coordinate per grid axis ({len(self.h)})")
+        if not np.isfinite(x0).all():
+            raise TangentError(f"points need finite coordinates, not x={x0.tolist()}")
         return x0
 
     def _kernels(self, t, x0, deriv=0, shift=0.0):
@@ -455,11 +457,12 @@ def tangent_state(geometry, t, x=None, v=1.0) -> TangentState:
 
     eta(y) = -grad_x rho(t, x, y) . v is built analytically (circle/torus: v_a
     times the offset derivative of axis a's kernel factor; sphere: the first
-    azimuthal mode, G(theta) = |v| K'(theta)/r). x and v have one component
-    per axis on the periodic grids; the sphere is homogeneous, so x is ignored
-    there and the potential is computed at the north pole. Solver densities
-    are floored at max * 1e-13 for conditioning, per axis factor on the grids.
-    The Hessian mass is reported only; its limit as t -> 0 is left open.
+    azimuthal mode, G(theta) = |v| K'(theta)/r). x and v have one finite
+    component per axis on the periodic grids; the sphere is homogeneous, so x
+    is ignored there and the potential is computed at the north pole. Solver
+    densities are floored at max * 1e-13 for conditioning, per axis factor on
+    the grids. The Hessian mass is reported only; its limit as t -> 0 is left
+    open.
     """
     return _resolved(geometry, t).evaluate(t, x, _tangent_vector(v))
 
@@ -533,7 +536,7 @@ def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
                              gt_value=g, w2_quotient_sq=(w2 / h_eff) ** 2)
 
 
-def tangency_experiment(geometry, x=None, v=1.0, *, t_grid) -> TangencyReport:
+def tangency_experiment(geometry, v=1.0, *, t_grid) -> TangencyReport:
     """Small-time slopes of g_t(v, v) against the -2 Ric(v, v) = -2 K |v|^2
     target.
 
@@ -559,7 +562,7 @@ def tangency_experiment(geometry, x=None, v=1.0, *, t_grid) -> TangencyReport:
     sp2 = float(np.sum(np.square(v)))
     gts, hms = np.zeros(ts.size), np.zeros(ts.size)
     for i, t in enumerate(ts):
-        state = disc.evaluate(t, x, v)
+        state = disc.evaluate(t, None, v)
         gts[i], hms[i] = state.plan.second_moment(), state.hessian_mass
     slopes = (gts - sp2) / ts
 

@@ -376,7 +376,8 @@ def w2_exact(mu, nu, dist) -> W2Result:
     one (see _w2_exact_batch).
     """
     mu, nu = _validate_pair(mu, nu)
-    return _Batch(*_checked_metric(dist)).solve(mu, nu)
+    dist = _square_metric(dist)
+    return _Batch(dist, _circle_spacing(dist)).solve(mu, nu)
 
 
 def _w2_exact_batch(pairs, dist) -> np.ndarray:
@@ -395,7 +396,8 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
     that chunk, and the first failing chunk's exception is raised in the
     caller.
     """
-    metric = _checked_metric(dist)
+    dist = _square_metric(dist)
+    h = _circle_spacing(dist)
     pairs = [_validate_pair(mu, nu) for mu, nu in pairs]
     count = len(pairs)
     chunks = min(count, _BATCH_CHUNKS)
@@ -406,7 +408,7 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
 
     def drain():
         for k in todo:
-            batch = _Batch(*metric)
+            batch = _Batch(dist, h)
             try:
                 for i in range(bounds[k], bounds[k + 1]):
                     values[i] = batch.solve(*pairs[i]).value
@@ -431,17 +433,17 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _checked_metric(dist):
-    """dist as a square float matrix, and its circle spacing (or None)."""
+def _square_metric(dist, n=None):
+    """dist as a square float matrix, on n points when n is given."""
     dist = np.asarray(dist, dtype=float)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or (n is not None and n != len(dist)):
         raise TransportError("dist must be square on the marginals' space")
-    return dist, _circle_spacing(dist)
+    return dist
 
 
 class _Batch:
-    """Solves on one checked metric (see _checked_metric), keeping the LP
-    model of the last support pair; each new batch starts cold."""
+    """Solves on one square metric dist and its circle spacing h (or None),
+    keeping the LP model of the last support pair; each batch starts cold."""
 
     def __init__(self, dist, h):
         self.dist, self.h = dist, h
@@ -454,10 +456,8 @@ class _Batch:
         swapped = _canonical_swap(mu, nu)
         if swapped:
             mu, nu = nu, mu
-        dist = self.dist
+        dist = _square_metric(self.dist, len(mu))
         n = len(dist)
-        if len(mu) != n:
-            raise TransportError("dist must be square on the marginals' space")
         smu = np.flatnonzero(mu > 0)
         snu = np.flatnonzero(nu > 0)
         # both solvers need equal totals (MASS_TOL admits a 1e-9 mismatch):
@@ -512,10 +512,10 @@ def dual_gap(mu, nu, value, potentials: DualPotentials, dist) -> float:
 
     Nonnegative for feasible potentials (weak duality) and <= 1e-8 at an
     optimum. Potentials infeasible on dist raise, since their gap bounds
-    nothing.
+    nothing; so does a dist that is not square on the marginals' space.
     """
     mu, nu = _validate_pair(mu, nu)
-    viol = potentials.feasibility_violation(dist)
+    viol = potentials.feasibility_violation(_square_metric(dist, len(mu)))
     if viol > 1e-10:
         raise TransportError(f"infeasible potentials (violation {viol:.2e})")
     return float(0.5 * value**2 - (potentials.phi @ mu + potentials.phi_c @ nu))
@@ -603,12 +603,13 @@ def w2_sinkhorn(mu, nu, dist, eps_final, return_info=False):
 
     With return_info=True also returns a dict with the plan's marginal
     violation and the diagonal-feasibility bias bound sqrt(2 eps_final log n)
-    relevant for the mu == nu case.
+    relevant for the mu == nu case. dist is checked as in w2_exact, without
+    the circle detection, which Sinkhorn does not use.
     """
     mu, nu = _validate_pair(mu, nu)
     if eps_final <= 0:
         raise TransportError("eps_final must be > 0")
-    dist = np.asarray(dist, dtype=float)
+    dist = _square_metric(dist, len(mu))
 
     swapped = _canonical_swap(mu, nu)
     a, b = (nu, mu) if swapped else (mu, nu)

@@ -106,10 +106,15 @@ class TestOptionSurface:
         no_k = tmp_path / "no_k.json"
         no_k.write_text(json.dumps({"points": 2, "edges": [[0, 1, 1.0]],
                                     "measure": [1.0, 1.0]}))
+        one_point = tmp_path / "one_point.json"
+        one_point.write_text(json.dumps({"points": 1, "edges": [], "measure": [1.0], "K": 0.0}))
         out = tmp_path / "run"
         for argv, message in [
             (["contraction", "--space", str(no_k), "--times", "0.1"],
              "contraction needs a declared curvature bound K"),
+            # a one-point space draws min(4, n // 2) = 0 default pairs
+            (["contraction", "--space", str(one_point), "--times", "0.1"],
+             "contraction needs at least one pair and one time"),
             (["continuity", "--space", str(no_k), "--t", "0.2", "--deltas", "0.1"],
              "time continuity bounds need a declared K"),
             (["continuity", "--geometry", "circle", "--n", "16", "--t", "0.2",
@@ -503,7 +508,17 @@ class TestInputBranches:
          "bad i:j pair '2'"),
         (["flow", "--geometry", "circle", "--n", "16", "--times", "0.1", "--pairs", ","],
          "empty pair list"),
-    ], ids=["tangency-no-geometry", "bad-time", "bad-pair", "empty-pairs"])
+        (["contraction", "--geometry", "sphere", "--r", "nan", "--times", "0.1"],
+         "radius must be > 0 and finite, not nan"),
+        (["contraction", "--geometry", "sphere", "--r", "inf", "--times", "0.1"],
+         "radius must be > 0 and finite, not inf"),
+        (["tangency", "--geometry", "circle", "--L", "nan"], "L must be > 0 and finite, not nan"),
+        (["tangency", "--geometry", "sphere", "--r", "nan"], "radius must be > 0 and finite"),
+        (["flow", "--geometry", "torus", "--L1", "inf", "--n1", "8", "--n2", "8",
+          "--times", "0.1"], "torus side lengths must be > 0 and finite, not inf"),
+    ], ids=["tangency-no-geometry", "bad-time", "bad-pair", "empty-pairs",
+            "contraction-sphere-r-nan", "contraction-sphere-r-inf", "tangency-circle-L-nan",
+            "tangency-sphere-r-nan", "flow-torus-L1-inf"])
     def test_bad_arguments_exit_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "run"
         assert cli.run(argv + ["--out", str(out)]) == 2
@@ -546,6 +561,18 @@ class TestInputBranches:
         out = tmp_path / "run"
         assert cli.run(["tangency", "--geometry", *geometry, f"--v={v}", "--out", str(out)]) == 2
         assert "tangent vector v must be finite, not v=" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("space, message", [
+        ({"points": 2.9, "edges": [[0, 1, 1.0]]}, "the point count must be an integer, got 2.9"),
+        ({"points": 2, "edges": [[0, 1.7, 1.0]]}, "each edge endpoint must be an integer, got 1.7"),
+        ({"points": 2, "edges": [[0.0, 1, 1.0]]}, "each edge endpoint must be an integer, got 0.0"),
+    ], ids=["points", "endpoint", "integral-float-endpoint"])
+    def test_non_integer_space_file_exits_2(self, tmp_path, capsys, space, message):
+        path, out = tmp_path / "space.json", tmp_path / "run"
+        path.write_text(json.dumps({**space, "measure": [1.0, 1.0], "K": 0.0}))
+        assert cli.run(["flow", "--space", str(path), "--times", "0.1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_tangency_torus_default_v(self, tmp_path, monkeypatch):

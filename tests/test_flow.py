@@ -187,6 +187,24 @@ class TestContraction:
         rep = hm.contraction_report(space, [0.0], [(0, 4)])
         assert_allclose(rep.records[0].ratio, 1.0, rtol=0)
 
+    def test_zero_time_recomputes_the_same_bits(self, circle16, rng):
+        _, space, _ = circle16
+        mu, nu = rng.random(space.n) + 0.05, rng.random(space.n) + 0.05
+        rep = hm.contraction_report(space, [0.0, 0.1], [(0, 4), (mu / mu.sum(), nu / nu.sum())])
+        zero = [r for r in rep.records if r.t == 0]
+        assert len(zero) == 2 and all(r.w2_evolved == r.w2_initial for r in zero)
+
+    @pytest.mark.parametrize("times, pairs", [([0.1], []), ([], [(0, 1)])],
+                             ids=["no-pairs", "no-times"])
+    def test_needs_a_pair_and_a_time(self, circle16, monkeypatch, times, pairs):
+        def refuse(space):
+            raise AssertionError("decomposed without a pair or a time")
+
+        monkeypatch.setattr(flow, "spectral_decompose", refuse)
+        _, space, _ = circle16
+        with pytest.raises(hm.FlowError, match="needs at least one pair and one time"):
+            hm.contraction_report(space, times, pairs)
+
     def test_two_point_strict_contraction(self, two_point):
         space, _ = two_point
         rep = hm.contraction_report(space, [0.3, 0.7], [(0, 1)])
@@ -278,8 +296,26 @@ class TestSphereContraction:
         assert_allclose(hm.w2_zonal(ring, uniform), expected, rtol=1e-12)
 
     def test_atoms_have_no_cell_masses(self, sphere):
-        with pytest.raises(hm.FlowError, match="ring atoms have no density"):
+        with pytest.raises(hm.FlowError, match="a ring has no density"):
             hm.ZonalMeasure.ring(sphere, 0.9).cell_masses()
+
+    @pytest.mark.parametrize("theta", [5.0, -0.1, np.nan, np.inf])
+    def test_ring_colatitude_in_range(self, sphere, theta):
+        with pytest.raises(hm.FlowError, match=r"colatitude must lie in \[0, pi\], not"):
+            hm.ZonalMeasure.ring(sphere, theta)
+
+    def test_ring_fields(self, sphere):
+        ring = hm.ZonalMeasure.ring(sphere, np.pi)
+        assert ring == hm.ZonalMeasure.pole(sphere, south=True)
+        assert ring.colatitude == np.pi and ring.coeffs is None
+
+    def test_zero_time_and_empty_lists(self, sphere):
+        mu, nu = hm.ZonalMeasure.ring(sphere, 0.8), hm.ZonalMeasure.heat_kernel(sphere, 0.1)
+        rep = hm.sphere_contraction_report(sphere, [0.0, 0.1], [(mu, nu)])
+        assert rep.records[0].w2_evolved == rep.records[0].w2_initial
+        for times, pairs in (([0.1], []), ([], [(mu, nu)])):
+            with pytest.raises(hm.FlowError, match="needs at least one pair and one time"):
+                hm.sphere_contraction_report(sphere, times, pairs)
 
     def test_ring_pair(self, sphere):
         mu = hm.ZonalMeasure.ring(sphere, 0.8)
@@ -345,6 +381,15 @@ class TestRefinement:
         monkeypatch.setattr(flow, "model_circle", no_grid)
         with pytest.raises(hm.FlowError, match="at least one probe pair"):
             hm.refinement_stability(2 * np.pi, 0.1, [16, 32, 64], [])
+
+    @pytest.mark.parametrize("sizes, bad", [([8.5, 16, 32], "8.5"), ([16, 32, 64.0], "64.0")])
+    def test_grid_sizes_are_integers(self, monkeypatch, sizes, bad):
+        def no_grid(*args):
+            raise AssertionError("a grid was built before the sizes were checked")
+
+        monkeypatch.setattr(flow, "model_circle", no_grid)
+        with pytest.raises(hm.FlowError, match=f"each grid size must be an integer, got {bad}"):
+            hm.refinement_stability(2 * np.pi, 0.1, sizes, [(0.0, 0.5)])
 
     def test_unrepresentable_probe(self):
         with pytest.raises(hm.FlowError):

@@ -91,13 +91,24 @@ class TestBuildSpaceInputs:
         ({"conductances": [1.0, 1.0]}, hm.SpaceError, "conductances must match the edge list"),
         ({"K": np.nan}, hm.SpaceError, "K must be finite, not nan"),
         ({"K": -np.inf}, hm.SpaceError, "K must be finite, not -inf"),
+        ({"points": 2.9}, hm.SpaceError, "the point count must be an integer, got 2.9"),
+        ({"points": 2.0}, hm.SpaceError, "the point count must be an integer, got 2.0"),
+        ({"edges": [(0, 1.7, 1.0)]}, hm.SpaceError,
+         "each edge endpoint must be an integer, got 1.7"),
+        ({"edges": [(np.float64(0), 1, 1.0)]}, hm.SpaceError,
+         "each edge endpoint must be an integer"),
     ], ids=["measure-nan", "measure-inf", "measure-shape", "length-nan", "length-inf",
             "endpoint", "self-loop", "no-edges", "conductance-nan", "conductance-inf",
-            "conductance-negative", "conductance-count", "K-nan", "K-inf"])
+            "conductance-negative", "conductance-count", "K-nan", "K-inf", "points-float",
+            "points-integral-float", "endpoint-float", "endpoint-numpy-float"])
     def test_rejects(self, kwargs, error, message):
         args = {"points": 2, "edges": [(0, 1, 1.0)], "measure": [1.0, 1.0], **kwargs}
         with pytest.raises(error, match=message):
             hm.build_space(**args)
+
+    def test_numpy_integers(self):
+        space = hm.build_space(np.int64(2), [(np.int32(0), np.uint8(1), 1.0)], [1.0, 1.0])
+        assert space.n == 2 and space.edges.tolist() == [[0, 1]]
 
     def test_single_point(self):
         space = hm.build_space(1, [], [2.0], K=0.0)
@@ -209,6 +220,13 @@ class TestGeometryGuards:
         (hm.TorusGeometry, (1.0, 1.0, 8, 8.0), "n2 must be an integer"),
         (hm.SphereGeometry, (1.0, 64.0, 40), "n_theta must be an integer"),
         (hm.SphereGeometry, (1.0, 64, "40"), "l_max must be an integer"),
+        (hm.CircleGeometry, (np.nan, 16), "L must be > 0 and finite, not nan"),
+        (hm.CircleGeometry, (np.inf, 16), "L must be > 0 and finite, not inf"),
+        (hm.TorusGeometry, (np.nan, 1.0, 8, 8), "torus side lengths must be > 0 and finite, not nan"),
+        (hm.TorusGeometry, (1.0, np.inf, 8, 8), "torus side lengths must be > 0 and finite, not inf"),
+        (hm.SphereGeometry, (np.nan, 64, 80), "radius must be > 0 and finite, not nan"),
+        (hm.SphereGeometry, (np.inf, 64, 80), "radius must be > 0 and finite, not inf"),
+        (hm.model_torus, (np.nan, 1.0, 8, 8), "not nan"),
     ])
     def test_rejects(self, geometry, args, message):
         with pytest.raises(hm.GeometryError, match=message):

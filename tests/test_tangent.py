@@ -159,7 +159,7 @@ class TestVelocityPotential:
             geom = hm.CircleGeometry(L=L, n=n)
             vp = hm.tangent_state(geom, t, x=0.0, v=v).potential
             dphi = (np.roll(vp.phi, -1) - vp.phi) / geom.h
-            oracle = v + C / circle_kernel(t, L, geom.faces())
+            oracle = v + C / circle_kernel(t, L, geom.nodes() + 0.5 * geom.h)
             rel = np.abs((dphi - oracle) / oracle).max()
             assert rel < tol  # first-order at the antipodal density minimum
 
@@ -221,6 +221,23 @@ class TestMetricGt:
                 hm.metric_gt(geom, t, v=v)
         with pytest.raises(hm.TangentError, match="tangent vector v must be finite"):
             hm.tangent_state(geom, 0.2, v=v)
+
+    @pytest.mark.parametrize("geom, x", [
+        (hm.CircleGeometry(2 * np.pi, 64), np.nan),
+        (hm.CircleGeometry(2 * np.pi, 64), np.inf),
+        (TORUS, (0.0, -np.inf)),
+    ], ids=["circle-nan", "circle-inf", "torus-inf"])
+    def test_nonfinite_point(self, geom, x, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved at a non-finite point")
+
+        monkeypatch.setattr(tangent, "solve_weighted_poisson", refuse)
+        with pytest.raises(hm.TangentError, match=r"points need finite coordinates, not x=\["):
+            hm.metric_gt(geom, 0.2, x=x)
+
+    def test_unsupported_geometry(self):
+        with pytest.raises(hm.TangentError, match="unsupported geometry object"):
+            hm.metric_gt(object(), 0.2)
 
     def test_zero_time_returns_speed(self):
         assert hm.metric_gt(CIRCLE, 0.0, v=3.0) == 9.0

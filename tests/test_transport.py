@@ -207,6 +207,14 @@ class TestDuality:
         with pytest.raises(hm.TransportError):
             hm.dual_gap(space.delta(0), space.delta(1), 0.1, bad, dist=space.dist)
 
+    @pytest.mark.parametrize("dist", [np.ones((3, 3)), np.ones((8, 7)), np.ones(8)],
+                             ids=["wrong-size", "non-square", "vector"])
+    def test_dist_shape_checked(self, dist):
+        _, space = hm.model_circle(1.0, 8)
+        res = hm.w2_exact(space.delta(0), space.delta(1), space.dist)
+        with pytest.raises(hm.TransportError, match="dist must be square on the marginals' space"):
+            hm.dual_gap(space.delta(0), space.delta(1), res.value, res.potentials, dist=dist)
+
 
 class TestCTransform:
     def test_zero_function(self):
@@ -271,6 +279,22 @@ class TestSinkhorn:
         mu = np.full(8, 1 / 8)
         with pytest.raises(hm.TransportError):
             hm.w2_sinkhorn(mu, mu, space.dist, eps_final=0.0)
+
+    @pytest.mark.parametrize("dist", [np.ones((3, 3)), np.ones((16, 3))],
+                             ids=["wrong-size", "non-square"])
+    def test_dist_shape_checked(self, dist):
+        mu = np.full(16, 1 / 16)
+        with pytest.raises(hm.TransportError, match="dist must be square on the marginals' space"):
+            hm.w2_sinkhorn(mu, mu, dist, 0.1)
+
+    def test_no_circle_detection(self, rng, monkeypatch):
+        def refuse(dist):
+            raise AssertionError("Sinkhorn ran the circle detection")
+
+        monkeypatch.setattr(transport, "_circle_spacing", refuse)
+        _, space = hm.model_circle(1.0, 16)
+        mu, nu = rng.random(16) + 0.05, rng.random(16) + 0.05
+        assert hm.w2_sinkhorn(mu / mu.sum(), nu / nu.sum(), space.dist, 1e-2) > 0
 
     def test_nonconvergence_signalled(self, rng, monkeypatch):
         # the default cap and tolerance converge on this fixture even at tiny
