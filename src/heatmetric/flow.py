@@ -23,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import SphereGeometry, _require_integers, legendre_table
+from .geometry import SphereGeometry, _is_integer, _require_integers, legendre_table
 from .heat import _sphere_decay, heat_apply, spectral_decompose
 from .spaces import _adjacency, _path_metric, model_circle
 from .transport import _monotone_segments, _w2_exact_batch, w2_exact
@@ -85,7 +85,7 @@ def _triangle_violation(mat) -> float:
 def _point_pair(space, pair):
     """The pair's point indices, each checked to be an integer in 0..n-1."""
     x, y = pair
-    if not all(isinstance(i, (int, np.integer)) for i in pair):
+    if not all(_is_integer(i) for i in pair):
         raise FlowError(f"pair {x}:{y} does not hold two point indices")
     if not (0 <= x < space.n and 0 <= y < space.n):
         raise FlowError(f"pair {x}:{y} is out of range for {space.n} points")
@@ -117,8 +117,8 @@ def dtilde_matrix(hs, t) -> np.ndarray:
 
 def dtilde_pairs(hs, t, pairs) -> np.ndarray:
     """dtilde_t for an explicit list of point pairs of the space of hs;
-    t must be finite and >= 0, and each index an integer inside the space
-    (FlowError otherwise). t = 0 reads the original metric.
+    t must be finite and >= 0, and each index an integer (not a boolean)
+    inside the space (FlowError otherwise). t = 0 reads the original metric.
 
     A symmetry of the space commutes with H_t, so dtilde_t is constant on
     each orbit of pairs under the declared symmetries and (x, y) -> (y, x).
@@ -440,7 +440,9 @@ def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
     probe_pairs are pairs of circle fractions in [0, 1); each must land on a
     node of every grid. Reports dtilde_{n,t} at the matched nodes, successive
     differences, and the empirical convergence order (expected >= 1). Grid
-    sizes must be integers, checked before any grid is built."""
+    sizes must be integers, checked before any grid is built; both lists are
+    read once, so they may be generators."""
+    grid_sizes, probe_pairs = tuple(grid_sizes), list(probe_pairs)
     _require_integers("each grid size", grid_sizes, FlowError)
     sizes = tuple(int(n) for n in grid_sizes)
     if len(sizes) < 3:  # an order compares two differences

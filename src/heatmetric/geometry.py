@@ -36,9 +36,14 @@ class TruncationError(GeometryError):
     """Spectral truncation too small for the requested evaluation."""
 
 
+def _is_integer(value) -> bool:
+    """A Python or NumPy integer; booleans are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_integers(what, values, error=GeometryError):
     """Raise error naming the first of values that is not an integer."""
-    bad = [v for v in values if not isinstance(v, (int, np.integer))]
+    bad = [v for v in values if not _is_integer(v)]
     if bad:
         raise error(f"{what} must be an integer, got {bad[0]!r}")
 

@@ -164,10 +164,10 @@ def build_space(points, edges, measure, K=None, conductances=None,
     Parameters
     ----------
     points : int
-        Number of points, a Python or NumPy integer.
-    edges : sequence of (i, j, length)
+        Number of points, a Python or NumPy integer (not a boolean).
+    edges : iterable of (i, j, length)
         Undirected edges between distinct points, given by Python or NumPy
-        integers, lengths finite and > 0.
+        integers (not booleans), lengths finite and > 0. It is read once.
     measure : array_like, shape (points,)
         Finite, strictly positive weights.
     K : float, optional
@@ -199,6 +199,7 @@ def build_space(points, edges, measure, K=None, conductances=None,
     if K is not None and not np.isfinite(K):
         raise SpaceError(f"K must be finite, not {K}")
 
+    edges = list(edges)
     _require_integers("each edge endpoint", [e for i, j, _ in edges for e in (i, j)], SpaceError)
     edge_arr = np.array([(i, j) for i, j, _ in edges], dtype=int).reshape(-1, 2)
     lengths = np.array([float(ell) for _, _, ell in edges], dtype=float)

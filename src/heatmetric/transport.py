@@ -20,17 +20,23 @@ in the same way.
   primal and dual feasibility tolerances of 1e-10, far inside the
   certificate window.
 
-Both scale the second measure of the canonical order (below) to the first's
-total: MASS_TOL admits totals 1e-9 apart, which the LP's equality rows and
-the circle's common period do not.
+Both scale the second measure of the solve's orientation (below) to the
+first's total: MASS_TOL admits totals 1e-9 apart, which the LP's equality
+rows and the circle's common period do not.
 
-_w2_exact_batch solves a list of pairs on one metric as one batch, cut into
-_BATCH_CHUNKS contiguous chunks that run on the process's cores. Within a
-chunk one LP model serves every solve on the same support pair. A later
-solve changes only the row bounds (the marginals), so the last optimal basis
-stays dual feasible and the dual simplex restarts from it. A new support
-pair rebuilds the model, and every chunk starts cold; w2_exact is a batch
-of one. Nothing is kept between batches.
+_w2_exact_batch solves a list of pairs on one metric as one batch, and
+_solve_order alone decides the order of its solves and their orientation
+(which measure is on the rows). A circle batch keeps the given order, each
+pair with the lexicographically smaller measure on the rows. An LP batch
+walks its heat measures along a nearest-neighbour tour, so that
+consecutive solves share the measure on the rows and each warm start
+changes one marginal. The solve order is cut into _BATCH_CHUNKS contiguous
+chunks that run on the process's cores. Within a chunk one LP model serves
+every solve on the same support pair. A later solve changes only the row
+bounds (the marginals) that moved, so the last optimal basis stays dual
+feasible and the dual simplex restarts from it. A new support pair
+rebuilds the model, and every chunk starts cold. Nothing is kept between
+batches.
 
 Either way, the value comes from the plan on the given dist, and the
 potentials, for the halved-cost convention phi(x) + phi^c(y) <= d^2(x, y)/2,
@@ -42,14 +48,14 @@ duals use d^2/2.
 Values are unique; plans need not be. The LP pivot order is HiGHS's
 deterministic default (not lowest-index), and within a chunk it depends on
 the solves before, so a batched value may differ from a lone w2_exact in its
-last bits. The chunking is fixed by the batch's length alone, so the same
-batch, or the same lone solve, gives the same bits on any machine and with
-any number of cores. The canonical argument order is decided in one place,
-_Batch.solve, which every exact solve, lone or batched, goes through: it
-solves the pair in that order and swaps the plan and potentials back. So
-w2_exact(mu, nu) == w2_exact(nu, mu) exactly, and swapping the measures of
-any pair in a batch leaves every value of the batch unchanged. w2_sinkhorn
-orders its pair by the same rule.
+last bits. A circle solve keeps no state, and an LP batch's order and
+chunking depend only on its set of pairs, so the values depend neither on
+the order of the pairs nor on the order within a pair, and the same batch
+gives the same bits on any machine and with any number of cores. A
+lone w2_exact is a batch of one: it puts the lexicographically smaller
+measure on the rows and swaps the plan and potentials back, so
+w2_exact(mu, nu) == w2_exact(nu, mu) exactly. w2_sinkhorn orders its pair by
+the same rule.
 """
 from __future__ import annotations
 
@@ -154,6 +160,8 @@ def _validate_pair(mu, nu):
     nu = np.asarray(nu, dtype=float)
     if mu.shape != nu.shape or mu.ndim != 1:
         raise TransportError("marginals must be vectors on the same space")
+    if not (np.isfinite(mu).all() and np.isfinite(nu).all()):
+        raise TransportError("masses must be finite")
     if np.any(mu < 0) or np.any(nu < 0):
         raise TransportError("negative masses")
     if not (mu.sum() > 0 and nu.sum() > 0):
@@ -170,8 +178,8 @@ class _CouplingLP:
     row sums a and column sums b, on one support pair.
 
     The model is built once; each solve changes only the row bounds (the
-    marginals), so the last optimal basis stays dual feasible and the dual
-    simplex restarts from it. The first solve starts cold.
+    marginals) that moved, so the last optimal basis stays dual feasible and
+    the dual simplex restarts from it. The first solve starts cold.
     """
 
     def __init__(self, cost):
@@ -195,18 +203,22 @@ class _CouplingLP:
             self.model.setOptionValue(key, value)
         self.model.passModel(lp)
         self.shape = (n, m)
+        self.bounds = np.zeros(n + m)
 
     def solve(self, a, b):
         """Plan and potentials phi on a's atoms (for the cost halved)."""
         model = self.model
-        for row, mass in enumerate(np.concatenate([a, b]).tolist()):
+        bounds = np.concatenate([a, b])
+        changed = np.flatnonzero(bounds != self.bounds)
+        for row, mass in zip(changed.tolist(), bounds[changed].tolist()):
             model.changeRowBounds(row, mass, mass)
+        self.bounds = bounds
         model.run()
         status = model.getModelStatus()
         if status != highs.HighsModelStatus.kOptimal:
             raise SolverFailure(f"LP solver failed: {model.modelStatusToString(status)}")
         solution = model.getSolution()
-        gamma = np.array(solution.col_value).reshape(self.shape)
+        gamma = np.array(solution.col_value, dtype=float).reshape(self.shape)
         # duals for cost d^2 -> potentials for cost d^2/2
         return gamma, 0.5 * np.array(solution.row_dual[:self.shape[0]])
 
@@ -355,7 +367,8 @@ def w2_exact(mu, nu, dist) -> W2Result:
     Parameters
     ----------
     mu, nu : array_like
-        Probability vectors (equal masses within 1e-9) on the same space.
+        Probability vectors (finite, equal masses within 1e-9) on the same
+        space.
     dist : ndarray
         Symmetric metric matrix.
 
@@ -367,17 +380,23 @@ def w2_exact(mu, nu, dist) -> W2Result:
         value^2/2 - (<phi, mu> + <phi_c, nu>) <= 1e-8.
 
     Zero-mass points are dropped before the solve and reinserted as zero
-    rows/columns of the plan. The second measure of the canonical order is
-    scaled to the first's total, so when the totals differ the plan and
-    potentials are those of the scaled pair, and dual_gap on the unscaled
-    pair can exceed 1e-8 by MASS_TOL times the largest potential. On the
-    metric of an equispaced circle the plan comes from the periodic quantile
-    coupling, otherwise from the LP, which starts cold: this is a batch of
-    one (see _w2_exact_batch).
+    rows/columns of the plan. The second measure of the solve's orientation
+    (the lexicographically larger one) is scaled to the first's total, so
+    when the totals differ the plan and potentials are those of the scaled
+    pair, and dual_gap on the unscaled pair can exceed 1e-8 by MASS_TOL
+    times the largest potential. On the metric of an equispaced circle the
+    plan comes from the periodic quantile coupling, otherwise from the LP,
+    which starts cold: this is a batch of one (see _w2_exact_batch).
     """
     mu, nu = _validate_pair(mu, nu)
-    dist = _square_metric(dist)
-    return _Batch(dist, _circle_spacing(dist)).solve(mu, nu)
+    dist = _square_metric(dist, len(mu))
+    h = _circle_spacing(dist)
+    [(_, swapped)], _ = _solve_order([(mu, nu)], h is not None)
+    if not swapped:
+        return _Batch(dist, h).solve(mu, nu)
+    value, plan, potentials = _Batch(dist, h).solve(nu, mu)
+    return W2Result(value, TransportPlan(plan.gamma.T.copy(), mu, nu),
+                    DualPotentials(phi=potentials.phi_c, phi_c=potentials.phi))
 
 
 def _w2_exact_batch(pairs, dist) -> np.ndarray:
@@ -385,21 +404,25 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
     solve certified in the same way, as one batch on the metric dist.
 
     The batch checks dist, with its circle check, once for all its chunks,
-    and validates every pair first. It then cuts the pairs into
-    min(len(pairs), _BATCH_CHUNKS) contiguous chunks. Each chunk keeps one LP model while the support pair
-    stays the same, so each solve after the chunk's first restarts from the
-    last optimal basis. A value can therefore differ from a lone w2_exact
-    call in its last bits. The calling thread and up to one helper thread
-    per further core pull chunks from one shared iterator (HiGHS releases
-    the GIL); the values depend on the chunking only, so the same batch
-    gives the same bits with any number of cores. An error in a chunk ends
-    that chunk, and the first failing chunk's exception is raised in the
-    caller.
+    and validates every pair first. _solve_order fixes the order and the
+    orientation of the solves. The batch then cuts that order into
+    min(solves, _BATCH_CHUNKS) contiguous chunks. Each chunk keeps one LP
+    model while the support pair stays the same, so each solve after the
+    chunk's first restarts from the last optimal basis. A value can
+    therefore differ from a lone w2_exact call in its last bits. The calling
+    thread and up to one helper thread per further core pull chunks from one
+    shared iterator (HiGHS releases the GIL); the values depend on the
+    chunking only, so the same batch gives the same bits with any number of
+    cores. An error in a chunk ends that chunk, and the first failing
+    chunk's exception is raised in the caller.
     """
     dist = _square_metric(dist)
     h = _circle_spacing(dist)
     pairs = [_validate_pair(mu, nu) for mu, nu in pairs]
-    count = len(pairs)
+    for mu, _ in pairs:
+        _square_metric(dist, len(mu))
+    order, slot = _solve_order(pairs, h is not None)
+    count = len(order)
     chunks = min(count, _BATCH_CHUNKS)
     bounds = [count * k // max(chunks, 1) for k in range(chunks + 1)]
     values = np.empty(count)
@@ -410,8 +433,10 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
         for k in todo:
             batch = _Batch(dist, h)
             try:
-                for i in range(bounds[k], bounds[k + 1]):
-                    values[i] = batch.solve(*pairs[i]).value
+                for s in range(bounds[k], bounds[k + 1]):
+                    i, swapped = order[s]
+                    mu, nu = pairs[i]
+                    values[s] = (batch.solve(nu, mu) if swapped else batch.solve(mu, nu)).value
             except Exception as exc:  # re-raised by the caller
                 errors[k] = exc
 
@@ -425,7 +450,56 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
     for exc in errors:
         if exc is not None:
             raise exc
-    return values
+    return values[slot]
+
+
+def _solve_order(pairs, circle):
+    """The solves of a batch of validated pairs, as (pair index, swapped) in
+    solve order, and the index of each pair's solve; swapped puts the pair's
+    second measure on the rows.
+
+    A circle solve keeps no state, so a circle batch solves its pairs in
+    the given order, each with the lexicographically smaller measure on the
+    rows. An LP batch walks its heat measures so that each warm start
+    changes one marginal. A greedy L1 nearest-neighbour tour visits its
+    distinct measures, starting from the one in the most pairs; ties, in
+    the start and in each step, go to the lexicographically smallest
+    measure. Each distinct pair is solved once, with the measure that comes
+    earlier in the tour on the rows, and the solves run in boustrophedon
+    order over (rank of the row measure, +-rank of the column measure). So
+    consecutive solves share their row measure while the column measure
+    moves to a tour neighbour, and the bits depend neither on the order of
+    the pairs nor on the order within a pair. A batch of one puts the
+    lexicographically smaller measure on the rows, as a circle does.
+    """
+    if circle or not pairs:
+        return ([(i, _canonical_swap(mu, nu)) for i, (mu, nu) in enumerate(pairs)],
+                np.arange(len(pairs)))
+    # each array object is stacked once; equal arrays are one measure
+    arrays = {id(m): m for pair in pairs for m in pair}
+    measures, ids = np.unique(list(arrays.values()), axis=0, return_inverse=True)
+    known = dict(zip(arrays, ids.tolist()))
+    ids = np.array([[known[id(mu)], known[id(nu)]] for mu, nu in pairs])
+    size = len(measures)
+    # each distinct pair's measures, its first pair, and each pair's distinct pair
+    ends, first, slot = np.unique(np.sort(ids, axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    left = np.ones(size, dtype=bool)
+    tour = [int(np.argmax(np.bincount(ends.ravel(), minlength=size)))]
+    left[tour[0]] = False
+    for _ in range(size - 1):
+        steps = np.abs(measures - measures[tour[-1]]).sum(axis=1)
+        tour.append(int(np.argmin(np.where(left, steps, np.inf))))
+        left[tour[-1]] = False
+    rank = np.empty(size, dtype=int)
+    rank[tour] = np.arange(size)
+    row, col = np.sort(rank[ends], axis=1).T
+    lane = np.unique(row, return_inverse=True)[1]
+    walk = np.lexsort((np.where(lane % 2, -col, col), row))
+    position = np.empty(len(walk), dtype=int)
+    position[walk] = np.arange(len(walk))
+    order = [(int(i), bool(rank[ids[i, 0]] > rank[ids[i, 1]])) for i in first[walk]]
+    return order, position[slot]
 
 
 def _cores() -> int:
@@ -446,18 +520,15 @@ class _Batch:
     keeping the LP model of the last support pair; each batch starts cold."""
 
     def __init__(self, dist, h):
-        self.dist, self.h = dist, h
+        self.h = h
+        self.cost = dist**2
+        self.half = 0.5 * self.cost  # the cost of the potentials
         self.lp = self.support = None
 
     def solve(self, mu, nu) -> W2Result:
-        """Certified solve of validated marginals. It runs in canonical
-        order, and the plan and potentials are swapped back for the caller,
-        so solve(mu, nu) and solve(nu, mu) agree bit for bit."""
-        swapped = _canonical_swap(mu, nu)
-        if swapped:
-            mu, nu = nu, mu
-        dist = _square_metric(self.dist, len(mu))
-        n = len(dist)
+        """Certified solve of validated marginals on the batch's space, mu on
+        the rows."""
+        n = len(mu)
         smu = np.flatnonzero(mu > 0)
         snu = np.flatnonzero(nu > 0)
         # both solvers need equal totals (MASS_TOL admits a 1e-9 mismatch):
@@ -468,33 +539,29 @@ class _Batch:
         if self.h is None:
             if self.support is None or not (np.array_equal(smu, self.support[0])
                                             and np.array_equal(snu, self.support[1])):
-                self.lp = _CouplingLP(dist[np.ix_(smu, snu)] ** 2)
+                self.lp = _CouplingLP(self.cost[np.ix_(smu, snu)])
                 self.support = (smu, snu)
             gamma_s, phi_s = self.lp.solve(a, b)
         else:
             gamma_s, phi_s = _solve_circle(smu, a, snu, b, n)
             phi_s = self.h * self.h * phi_s
-
         gamma = np.zeros((n, n))
         gamma[np.ix_(smu, snu)] = gamma_s
-        value = float(np.sqrt(max((dist**2 * gamma).sum(), 0.0)))
+        value = float(np.sqrt(max((self.cost * gamma).sum(), 0.0)))
 
         # potentials extended off-support conservatively, then made c-concave
         # (phi^cc, phi^c); feasibility and the gap bound are structural from the
         # c-transform definition.
         phi = np.full(n, -np.inf)
         phi[smu] = phi_s
-        phi_c = c_transform(phi, dist)
-        phi = c_transform(phi_c, dist.T)
+        phi_c = (self.half - phi[:, None]).min(axis=0)
+        phi = (self.half - phi_c[None, :]).min(axis=1)
 
         # the certificate of the pair solved; against the unscaled nu the gap
         # also carries the mismatch times phi_c
         gap = 0.5 * value**2 - (phi @ mu + phi_c[snu] @ b)
         if not (-1e-7 <= gap <= GAP_TOL):  # pragma: no cover
             raise SolverFailure(f"optimality certificate failed: gap {gap:.3e}")
-        if swapped:
-            return W2Result(value, TransportPlan(gamma.T.copy(), nu, mu),
-                            DualPotentials(phi=phi_c, phi_c=phi))
         return W2Result(value, TransportPlan(gamma, mu, nu), DualPotentials(phi=phi, phi_c=phi_c))
 
 

@@ -567,7 +567,8 @@ class TestInputBranches:
         ({"points": 2.9, "edges": [[0, 1, 1.0]]}, "the point count must be an integer, got 2.9"),
         ({"points": 2, "edges": [[0, 1.7, 1.0]]}, "each edge endpoint must be an integer, got 1.7"),
         ({"points": 2, "edges": [[0.0, 1, 1.0]]}, "each edge endpoint must be an integer, got 0.0"),
-    ], ids=["points", "endpoint", "integral-float-endpoint"])
+        ({"points": 2, "edges": [[True, 0, 1.0]]}, "each edge endpoint must be an integer, got True"),
+    ], ids=["points", "endpoint", "integral-float-endpoint", "boolean-endpoint"])
     def test_non_integer_space_file_exits_2(self, tmp_path, capsys, space, message):
         path, out = tmp_path / "space.json", tmp_path / "run"
         path.write_text(json.dumps({**space, "measure": [1.0, 1.0], "K": 0.0}))

@@ -235,7 +235,7 @@ class TestContraction:
         with pytest.raises(hm.FlowError):
             hm.contraction_report(space, times, [pair])
 
-    @pytest.mark.parametrize("pair", [(0, 1.5), (0.0, 1), ("0", 1)])
+    @pytest.mark.parametrize("pair", [(0, 1.5), (0.0, 1), ("0", 1), (True, 3), (0, np.True_)])
     def test_point_indices_are_integers(self, circle16, pair):
         _, space, hs = circle16
         message = "does not hold two point indices"
@@ -390,6 +390,13 @@ class TestRefinement:
         monkeypatch.setattr(flow, "model_circle", no_grid)
         with pytest.raises(hm.FlowError, match=f"each grid size must be an integer, got {bad}"):
             hm.refinement_stability(2 * np.pi, 0.1, sizes, [(0.0, 0.5)])
+
+    def test_generators_are_read_once(self):
+        sizes, probes = (16, 32, 64), [(0.0, 0.5), (0.0, 0.25)]
+        report = hm.refinement_stability(2 * np.pi, 0.1, iter(sizes), iter(probes))
+        again = hm.refinement_stability(2 * np.pi, 0.1, sizes, probes)
+        assert report.grid_sizes == sizes
+        assert report.probe_values.tolist() == again.probe_values.tolist()
 
     def test_unrepresentable_probe(self):
         with pytest.raises(hm.FlowError):

@@ -97,10 +97,16 @@ class TestBuildSpaceInputs:
          "each edge endpoint must be an integer, got 1.7"),
         ({"edges": [(np.float64(0), 1, 1.0)]}, hm.SpaceError,
          "each edge endpoint must be an integer"),
+        ({"points": True}, hm.SpaceError, "the point count must be an integer, got True"),
+        ({"edges": [(True, 0, 1.0)]}, hm.SpaceError,
+         "each edge endpoint must be an integer, got True"),
+        ({"edges": [(0, np.True_, 1.0)]}, hm.SpaceError,
+         "each edge endpoint must be an integer, got np.True_"),
     ], ids=["measure-nan", "measure-inf", "measure-shape", "length-nan", "length-inf",
             "endpoint", "self-loop", "no-edges", "conductance-nan", "conductance-inf",
             "conductance-negative", "conductance-count", "K-nan", "K-inf", "points-float",
-            "points-integral-float", "endpoint-float", "endpoint-numpy-float"])
+            "points-integral-float", "endpoint-float", "endpoint-numpy-float", "points-bool",
+            "endpoint-bool", "endpoint-numpy-bool"])
     def test_rejects(self, kwargs, error, message):
         args = {"points": 2, "edges": [(0, 1, 1.0)], "measure": [1.0, 1.0], **kwargs}
         with pytest.raises(error, match=message):
@@ -109,6 +115,11 @@ class TestBuildSpaceInputs:
     def test_numpy_integers(self):
         space = hm.build_space(np.int64(2), [(np.int32(0), np.uint8(1), 1.0)], [1.0, 1.0])
         assert space.n == 2 and space.edges.tolist() == [[0, 1]]
+
+    def test_edges_read_once(self):
+        # a generator of edges is spent by its first pass
+        space = hm.build_space(2, ((0, 1, 1.0) for _ in range(1)), [1.0, 1.0])
+        assert space.edges.tolist() == [[0, 1]] and space.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_single_point(self):
         space = hm.build_space(1, [], [2.0], K=0.0)
@@ -227,6 +238,8 @@ class TestGeometryGuards:
         (hm.SphereGeometry, (np.nan, 64, 80), "radius must be > 0 and finite, not nan"),
         (hm.SphereGeometry, (np.inf, 64, 80), "radius must be > 0 and finite, not inf"),
         (hm.model_torus, (np.nan, 1.0, 8, 8), "not nan"),
+        (hm.CircleGeometry, (2 * np.pi, True), "n must be an integer, got True"),
+        (hm.TorusGeometry, (1.0, 1.0, 8, np.True_), "n2 must be an integer, got np.True_"),
     ])
     def test_rejects(self, geometry, args, message):
         with pytest.raises(hm.GeometryError, match=message):

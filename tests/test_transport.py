@@ -72,6 +72,17 @@ class TestW2Exact:
         with pytest.raises(hm.TransportError, match=message):
             hm.w2_exact(mu, np.full(3, 1 / 3), dist)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_masses(self, bad):
+        third, mu = np.full(3, 1 / 3), np.array([bad, 0.5, 0.5])
+        for pair in ((mu, third), (third, mu)):
+            with pytest.raises(hm.TransportError, match="masses must be finite"):
+                hm.w2_exact(*pair, PATH3)
+            with pytest.raises(hm.TransportError, match="masses must be finite"):
+                transport._w2_exact_batch([(third, third), pair], PATH3)
+            with pytest.raises(hm.TransportError, match="masses must be finite"):
+                hm.w2_sinkhorn(*pair, PATH3, 0.1)
+
     def test_identical_marginals(self, rng):
         mu = rng.random(6) + 0.1
         mu /= mu.sum()
@@ -545,6 +556,89 @@ class TestLPPath:
             mu, nu = rng.random(10), rng.random(10)
             pairs.append((mu / mu.sum(), nu / nu.sum()))
         return pairs, dist
+
+    @staticmethod
+    def _heat_measures(count):
+        """Heat measures of count points on a random 12-point graph, t = 0.5."""
+        rng = np.random.default_rng(17)
+        edges = [(int(rng.integers(k)), k, rng.uniform(0.5, 2.0)) for k in range(1, 12)]
+        edges += [(k, (k + 5) % 12, rng.uniform(0.5, 2.0)) for k in range(12)]
+        space = hm.build_space(12, edges, 10.0 ** rng.uniform(-1, 1, 12))
+        hs = hm.spectral_decompose(space)
+        return [hm.heat_apply(hs, 0.5, space.delta(x)) for x in range(count)], space.dist
+
+    @pytest.mark.parametrize("shape", ["star", "all-pairs"])
+    def test_walk_matches_lone_solves_and_the_oracle(self, shape):
+        measures, dist = self._heat_measures(9)
+        if shape == "star":  # every pair shares one measure, on either side
+            pairs = [(measures[4], m) if k % 2 else (m, measures[4])
+                     for k, m in enumerate(measures) if k != 4]
+        else:
+            pairs = list(itertools.combinations(measures, 2))
+        values = transport._w2_exact_batch(pairs, dist)
+        assert_allclose(values, [hm.w2_exact(mu, nu, dist).value for mu, nu in pairs],
+                        rtol=1e-12)
+        assert_allclose(values, [lp_oracle(mu, nu, dist) for mu, nu in pairs], rtol=1e-9)
+
+    def test_walk_bits_do_not_depend_on_the_pair_order(self):
+        measures, dist = self._heat_measures(9)
+        pairs = list(itertools.combinations(measures, 2))
+        values = transport._w2_exact_batch(pairs, dist)
+        rng = np.random.default_rng(2)
+        perm = rng.permutation(len(pairs))
+        flip = rng.random(len(pairs)) < 0.5
+        shuffled = [pairs[k][::-1] if f else pairs[k] for k, f in zip(perm, flip)]
+        assert transport._w2_exact_batch(shuffled, dist).tolist() == values[perm].tolist()
+        # a repeated pair is solved once, so it cannot move the others
+        repeated = pairs + [pairs[3][::-1], pairs[20]]
+        assert (transport._w2_exact_batch(repeated, dist).tolist()
+                == values.tolist() + [values[3], values[20]])
+
+    def test_walk_changes_one_marginal_per_warm_start(self, monkeypatch):
+        # within a chunk the row marginal changes only where the row measure
+        # switches, at most count - 2 times over an all-pairs batch; every
+        # other warm start rewrites only column rows
+        count = 9
+        measures, dist = self._heat_measures(count)
+        pairs = list(itertools.combinations(measures, 2))
+        log = []
+
+        class Recording(transport.highs._Highs):
+            def changeRowBounds(self, row, lower, upper):
+                log.append((self, row))  # holds the model, so its id stays its own
+                return super().changeRowBounds(row, lower, upper)
+
+            def run(self):
+                log.append((self, None))
+                return super().run()
+
+        monkeypatch.setattr(transport, "_cores", lambda: 1)
+        monkeypatch.setattr(transport.highs, "_Highs", Recording)
+        transport._w2_exact_batch(pairs, dist)
+        solves = {}
+        for model, row in log:
+            rows = solves.setdefault(id(model), [[]])
+            if row is None:
+                rows.append([])
+            else:
+                rows[-1].append(row)
+        assert len(solves) == transport._BATCH_CHUNKS
+        n = len(dist)
+        warm = [rows for chunk in solves.values() for rows in chunk[1:-1]]
+        assert len(warm) == len(pairs) - transport._BATCH_CHUNKS
+        assert all(rows for rows in warm) and all(len(set(r)) == len(r) for r in warm)
+        assert sum(min(rows) < n for rows in warm) <= count - 2
+
+    def test_batch_of_one_is_the_lone_solve(self):
+        measures, dist = self._heat_measures(2)
+        for mu, nu in (measures, measures[::-1]):
+            lone = hm.w2_exact(mu, nu, dist)
+            assert transport._w2_exact_batch([(mu, nu)], dist).tolist() == [lone.value]
+            back = hm.w2_exact(nu, mu, dist)
+            assert back.value == lone.value
+            assert back.plan.gamma.tolist() == lone.plan.gamma.T.tolist()
+            assert back.potentials.phi.tolist() == lone.potentials.phi_c.tolist()
+            assert back.potentials.phi_c.tolist() == lone.potentials.phi.tolist()
 
     def test_batch_bits_do_not_depend_on_the_cores(self, monkeypatch):
         pairs, dist = self._graph_batch(11)
