@@ -4,7 +4,8 @@ Every exact solve returns the optimal coupling together with c-concave
 Kantorovich potentials whose duality gap certifies optimality to 1e-8. The
 Sinkhorn route trades exactness for speed through an epsilon-scaled
 regularization; on a seeded 16-point instance it lands within 1% of the
-exact value.
+exact value, inside a bracket whose upper end is the cost of its rounded
+plan and whose lower end comes from its c-transformed potentials.
 """
 import numpy as np
 
@@ -31,9 +32,11 @@ print()
 print("entropic approximation with epsilon scaling:")
 for eps_rel in (1e-2, 1e-3):
     eps = eps_rel * space.dist.max() ** 2
-    approx = hm.w2_sinkhorn(mu, nu, space.dist, eps_final=eps)
+    approx, info = hm.w2_sinkhorn(mu, nu, space.dist, eps_final=eps, return_info=True)
+    lower, upper = info["bracket"]
     print(f"  eps = {eps_rel:.0e} * max d^2: value {approx:.8f} "
-          f"(rel error {abs(approx - res.value) / res.value:.2e})")
+          f"(rel error {abs(approx - res.value) / res.value:.2e}, {info['sweeps']} sweeps)")
+    print(f"    bracket [{lower:.8f}, {upper:.8f}] around exact {res.value:.8f}")
 
 print()
 print("c-transform on a small smooth function (involution on its domain):")

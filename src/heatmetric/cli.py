@@ -88,7 +88,8 @@ def load_space(path):
         raise InputError(f"cannot read space file {path}: {exc}") from exc
     try:
         return build_space(data["points"], data["edges"], data["measure"],
-                           K=data.get("K"), conductances=data.get("conductances"))
+                           K=data.get("K"), conductances=data.get("conductances"),
+                           symmetries=data.get("symmetries", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed space file {path}: {exc}") from exc
 

@@ -10,7 +10,8 @@ the Laplace-Beltrami operator.
 A space may declare symmetries: point permutations that preserve its
 measure and its edges with their lengths and conductances, hence its metric
 and its heat semigroup. build_space checks every declared permutation and
-never infers one; the model grids declare generators of their groups.
+never infers one; the model grids declare generators of their groups,
+and a space file may declare its own.
 """
 from __future__ import annotations
 
@@ -135,6 +136,10 @@ def _checked_symmetry(g, n, edges, lengths, measure, cond):
     measure and the edge multiset (lengths and conductances included) onto
     themselves exactly. The metric is the edges' shortest-path metric, so
     it is preserved too."""
+    if not isinstance(g, np.ndarray):
+        g = list(g)
+        _require_integers(f"each entry of a symmetry, a permutation of 0..{n - 1},",
+                          g, SpaceError)
     g = np.array(g)
     if (g.shape != (n,) or g.dtype.kind not in "iu"
             or not np.array_equal(np.sort(g), np.arange(n))):
@@ -177,8 +182,9 @@ def build_space(points, edges, measure, K=None, conductances=None,
         gets the default min(m_i, m_j) / length^2, so the space always
         carries its conductances.
     symmetries : sequence of array_like, optional
-        Point permutations declared to preserve the space; each is checked
-        exactly (O(m log m) for m edges) and kept as a generator.
+        Point permutations declared to preserve the space, each an integer
+        array or a sequence of Python or NumPy integers (not booleans); each
+        is checked exactly (O(m log m) for m edges) and kept as a generator.
 
     Raises
     ------
@@ -186,8 +192,8 @@ def build_space(points, edges, measure, K=None, conductances=None,
         The last two also on a non-finite weight or length. SpaceError,
         naming the value, also on a point count or edge endpoint that is not
         an integer, on a non-finite K or conductance, and when a
-        declared symmetry is not a permutation or moves the measure, an
-        edge, its length or its conductance.
+        declared symmetry holds a non-integer, is not a permutation or moves
+        the measure, an edge, its length or its conductance.
     """
     _require_integers("the point count", [points], SpaceError)
     n = int(points)

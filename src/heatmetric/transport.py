@@ -83,8 +83,9 @@ __all__ = [
 
 MASS_TOL = 1e-9
 GAP_TOL = 1e-8
-# w2_sinkhorn: epsilon factor per stage, iterations at the final epsilon,
-# and the row-marginal violation that ends them
+# w2_sinkhorn: epsilon factor per stage, sweeps at the final epsilon (a
+# tenth, at least 50, at each stage above it), and the row-marginal
+# violation that ends every stage
 SINKHORN_SCHEDULE = 0.5
 SINKHORN_MAX_ITER = 4000
 SINKHORN_MARGINAL_TOL = 1e-6
@@ -592,10 +593,15 @@ def dual_gap(mu, nu, value, potentials: DualPotentials, dist) -> float:
 # entropic approximation
 
 def _sinkhorn_core(mu, nu, cost, eps_final):
-    """Log-domain Sinkhorn with geometric epsilon scaling from max cost."""
+    """Sinkhorn scaling with absorbed potentials and geometric epsilon
+    scaling from max cost (Schmitzer 2019).
+
+    Each stage forms K = exp((f + g - cost) / eps) once and sweeps the
+    scalings u = mu / (K v), v = nu / (K^T u). Every check absorbs eps log u
+    and eps log v into f and g and rebuilds K, so the scalings restart at 1
+    and stay moderate. Returns the plan at eps_final, f and the sweep count.
+    """
     max_iter, tol = SINKHORN_MAX_ITER, SINKHORN_MARGINAL_TOL
-    logmu = np.log(mu)
-    lognu = np.log(nu)
     f = np.zeros_like(mu)
     g = np.zeros_like(nu)
     eps0 = max(cost.max(), eps_final)
@@ -603,25 +609,32 @@ def _sinkhorn_core(mu, nu, cost, eps_final):
     while stages[-1] > eps_final:
         stages.append(max(stages[-1] * SINKHORN_SCHEDULE, eps_final))
 
+    sweeps = 0
     for eps in stages:
         last = eps == stages[-1]
-        iters = max_iter if last else max(50, max_iter // 10)
+        iters, every = (max_iter, 25) if last else (max(50, max_iter // 10), 10)
+        K = np.exp((f[:, None] + g[None, :] - cost) / eps)
+        v = np.ones_like(nu)
         viol = np.inf
         prev = np.inf
         for it in range(iters):
-            f = eps * (logmu - _lse((g[None, :] - cost) / eps, axis=1))
-            g = eps * (lognu - _lse((f[:, None] - cost) / eps, axis=0))
-            if last and it % 25 == 24:
-                # column marginals are exact after the g-update; rows measure
-                # convergence
-                row = np.exp(_lse((f[:, None] + g[None, :] - cost) / eps, axis=1))
-                viol = np.abs(row - mu).max()
+            u = mu / (K @ v)
+            v = nu / (u @ K)
+            sweeps += 1
+            if it % every == every - 1:
+                f += eps * np.log(u)
+                g += eps * np.log(v)
+                K = np.exp((f[:, None] + g[None, :] - cost) / eps)
+                v = np.ones_like(nu)
+                # column marginals are exact after the v-update; rows
+                # measure convergence
+                viol = np.abs(K.sum(axis=1) - mu).max()
                 if viol < tol:
                     break
-                # at small eps the iteration plateaus well above tol while the
-                # plan is already accurate; stop once progress stalls and let
-                # the rounding step restore the marginals exactly
-                if it % 200 == 199:
+                # at small eps the iteration plateaus well above tol while
+                # the plan is already accurate; stop once progress stalls and
+                # let the rounding step restore the marginals exactly
+                if last and it % 200 == 199:
                     if viol > prev * 0.995:
                         break
                     prev = viol
@@ -630,13 +643,7 @@ def _sinkhorn_core(mu, nu, cost, eps_final):
                 f"marginal violation {viol:.2e} after {max_iter} iterations "
                 "(epsilon schedule too aggressive)"
             )
-    return np.exp((f[:, None] + g[None, :] - cost) / eps_final)
-
-
-def _lse(z, axis):
-    zmax = z.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(z - zmax).sum(axis=axis))
-    return out + np.squeeze(zmax, axis=axis)
+    return K, f, sweeps
 
 
 def _round_to_marginals(gamma, mu, nu):
@@ -658,9 +665,13 @@ def w2_sinkhorn(mu, nu, dist, eps_final, return_info=False):
     """Entropically regularized W_2 with epsilon scaling.
 
     The regularization is lowered geometrically (factor SINKHORN_SCHEDULE)
-    from eps_0 = max d^2 down to eps_final. There the iteration stops once
-    the row marginals are within SINKHORN_MARGINAL_TOL, when progress stalls,
-    or after SINKHORN_MAX_ITER iterations; a violation still above
+    from eps_0 = max d^2 down to eps_final. The sweeps run in the scaling
+    domain, with the potentials absorbed at every check of the row
+    marginals. Each stage above eps_final stops once they are within
+    SINKHORN_MARGINAL_TOL (checked every 10 sweeps) or after
+    max(50, SINKHORN_MAX_ITER // 10) sweeps. At eps_final the iteration
+    stops at the same tolerance (checked every 25 sweeps), when progress
+    stalls, or after SINKHORN_MAX_ITER sweeps; a violation still above
     max(100 * SINKHORN_MARGINAL_TOL, 1e-4) raises SinkhornNonConvergence.
     The final plan is rounded to exact marginals, so the reported marginal
     violation is at rounding level. As in w2_exact, one solve runs in a
@@ -669,9 +680,15 @@ def w2_sinkhorn(mu, nu, dist, eps_final, return_info=False):
     bit-exact.
 
     With return_info=True also returns a dict with the plan's marginal
-    violation and the diagonal-feasibility bias bound sqrt(2 eps_final log n)
-    relevant for the mu == nu case. dist is checked as in w2_exact, without
-    the circle detection, which Sinkhorn does not use.
+    violation, the diagonal-feasibility bias bound sqrt(2 eps_final log n)
+    relevant for the mu == nu case, the total number of sweeps, and a
+    bracket (lower, upper) on W_2. upper is the value: the rounded plan is
+    feasible, so its cost bounds W_2^2 from above. lower is
+    sqrt(<phi, mu> + <psi, nu>) for psi = f^c and phi = psi^c, the
+    c-transforms of the final potential f for the cost d^2 on the support:
+    a feasible dual, so it bounds W_2^2 from below. The bracket is
+    reported, not enforced. dist is checked as in w2_exact, without the
+    circle detection, which Sinkhorn does not use.
     """
     mu, nu = _validate_pair(mu, nu)
     if eps_final <= 0:
@@ -683,12 +700,15 @@ def w2_sinkhorn(mu, nu, dist, eps_final, return_info=False):
     sa = np.flatnonzero(a > 0)
     sb = np.flatnonzero(b > 0)
     cost = dist[np.ix_(sa, sb)] ** 2
-    gamma = _sinkhorn_core(a[sa], b[sb], cost, eps_final)
+    gamma, f, sweeps = _sinkhorn_core(a[sa], b[sb], cost, eps_final)
     gamma = _round_to_marginals(gamma, a[sa], b[sb])
     value = float(np.sqrt(max((gamma * cost).sum(), 0.0)))
 
     if not return_info:
         return value
+    psi = (cost - f[:, None]).min(axis=0)
+    phi = (cost - psi[None, :]).min(axis=1)
+    lower = float(np.sqrt(max(phi @ a[sa] + psi @ b[sb], 0.0)))
     full = np.zeros((len(a), len(b)))
     full[np.ix_(sa, sb)] = gamma
     plan = TransportPlan(full.T.copy() if swapped else full, mu, nu)
@@ -696,5 +716,7 @@ def w2_sinkhorn(mu, nu, dist, eps_final, return_info=False):
         "marginal_violation": plan.marginal_violation(),
         "bias_bound": float(np.sqrt(2.0 * eps_final * np.log(max(len(mu), 2)))),
         "plan": plan,
+        "bracket": (lower, value),
+        "sweeps": sweeps,
     }
     return value, info

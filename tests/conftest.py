@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import heatmetric as hm
-from heatmetric import tangent
+from heatmetric import flow, tangent
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +63,17 @@ def hypercube_space(k):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240813)
+
+
+def counted_batch(monkeypatch, solve=True):
+    """Patch flow's transport batch to record the number of pairs of each
+    call; with solve=False it returns zeros instead of solving."""
+    counts = []
+    original = flow._w2_exact_batch
+
+    def counted(pairs, dist):
+        counts.append(len(pairs))
+        return original(pairs, dist) if solve else np.zeros(len(pairs))
+
+    monkeypatch.setattr(flow, "_w2_exact_batch", counted)
+    return counts

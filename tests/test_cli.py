@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from heatmetric import cli, flow, heat, spaces, tangent, transport
+from conftest import counted_batch
 
 
 @pytest.fixture()
@@ -354,6 +355,47 @@ class TestFlowCommand:
         assert (out / "dtilde_pairs_0p1.csv").exists()
 
 
+class TestSpaceFileSymmetries:
+    """A space file may declare symmetries; build_space checks them."""
+
+    # a 12-point ring whose edge lengths and weights alternate, so its
+    # rotations are by an even number of steps
+    RING = {"points": 12,
+            "edges": [[i, (i + 1) % 12, 1.0 + 0.5 * (i % 2)] for i in range(12)],
+            "measure": [1.0 + (i % 2) for i in range(12)]}
+    ROTATION = [(i + 2) % 12 for i in range(12)]
+
+    @staticmethod
+    def dtilde(tmp_path, name, space):
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(space))
+        assert cli.run(["flow", "--space", str(path), "--times", "0.1", "--out", str(out)]) == 0
+        return np.loadtxt(out / "dtilde_0p1.csv", delimiter=",", skiprows=1)
+
+    def test_declared_rotation(self, tmp_path, monkeypatch):
+        solves = counted_batch(monkeypatch)
+        sym = self.dtilde(tmp_path, "sym", {**self.RING, "symmetries": [self.ROTATION]})
+        plain = self.dtilde(tmp_path, "plain", self.RING)
+        g = np.array(self.ROTATION)
+        assert np.array_equal(sym[np.ix_(g, g)], sym)
+        np.testing.assert_allclose(sym, plain, rtol=1e-12, atol=0)
+        orbits = {min(tuple(sorted(((x + k) % 12, (y + k) % 12))) for k in range(0, 12, 2))
+                  for x in range(12) for y in range(x + 1, 12)}
+        assert solves == [len(orbits), 66]
+
+    @pytest.mark.parametrize("symmetries, message", [
+        ([[0] * 12], "a symmetry must be a permutation of 0..11"),
+        ([[(i + 1) % 12 for i in range(12)]], "a symmetry does not preserve the measure"),
+        ([[(-i) % 12 for i in range(12)]], "a symmetry does not map the edges"),
+    ], ids=["not-a-permutation", "moves-the-measure", "moves-an-edge"])
+    def test_rejected_symmetry_exits_2(self, tmp_path, capsys, symmetries, message):
+        path, out = tmp_path / "space.json", tmp_path / "run"
+        path.write_text(json.dumps({**self.RING, "symmetries": symmetries}))
+        assert cli.run(["flow", "--space", str(path), "--times", "0.1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTangencyCommand:
     def test_circle_quick(self, tmp_path):
         out = tmp_path / "tan"
@@ -568,7 +610,12 @@ class TestInputBranches:
         ({"points": 2, "edges": [[0, 1.7, 1.0]]}, "each edge endpoint must be an integer, got 1.7"),
         ({"points": 2, "edges": [[0.0, 1, 1.0]]}, "each edge endpoint must be an integer, got 0.0"),
         ({"points": 2, "edges": [[True, 0, 1.0]]}, "each edge endpoint must be an integer, got True"),
-    ], ids=["points", "endpoint", "integral-float-endpoint", "boolean-endpoint"])
+        ({"points": 2, "edges": [[0, 1, 1.0]], "symmetries": [[1, 0.0]]},
+         "each entry of a symmetry, a permutation of 0..1, must be an integer, got 0.0"),
+        ({"points": 2, "edges": [[0, 1, 1.0]], "symmetries": [[True, 0]]},
+         "each entry of a symmetry, a permutation of 0..1, must be an integer, got True"),
+    ], ids=["points", "endpoint", "integral-float-endpoint", "boolean-endpoint",
+            "symmetry-float", "symmetry-boolean"])
     def test_non_integer_space_file_exits_2(self, tmp_path, capsys, space, message):
         path, out = tmp_path / "space.json", tmp_path / "run"
         path.write_text(json.dumps({**space, "measure": [1.0, 1.0], "K": 0.0}))

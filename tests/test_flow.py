@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import heatmetric as hm
 from heatmetric import flow
-from conftest import complete_graph_space, hypercube_space
+from conftest import complete_graph_space, counted_batch, hypercube_space
 
 
 class TestDtilde:
@@ -89,32 +89,18 @@ class TestDtilde:
         assert float((d2 - np.exp(-space.K * h) * d1).max()) <= 1e-8
 
 
-def _counted_batch(monkeypatch, solve=True):
-    """Patch flow's transport batch to record the number of pairs of each
-    call; with solve=False it returns zeros instead of solving."""
-    counts = []
-    original = flow._w2_exact_batch
-
-    def counted(pairs, dist):
-        counts.append(len(pairs))
-        return original(pairs, dist) if solve else np.zeros(len(pairs))
-
-    monkeypatch.setattr(flow, "_w2_exact_batch", counted)
-    return counts
-
-
 class TestOrbits:
     """One transport solve per orbit of point pairs under the declared
     symmetries of the model grids."""
 
     def test_solves_per_orbit(self, circle24, torus8, monkeypatch):
-        counts = _counted_batch(monkeypatch)
+        counts = counted_batch(monkeypatch)
         hm.dtilde_matrix(circle24[2], 0.25)
         hm.dtilde_matrix(torus8[2], 0.25)
         assert counts == [12, 14]
 
     def test_orbits_of_the_16x16_torus_counted(self, monkeypatch):
-        counts = _counted_batch(monkeypatch, solve=False)
+        counts = counted_batch(monkeypatch, solve=False)
         _, space = hm.model_torus(2 * np.pi, 2 * np.pi, 16, 16)
         hm.dtilde_matrix(hm.spectral_decompose(space), 0.25)
         assert counts == [44]
@@ -143,7 +129,7 @@ class TestOrbits:
         assert hm.dtilde_pairs(hs, 0.25, pairs).tolist() == [full[p] for p in pairs]
 
     def test_space_without_symmetries_solves_each_pair(self, monkeypatch):
-        counts = _counted_batch(monkeypatch)
+        counts = counted_batch(monkeypatch)
         space = hypercube_space(3)
         hm.dtilde_matrix(hm.spectral_decompose(space), 0.2)
         assert counts == [28]

@@ -267,8 +267,8 @@ class TestSymmetries:
         assert not space.symmetries[0].flags.writeable
 
     @pytest.mark.parametrize("g", [[0, 0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6],
-                                   [1.0, 2.0, 3.0, 4.0, 5.0, 0.0]],
-                             ids=["repeat", "short", "out-of-range", "float"])
+                                   [1.0, 2.0, 3.0, 4.0, 5.0, 0.0], [1, 2, 3, 4, 5, False]],
+                             ids=["repeat", "short", "out-of-range", "float", "bool"])
     def test_non_permutation(self, g):
         edges, measure, cond = _ring(6)
         with pytest.raises(hm.SpaceError, match="permutation of 0..5"):

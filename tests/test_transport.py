@@ -245,6 +245,37 @@ class TestCTransform:
         assert np.abs(phi_cc - phi).max() < 1e-9
 
 
+# reference for w2_sinkhorn on selftest's fixture, seeds 0-39, from a
+# log-domain solver that ran 400 sweeps at every stage above eps_final:
+# seeds 1 and 2 raise SinkhornNonConvergence, the others give these values
+SELFTEST_RAISING_SEEDS = [1, 2]
+SELFTEST_SINKHORN_VALUES = {
+    0: 0.07632685977151801, 3: 0.06435598602677077, 4: 0.04758534003131936,
+    5: 0.08116126951528216, 6: 0.061354123729084185, 7: 0.06325521948564002,
+    8: 0.04542982045912252, 9: 0.07661577815222828, 10: 0.06679238430638394,
+    11: 0.05110855003065474, 12: 0.041684333531661406, 13: 0.05734615895873131,
+    14: 0.04278729787615783, 15: 0.06337653290523843, 16: 0.04807524891677608,
+    17: 0.05021066318424043, 18: 0.049977093538707655, 19: 0.04646895859499833,
+    20: 0.05165731830333587, 21: 0.043631973284998835, 22: 0.07647811368961928,
+    23: 0.04762144249083485, 24: 0.03566857361706395, 25: 0.080697933801222,
+    26: 0.05397157985285095, 27: 0.04461483051964247, 28: 0.06465460167414394,
+    29: 0.08873135453676152, 30: 0.0501633752571712, 31: 0.05464928773018116,
+    32: 0.049196136973303606, 33: 0.06808927946388182, 34: 0.04504674602197925,
+    35: 0.051069329104934544, 36: 0.0485676490783893, 37: 0.05575155284957383,
+    38: 0.04282043043241924, 39: 0.047040650962314315,
+}
+
+
+def selftest_sinkhorn_fixture(seed):
+    """selftest's Sinkhorn comparison: a seeded pair on the 16-point circle
+    of circumference 1, at eps_final = 1e-3 max d^2."""
+    rng = np.random.default_rng(seed)
+    mu = rng.random(16) + 0.05
+    nu = rng.random(16) + 0.05
+    _, space = hm.model_circle(1.0, 16)
+    return mu / mu.sum(), nu / nu.sum(), space.dist, 1e-3 * space.dist.max() ** 2
+
+
 class TestSinkhorn:
     def test_against_exact(self, rng):
         _, space = hm.model_circle(1.0, 16)
@@ -318,6 +349,51 @@ class TestSinkhorn:
         mu, nu = mu / mu.sum(), nu / nu.sum()
         with pytest.raises(hm.SinkhornNonConvergence):
             hm.w2_sinkhorn(mu, nu, space.dist, 1e-5 * space.dist.max() ** 2)
+
+    def test_selftest_seeds_match_the_log_domain_solver(self):
+        raising = []
+        for seed in range(40):
+            mu, nu, dist, eps = selftest_sinkhorn_fixture(seed)
+            try:
+                value = hm.w2_sinkhorn(mu, nu, dist, eps)
+            except hm.SinkhornNonConvergence:
+                raising.append(seed)
+                continue
+            assert_allclose(value, SELFTEST_SINKHORN_VALUES[seed], rtol=1e-6)
+        assert raising == SELFTEST_RAISING_SEEDS
+
+    def test_stages_stop_at_the_tolerance(self):
+        # 400 sweeps at each of the ten stages above eps_final took 4,400
+        _, info = hm.w2_sinkhorn(*selftest_sinkhorn_fixture(0), return_info=True)
+        assert info["sweeps"] <= 1600
+
+    def test_bracket_holds_the_exact_value(self):
+        for seed in sorted(SELFTEST_SINKHORN_VALUES)[:16]:
+            mu, nu, dist, eps = selftest_sinkhorn_fixture(seed)
+            value, info = hm.w2_sinkhorn(mu, nu, dist, eps, return_info=True)
+            _, swapped = hm.w2_sinkhorn(nu, mu, dist, eps, return_info=True)
+            lower, upper = info["bracket"]
+            assert lower <= hm.w2_exact(mu, nu, dist).value <= upper == value
+            assert upper - lower <= 0.03 * value
+            assert swapped["bracket"] == info["bracket"]
+
+    @pytest.mark.parametrize("eps_rel", [1e-2, 1e-3])
+    def test_masses_spanning_twelve_decades(self, eps_rel):
+        # the bracket closes on point masses, where it holds to rounding;
+        # warnings are errors, so an overflow of the scalings would fail too
+        _, space = hm.model_circle(1.0, 16)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            mu = 10.0 ** rng.uniform(-12, 0, 16)
+            nu = 10.0 ** rng.uniform(-12, 0, 16)
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+            value, info = hm.w2_sinkhorn(mu, nu, space.dist, eps_rel * space.dist.max() ** 2,
+                                         return_info=True)
+            exact = hm.w2_exact(mu, nu, space.dist).value
+            lower, upper = info["bracket"]
+            assert np.isfinite([value, lower, upper]).all()
+            assert lower <= exact * (1 + 1e-12) and exact <= upper * (1 + 1e-12)
+            assert info["marginal_violation"] <= 1e-8
 
 
 class TestCirclePath:
