@@ -4,12 +4,15 @@ The generator on a finite space is (Lf)(i) = (1/m_i) sum_j w_ij (f(i) - f(j))
 with the space's conductances w_ij: build_space resolves them, to the given
 ones (model grids set them so L is the second-order discrete Laplace-Beltrami
 operator) or to its default min(m_i, m_j) / length(i,j)^2. The semigroup is
-e^{-tL}, computed from the full dense eigendecomposition, which is exact up
-to rounding and keeps everything deterministic; inputs beyond n = 4096 are
-rejected rather than approximated.
+e^{-tL}, computed from a full eigendecomposition, which is exact up to
+rounding and keeps everything deterministic. On a space with a translation
+group (the model circle and torus, see build_space) it is the group's real
+characters, in closed form; on every other space it is the dense symmetric
+eigensolver. Inputs beyond n = 4096 are rejected rather than approximated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +59,19 @@ class HeatStructure:
 def spectral_decompose(space: FiniteMetricMeasureSpace) -> HeatStructure:
     """Full eigendecomposition of the measure-weighted graph generator.
 
-    The generator is symmetrized as M^{-1/2} (D - W) M^{-1/2} so a dense
-    symmetric eigensolver applies; eigenvectors are mapped back to be
-    orthonormal in the m-weighted inner product.
+    On a space with a translation group (space.translation_coords, see
+    build_space) the generator commutes with the group, so the group's real
+    characters are its eigenvectors, in closed form (_character_pairs).
+    Every other space takes the dense path: the generator is symmetrized as
+    M^{-1/2} (D - W) M^{-1/2} so a dense symmetric eigensolver applies, and
+    eigenvectors are mapped back to be orthonormal in the m-weighted inner
+    product.
     """
     if space.n > MAX_DENSE_N:
         raise HeatError(f"space too large for dense decomposition (n > {MAX_DENSE_N})")
+    if space.translation_coords is not None:
+        lam, U = _character_pairs(space)
+        return HeatStructure(eigenvalues=lam, eigenvectors=U, space=space)
     W = _adjacency(space.n, space.edges, space.conductances).toarray()
     deg = W.sum(axis=1)
     lap = np.diag(deg) - W
@@ -76,6 +86,54 @@ def spectral_decompose(space: FiniteMetricMeasureSpace) -> HeatStructure:
     lam[0] = 0.0
     U = V * s[:, None]
     return HeatStructure(eigenvalues=lam, eigenvectors=U, space=space)
+
+
+def _character_pairs(space):
+    """Eigenvalues and m-orthonormal eigenvectors of the generator from the
+    real characters of the space's translation group.
+
+    The character of the point k has phase p_k(x) = sum_j c_j(k) c_j(x) M / o_j
+    mod M at x, with c the group coordinates, o_j the orders and M their
+    lcm: chi_k(x) = exp(2 pi i p_k(x) / M). The measure and the conductances
+    are invariant, so L chi_k = lambda_k chi_k with
+    lambda_k = sum_y w(0, y) (1 - cos(2 pi p_k(y) / M)) / m, evaluated as
+    2 sin^2(pi p_k(y) / M) to keep the small eigenvalues to full relative
+    precision. k and -k share lambda_k and give the columns cos(2 pi p_k / M)
+    and sin(2 pi p_k / M), scaled to unit m-norm; a k equal to -k gives its
+    cosine alone. Columns are stably sorted by eigenvalue, so lambda_0 = 0
+    belongs to the constant column.
+    """
+    coords, n = space.translation_coords, space.n
+    orders = coords.max(axis=0) + 1
+    M = math.lcm(*(int(o) for o in orders))
+    steps = M // orders
+
+    def phases(points, chars):
+        # p[x, c] for the points x and the characters of the points chars
+        p = sum(np.multiply.outer(coords[points, j] * steps[j], coords[chars, j])
+                for j in range(len(steps)))
+        p %= M
+        return p
+
+    point_of = np.empty(n, dtype=int)
+    point_of[np.ravel_multi_index(coords.T, tuple(orders))] = np.arange(n)
+    negated = point_of[np.ravel_multi_index((-coords % orders).T, tuple(orders))]
+    chars = np.flatnonzero(np.arange(n) <= negated)  # one of each pair {k, -k}
+    paired = chars < negated[chars]
+
+    touching = (space.edges == 0).any(axis=1)  # an edge at point 0 ends at its endpoints' sum
+    ends, w, m = space.edges[touching].sum(axis=1), space.conductances[touching], space.measure[0]
+    lam = 2 * (w @ np.sin(np.pi * phases(ends, chars) / M) ** 2) / m
+    lam = np.concatenate([lam, lam[paired]])
+    order = np.argsort(lam, kind="stable")
+    col_char = np.concatenate([chars, chars[paired]])[order]
+    scale = np.where(col_char == negated[col_char], 1.0, np.sqrt(2.0)) / np.sqrt(n * m)
+    p = phases(np.arange(n), col_char)
+    p += M * (order >= len(chars))  # the sine columns read the second half of the table
+    angles = 2 * np.pi * np.arange(M) / M
+    U = np.concatenate([np.cos(angles), np.sin(angles)])[p]
+    U *= scale
+    return lam[order], U
 
 
 def _clip_reconstruction_noise(v):

@@ -11,15 +11,24 @@ A space may declare symmetries: point permutations that preserve its
 measure and its edges with their lengths and conductances, hence its metric
 and its heat semigroup. build_space checks every declared permutation and
 never infers one; the model grids declare generators of their groups,
-and a space file may declare its own.
+and a space file may declare its own. When the declared symmetries without
+a fixed point generate a translation group (one that acts regularly: the
+model circle's rotation, the model torus's unit translations, the XOR
+translations of a hypercube), build_space keeps each point's coordinates in
+that group; the metric of a sparse graph is then one single-source
+shortest-path row gathered over the group, and the heat spectrum comes from
+the group's characters.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, shortest_path
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 from .geometry import CircleGeometry, TorusGeometry, _require_integers
 
@@ -79,6 +88,12 @@ class FiniteMetricMeasureSpace:
         and the edge (g i, g j) carries the length and conductance of
         (i, j). They generate the declared group; empty when none is
         declared.
+    translation_coords : ndarray, shape (n, k), int, or None
+        Coordinates of each point in the declared translation group
+        Z_{o_1} x ... x Z_{o_k} (see build_space): point x is
+        g_1^{c_1} ... g_k^{c_k}(0) for c = translation_coords[x], so point 0
+        has coordinates 0 and each order o_j is one more than the column's
+        maximum. None when the declared symmetries form no translation group.
     """
 
     n: int
@@ -89,6 +104,7 @@ class FiniteMetricMeasureSpace:
     conductances: np.ndarray
     K: float | None = None
     symmetries: tuple = ()
+    translation_coords: np.ndarray | None = None
 
     @property
     def total_mass(self) -> float:
@@ -115,13 +131,77 @@ def _adjacency(n, edges, values):
     return m.tocsr()
 
 
-def _path_metric(adj):
+def _path_metric(adj, coords=None):
     """All-pairs shortest paths over the weighted adjacency adj, made exactly
-    symmetric with a zero diagonal: the space's metric, and d_t."""
+    symmetric with a zero diagonal: the space's metric, and d_t.
+
+    shortest_path runs Dijkstra when adj has fewer than n^2 / 4 entries and
+    Floyd-Warshall otherwise, and the two sum paths differently in the last
+    bits. With coords, the coordinates of a translation group that carries
+    the graph onto itself, a sparse graph takes one single-source Dijkstra
+    instead (_translation_metric), which gives the same bits."""
+    n = adj.shape[0]
+    if coords is not None and adj.nnz < n * n / 4:
+        return _translation_metric(adj, coords)
     dist = shortest_path(adj, directed=False)
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def _translation_coords(n, symmetries):
+    """Each point's coordinates in the translation group of the checked
+    symmetries, or None when they form none.
+
+    The generators g_1..g_k are the symmetries without a fixed point. They
+    form a translation group when they pairwise commute, the product of
+    their orders o_j (each read at point 0) is n, and the orbit of point 0
+    covers every point. Then the group has at most n elements and acts
+    transitively, so it acts regularly as Z_{o_1} x ... x Z_{o_k}, and
+    c -> g_1^{c_1} ... g_k^{c_k}(0) is a bijection onto the points.
+    """
+    gens = [g for g in symmetries if np.all(g != np.arange(n))]
+    if not gens or any(not np.array_equal(g[h], h[g]) for g, h in combinations(gens, 2)):
+        return None
+    # orbit holds g_1^{c_1} ... g_j^{c_j}(0) at the flat index of (c_j, ..., c_1)
+    orbit, orders = np.zeros(1, dtype=int), []
+    for g in gens:
+        step = g.tolist()
+        x, order = step[0], 1
+        while x != 0:
+            x, order = step[x], order + 1
+        if orbit.size * order > n:
+            return None
+        layers, power = orbit[None, :], g  # layers[b] = g^b(orbit), doubled up to the order
+        while len(layers) < order:
+            layers, power = np.concatenate([layers, power[layers]]), power[power]
+        orbit, orders = layers[:order].ravel(), [order, *orders]
+    if orbit.size != n or not np.array_equal(np.sort(orbit), np.arange(n)):
+        return None
+    coords = np.empty((n, len(orders)), dtype=int)
+    coords[orbit] = np.stack(np.unravel_index(np.arange(n), orders)[::-1], axis=1)
+    coords.flags.writeable = False
+    return coords
+
+
+def _translation_metric(adj, coords):
+    """The all-pairs Dijkstra metric of a graph carried onto itself by the
+    translation group of coords, from one single-source Dijkstra.
+
+    Dijkstra's value at y is the least, over paths, of the path's lengths
+    summed from the source, so the group's translations carry it over:
+    all-pairs Dijkstra would give D[x, y] = d0[c(y) - c(x)] with d0 the row
+    of point 0, and _path_metric keeps min(D, D.T), which is
+    min(d0[c(y) - c(x)], d0[c(x) - c(y)]).
+    """
+    orders = tuple(int(o) for o in coords.max(axis=0) + 1)
+    row = np.empty(orders)
+    row[tuple(coords.T)] = dijkstra(adj, directed=False, indices=0)
+    row = np.minimum(row, row[np.ix_(*[-np.arange(o) % o for o in orders])])
+    # row[c' - c] is wide[o - c, c'] = tiled[o - c + c'], with o - c + c' in [1, 2o)
+    wide = sliding_window_view(np.tile(row, (2,) * len(orders)), orders)
+    return wide[tuple((o - c)[:, None] for o, c in zip(orders, coords.T))
+                + tuple(c[None, :] for c in coords.T)]
 
 
 def _edge_table(edges, lengths, cond):
@@ -172,7 +252,8 @@ def build_space(points, edges, measure, K=None, conductances=None,
         Number of points, a Python or NumPy integer (not a boolean).
     edges : iterable of (i, j, length)
         Undirected edges between distinct points, given by Python or NumPy
-        integers (not booleans), lengths finite and > 0. It is read once.
+        integers (not booleans), lengths finite and > 0, each pair of points
+        at most once (in either order). It is read once.
     measure : array_like, shape (points,)
         Finite, strictly positive weights.
     K : float, optional
@@ -185,15 +266,24 @@ def build_space(points, edges, measure, K=None, conductances=None,
         Point permutations declared to preserve the space, each an integer
         array or a sequence of Python or NumPy integers (not booleans); each
         is checked exactly (O(m log m) for m edges) and kept as a generator.
+        When those without a fixed point form a translation group (they
+        pairwise commute, their orders multiply to n and the orbit of point
+        0 is every point), the space keeps each point's coordinates in it as
+        translation_coords, the metric of a sparse graph (fewer than n^2 / 4
+        adjacency entries) is the shortest-path row of point 0 carried over
+        by the group (the all-pairs metric to the bit, from one single-source
+        Dijkstra), and spectral_decompose takes the group's characters. Reflections and the axis swap fix points and are left
+        out of the rule; every other space takes all-pairs shortest paths.
 
     Raises
     ------
     DisconnectedGraph, NonpositiveWeight, NonpositiveEdgeLength
         The last two also on a non-finite weight or length. SpaceError,
         naming the value, also on a point count or edge endpoint that is not
-        an integer, on a non-finite K or conductance, and when a
-        declared symmetry holds a non-integer, is not a permutation or moves
-        the measure, an edge, its length or its conductance.
+        an integer, on a non-finite K or conductance, on an edge given twice
+        (naming its pair), and when a declared symmetry holds a non-integer,
+        is not a permutation or moves the measure, an edge, its length or its
+        conductance.
     """
     _require_integers("the point count", [points], SpaceError)
     n = int(points)
@@ -214,13 +304,16 @@ def build_space(points, edges, measure, K=None, conductances=None,
         raise SpaceError("edge endpoint out of range")
     if np.any(edge_arr[:, 0] == edge_arr[:, 1]):
         raise SpaceError("self loops are not allowed")
+    _, first, counts = np.unique(np.sort(edge_arr, axis=1) @ [n, 1],
+                                 return_index=True, return_counts=True)
+    if np.any(counts > 1):
+        i, j = edge_arr[first[counts > 1].min()]
+        raise SpaceError(f"the edge ({i}, {j}) is given twice")
 
     adj = _adjacency(n, edge_arr, lengths)
     ncomp, _ = connected_components(adj, directed=False)
     if ncomp != 1:
         raise DisconnectedGraph(f"edge graph has {ncomp} components")
-
-    dist = _path_metric(adj)
 
     if conductances is None:
         cond = np.minimum(measure[edge_arr[:, 0]], measure[edge_arr[:, 1]]) / lengths**2
@@ -232,9 +325,11 @@ def build_space(points, edges, measure, K=None, conductances=None,
 
     symmetries = tuple(_checked_symmetry(g, n, edge_arr, lengths, measure, cond)
                        for g in symmetries)
+    coords = _translation_coords(n, symmetries)
+    dist = _path_metric(adj, coords)
     return FiniteMetricMeasureSpace(
         n=n, edges=edge_arr, lengths=lengths, dist=dist, measure=measure,
-        conductances=cond, K=K, symmetries=symmetries,
+        conductances=cond, K=K, symmetries=symmetries, translation_coords=coords,
     )
 
 

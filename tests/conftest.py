@@ -77,3 +77,40 @@ def counted_batch(monkeypatch, solve=True):
 
     monkeypatch.setattr(flow, "_w2_exact_batch", counted)
     return counts
+
+
+def uniform_ring(n, rotation=None):
+    """The uniform n-cycle of circumference 2 pi, declaring its rotation by
+    that many steps when one is given."""
+    edges = [(i, (i + 1) % n, 2 * np.pi / n) for i in range(n)]
+    symmetries = [] if rotation is None else [(np.arange(n) + rotation) % n]
+    return hm.build_space(n, edges, np.ones(n), K=0.0, symmetries=symmetries)
+
+
+def hypercube_with_translations(k):
+    """The k-cube with unit edges, declaring its k coordinate flips x -> x ^ 2^b."""
+    n = 1 << k
+    edges = [(i, i ^ (1 << b), 1.0) for i in range(n) for b in range(k) if i < (i ^ (1 << b))]
+    return hm.build_space(n, edges, np.ones(n), K=0.0,
+                          symmetries=[np.arange(n) ^ (1 << b) for b in range(k)])
+
+
+def glide_torus():
+    """The 8x8 model torus declaring the glide (i, j) -> (i + 1, -j) and the
+    translation (i, j) -> (i + 1, j). They commute and their orders multiply
+    to 64, but the orbit of point 0 is the row j = 0: no translation group."""
+    _, torus = hm.model_torus(2 * np.pi, 2 * np.pi, 8, 8)
+    i, j = np.divmod(np.arange(64), 8)
+    edges = [(a, b, ell) for (a, b), ell in zip(torus.edges.tolist(), torus.lengths)]
+    return hm.build_space(64, edges, torus.measure, K=0.0, conductances=torus.conductances,
+                          symmetries=[(i + 1) % 8 * 8 + -j % 8, (i + 1) % 8 * 8 + j])
+
+
+# spaces with a translation group, by name
+TRANSLATION_GRIDS = {
+    **{f"circle{n}": (lambda n=n: hm.model_circle(2 * np.pi, n)[1])
+       for n in (8, 9, 24, 255, 256, 512)},
+    **{f"torus{a}x{b}": (lambda a=a, b=b: hm.model_torus(2 * np.pi, 2 * np.pi, a, b)[1])
+       for a, b in ((8, 8), (12, 16), (9, 15))},
+    "cube4": lambda: hypercube_with_translations(4),
+}

@@ -396,6 +396,64 @@ class TestSpaceFileSymmetries:
         assert not out.exists()
 
 
+class TestTranslationGroupFiles:
+    """A space file whose declared symmetries form a translation group takes
+    the one-source metric and the character spectrum."""
+
+    @staticmethod
+    def as_file(tmp_path, name, space, symmetries=()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "points": space.n, "K": 0.0, "measure": space.measure.tolist(),
+            "edges": [[i, j, ell] for (i, j), ell in zip(space.edges.tolist(), space.lengths)],
+            "conductances": space.conductances.tolist(),
+            "symmetries": [g.tolist() for g in symmetries]}))
+        return path
+
+    @pytest.mark.parametrize("geometry, grid", [
+        (["circle", "--n", "24"], lambda: spaces.model_circle(2 * np.pi, 24)[1]),
+        (["torus", "--n1", "8", "--n2", "12"],
+         lambda: spaces.model_torus(2 * np.pi, 2 * np.pi, 8, 12)[1]),
+    ], ids=["circle24", "torus8x12"])
+    def test_t0_csv_is_the_all_pairs_metric(self, tmp_path, geometry, grid):
+        # the model grid's metric, from one source, against the same grid as a
+        # file without symmetries, from all pairs
+        path = self.as_file(tmp_path, "plain", grid())
+        args = ["flow", "--times", "0", "--out"]
+        assert cli.run([*args, str(tmp_path / "grid"), "--geometry", *geometry]) == 0
+        assert cli.run([*args, str(tmp_path / "file"), "--space", str(path)]) == 0
+        for name in ("dtilde_0.csv", "dt_0.csv"):
+            assert (tmp_path / "grid" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+    def test_declared_one_step_rotation(self, tmp_path, monkeypatch):
+        _, ring = spaces.model_circle(2 * np.pi, 12)
+        rotation = (np.arange(12) + 1) % 12
+        paths = [self.as_file(tmp_path, "rot", ring, [rotation]),
+                 self.as_file(tmp_path, "plain", ring)]
+        calls, eigh = [], heat.scipy.linalg.eigh
+        monkeypatch.setattr(heat.scipy.linalg, "eigh",
+                            lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        for path in paths:
+            assert cli.run(["flow", "--space", str(path), "--times", "0,0.1",
+                            "--out", str(tmp_path / path.stem)]) == 0
+        assert calls == [1]  # the file without symmetries alone calls eigh
+        rot, plain = (tmp_path / path.stem for path in paths)
+        assert (rot / "dtilde_0.csv").read_bytes() == (plain / "dtilde_0.csv").read_bytes()
+        sym, ref = (np.loadtxt(d / "dtilde_0p1.csv", delimiter=",", skiprows=1) for d in (rot, plain))
+        np.testing.assert_allclose(sym, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("edges, pair", [
+        ([[0, 1, 1.0], [1, 2, 1.0], [2, 1, 1.0]], "(1, 2)"),
+        ([[0, 1, 1.0], [0, 1, 2.0], [1, 2, 1.0]], "(0, 1)"),
+    ], ids=["reversed", "parallel"])
+    def test_edge_given_twice_exits_2(self, tmp_path, capsys, edges, pair):
+        path, out = tmp_path / "space.json", tmp_path / "run"
+        path.write_text(json.dumps({"points": 3, "edges": edges, "measure": [1.0] * 3}))
+        assert cli.run(["flow", "--space", str(path), "--times", "0.1", "--out", str(out)]) == 2
+        assert f"the edge {pair} is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTangencyCommand:
     def test_circle_quick(self, tmp_path):
         out = tmp_path / "tan"

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import heatmetric as hm
+from conftest import TRANSLATION_GRIDS, glide_torus, uniform_ring
+from heatmetric import cli, spaces
 from heatmetric.heat import _circle_fourier, _circle_images
 
 
@@ -44,6 +49,76 @@ class TestSpectralDecompose:
         )
         with pytest.raises(hm.HeatError):
             hm.spectral_decompose(fake)
+
+
+def _dense(space):
+    """The decomposition of space on the dense eigh path."""
+    return hm.spectral_decompose(dataclasses.replace(space, translation_coords=None))
+
+
+class TestCharacterPath:
+    """On a space with a translation group the eigenpairs are the group's real
+    characters; the dense eigh path is their oracle."""
+
+    @pytest.fixture(scope="class", params=list(TRANSLATION_GRIDS), ids=list(TRANSLATION_GRIDS))
+    def both(self, request):
+        space = TRANSLATION_GRIDS[request.param]()
+        return space, hm.spectral_decompose(space), _dense(space)
+
+    def test_eigenvalues(self, both):
+        # eigh's error is ~1e-16 of the largest eigenvalue, ~5e-12 of the
+        # smallest at n = 255, so the scale is the largest eigenvalue
+        _, hs, dense = both
+        assert hs.eigenvalues[0] == 0.0
+        assert np.all(np.diff(hs.eigenvalues) >= 0)
+        assert_allclose(hs.eigenvalues, dense.eigenvalues, rtol=0,
+                        atol=1e-12 * dense.eigenvalues[-1])
+
+    @pytest.mark.parametrize("n", [8, 255, 512])
+    def test_circle_eigenvalues_to_full_relative_precision(self, n):
+        _, space = hm.model_circle(2 * np.pi, n)
+        h, k = 2 * np.pi / n, np.arange(n)
+        exact = np.sort(4 / h**2 * np.sin(np.pi * k / n) ** 2)
+        assert_allclose(hm.spectral_decompose(space).eigenvalues, exact, rtol=1e-13)
+
+    def test_m_orthonormal(self, both):
+        space, hs, _ = both
+        U = hs.eigenvectors
+        assert np.abs(U.T @ (space.measure[:, None] * U) - np.eye(space.n)).max() < 1e-12
+
+    @pytest.mark.parametrize("t", [0.01, 0.1])
+    def test_heat_measures(self, both, t):
+        # row x of each matrix is H_t delta_x, for every point x
+        space, hs, dense = both
+        W = spaces._adjacency(space.n, space.edges, space.conductances).toarray()
+        generator = (np.diag(W.sum(axis=1)) - W) / space.measure[:, None]
+        oracle = scipy.linalg.expm(-t * generator).T
+        got, ref = (hm.heat_kernel_matrix(h, t) * space.measure for h in (hs, dense))
+        assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+        assert np.abs(got - oracle).max() <= np.abs(ref - oracle).max()
+
+    def test_eigh_never_called_on_model_grids(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called on a model grid")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        for geometry in (["circle", "--n", "64"], ["torus", "--n1", "8", "--n2", "12"]):
+            out = tmp_path / geometry[0]
+            assert cli.run(["flow", "--geometry", *geometry, "--times", "0.1",
+                            "--pairs", "0:5", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("build, plain", [
+        (lambda: uniform_ring(12, rotation=2), lambda: uniform_ring(12)),
+        (glide_torus, lambda: hm.model_torus(2 * np.pi, 2 * np.pi, 8, 8)[1]),
+    ], ids=["rotation-by-two", "glide"])
+    def test_fallback_is_the_dense_path(self, build, plain, monkeypatch):
+        calls, eigh = [], scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        hs = hm.spectral_decompose(build())
+        expected = _dense(plain())
+        assert calls == [1, 1]
+        assert np.array_equal(hs.eigenvalues, expected.eigenvalues)
+        assert np.array_equal(hs.eigenvectors, expected.eigenvectors)
 
 
 class TestHeatApply:

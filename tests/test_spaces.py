@@ -1,10 +1,13 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import heatmetric as hm
+from heatmetric import spaces
+from conftest import TRANSLATION_GRIDS, glide_torus, hypercube_with_translations, uniform_ring
 
 
 def brute_force_shortest(n, edges, a, b):
@@ -111,6 +114,16 @@ class TestBuildSpaceInputs:
         args = {"points": 2, "edges": [(0, 1, 1.0)], "measure": [1.0, 1.0], **kwargs}
         with pytest.raises(error, match=message):
             hm.build_space(**args)
+
+    @pytest.mark.parametrize("points, edges, pair", [
+        (2, [(0, 1, 1.0), (1, 0, 1.0)], "(0, 1)"),
+        (3, [(0, 1, 1.0), (1, 2, 1.0), (1, 2, 2.0)], "(1, 2)"),
+        (3, [(0, 1, 1.0), (2, 1, 1.0), (1, 0, 3.0), (1, 2, 1.0)], "(0, 1)"),
+    ], ids=["reversed", "parallel", "two-pairs"])
+    def test_edge_given_twice(self, points, edges, pair):
+        # a repeated edge used to have its lengths summed into one edge
+        with pytest.raises(hm.SpaceError, match=re.escape(f"the edge {pair} is given twice")):
+            hm.build_space(points, edges, np.ones(points))
 
     def test_numpy_integers(self):
         space = hm.build_space(np.int64(2), [(np.int32(0), np.uint8(1), 1.0)], [1.0, 1.0])
@@ -313,3 +326,77 @@ class TestSymmetries:
 
     def test_none_declared(self):
         assert hm.build_space(2, [(0, 1, 1.0)], [1.0, 1.0]).symmetries == ()
+
+
+
+class TestTranslationGroup:
+    """Declared symmetries without a fixed point that commute, whose orders
+    multiply to n and whose orbit of point 0 is everything, give each point
+    its coordinates in the group."""
+
+    def test_circle_coordinates(self):
+        _, space = hm.model_circle(2 * np.pi, 24)  # the reflection fixes 0 and is left out
+        assert space.translation_coords.tolist() == [[i] for i in range(24)]
+        assert not space.translation_coords.flags.writeable
+
+    def test_torus_coordinates(self):
+        _, space = hm.model_torus(2 * np.pi, 2 * np.pi, 8, 8)  # the axis swap fixes the diagonal
+        assert space.translation_coords.tolist() == [[i, j] for i in range(8) for j in range(8)]
+
+    def test_hypercube_coordinates(self):
+        space = hypercube_with_translations(3)
+        assert space.translation_coords.tolist() == [[x & 1, x >> 1 & 1, x >> 2] for x in range(8)]
+
+    def test_space_file_rotation(self):
+        space = uniform_ring(12, rotation=1)
+        assert space.translation_coords.ravel().tolist() == list(range(12))
+
+    def test_rotation_by_two_is_not_transitive(self):
+        # order 6 on 12 points: the orbit of 0 is the even points
+        assert uniform_ring(12, rotation=2).translation_coords is None
+
+    def test_glide_is_not_transitive(self):
+        assert glide_torus().translation_coords is None
+
+    def test_non_commuting_generators(self):
+        # on the 6-cycle the rotation and the reflection i -> 1 - i have no fixed
+        # point, but they do not commute
+        edges, measure, cond = _ring(6)
+        space = hm.build_space(6, edges, measure, conductances=cond,
+                               symmetries=[(np.arange(6) + 1) % 6, (1 - np.arange(6)) % 6])
+        assert space.translation_coords is None
+
+    def test_no_symmetries(self):
+        assert hm.build_space(2, [(0, 1, 1.0)], [1.0, 1.0]).translation_coords is None
+
+    @pytest.mark.parametrize("build", [*TRANSLATION_GRIDS.values(), lambda: uniform_ring(3, rotation=1)],
+                             ids=[*TRANSLATION_GRIDS, "circle3"])
+    def test_metric_is_the_all_pairs_metric(self, build):
+        space = build()
+        assert space.translation_coords is not None
+        adj = spaces._adjacency(space.n, space.edges, space.lengths)
+        assert np.array_equal(space.dist, spaces._path_metric(adj))
+
+    @pytest.mark.parametrize("build", [lambda: hm.model_circle(2 * np.pi, 24),
+                                       lambda: hm.model_torus(2 * np.pi, 2 * np.pi, 16, 12)],
+                             ids=["circle24", "torus16x12"])
+    def test_sparse_grid_takes_one_source(self, build, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("all-pairs shortest paths on a translation grid")
+
+        monkeypatch.setattr(spaces, "shortest_path", refuse)
+        build()
+
+    def test_dense_circulant_keeps_floyd_warshall_bits(self):
+        # every chord of the 12-cycle, with a random length per offset: scipy's
+        # all-pairs search runs Floyd-Warshall, and with these lengths (seed 28)
+        # one-source Dijkstra sums some paths to other last bits
+        rng = np.random.default_rng(28)
+        n, lengths = 12, rng.uniform(0.3, 3.0, 7)
+        edges = [(i, (i + o) % n, lengths[o]) for o in range(1, 7) for i in range(n if o < 6 else 6)]
+        space = hm.build_space(n, edges, np.ones(n), symmetries=[(np.arange(n) + 1) % n])
+        adj = spaces._adjacency(n, space.edges, space.lengths)
+        assert space.translation_coords is not None and adj.nnz >= n * n / 4
+        assert not np.array_equal(spaces._translation_metric(adj, space.translation_coords),
+                                  spaces._path_metric(adj))
+        assert np.array_equal(space.dist, spaces._path_metric(adj))
