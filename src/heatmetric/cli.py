@@ -43,7 +43,7 @@ from . import heat as heat_mod
 from . import tangent as tangent_mod
 from . import transport as transport_mod
 from .geometry import CircleGeometry, SphereGeometry, TorusGeometry
-from .spaces import build_space, model_circle, model_torus
+from .spaces import _grid_space, build_space, model_circle
 
 __all__ = ["main", "run"]
 
@@ -144,13 +144,8 @@ def resolve_input(args):
         raise InputError("provide exactly one input: --space file or --geometry")
     if has_space:
         return load_space(args.space), None
-    if args.geometry == "circle":
-        geom, space = model_circle(args.L, args.n)
-    elif args.geometry == "torus":
-        geom, space = model_torus(args.L1, args.L2, args.n1, args.n2)
-    else:
-        geom, space = build_geometry(args), None
-    return space, geom
+    geom = build_geometry(args)
+    return (None if isinstance(geom, SphereGeometry) else _grid_space(geom)), geom
 
 
 # ---------------------------------------------------------------------------

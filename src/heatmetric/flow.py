@@ -236,15 +236,19 @@ def _as_measure_pair(space, pair):
 
 def _contraction(K, times, labelled_pairs, w2, evolve) -> ContractionReport:
     """Ratios W_2(evolve(t, mu), evolve(t, nu)) / W_2(mu, nu) against e^{-Kt}
-    for each (mu, nu, label), at least one pair and one time."""
+    for each (mu, nu, label), at least one pair and one time. Every pair's
+    W_2(mu, nu) is taken, and must be > 0, before the first evolve."""
     bad = [t for t in times if not 0 <= t < np.inf]
     if bad:
         raise FlowError(f"time must be finite and >= 0, not {bad[0]}")
     if len(times) == 0 or not labelled_pairs:
         raise FlowError("contraction needs at least one pair and one time")
+    initial = [w2(mu, nu) for mu, nu, _ in labelled_pairs]
+    for (_, _, (a, b)), w0 in zip(labelled_pairs, initial):
+        if w0 == 0:
+            raise FlowError(f"pair {a}:{b} is at W2 distance 0, so it has no contraction ratio")
     records = []
-    for mu, nu, label in labelled_pairs:
-        w0 = w2(mu, nu)
+    for (mu, nu, label), w0 in zip(labelled_pairs, initial):
         for t in times:
             wt = w2(evolve(t, mu), evolve(t, nu))
             records.append(ContractionRecord(
@@ -437,11 +441,11 @@ class RefinementReport:
 def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
     """Common-embedding refinement study on circle grids.
 
-    probe_pairs are pairs of circle fractions in [0, 1); each must land on a
-    node of every grid. Reports dtilde_{n,t} at the matched nodes, successive
-    differences, and the empirical convergence order (expected >= 1). Grid
-    sizes must be integers, checked before any grid is built; both lists are
-    read once, so they may be generators."""
+    probe_pairs are pairs of circle fractions in [0, 1); each must land on
+    two distinct nodes of every grid. Reports dtilde_{n,t} at the matched
+    nodes, successive differences, and the empirical convergence order
+    (expected >= 1). Grid sizes must be integers, checked before any grid is
+    built; both lists are read once, so they may be generators."""
     grid_sizes, probe_pairs = tuple(grid_sizes), list(probe_pairs)
     _require_integers("each grid size", grid_sizes, FlowError)
     sizes = tuple(int(n) for n in grid_sizes)
@@ -453,13 +457,16 @@ def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
         raise FlowError("grid sizes must be strictly increasing")
     vals = np.zeros((len(probe_pairs), len(sizes)))
     for gi, n in enumerate(sizes):
-        _, space = model_circle(L, n)
         pairs_idx = []
         for fa, fb in probe_pairs:
             ia, ib = fa * n, fb * n
             if abs(ia - round(ia)) > 1e-9 or abs(ib - round(ib)) > 1e-9:
                 raise FlowError(f"probe ({fa}, {fb}) not representable on n={n}")
-            pairs_idx.append((int(round(ia)) % n, int(round(ib)) % n))
+            a, b = int(round(ia)) % n, int(round(ib)) % n
+            if a == b:
+                raise FlowError(f"probe ({fa}, {fb}) lands both ends on node {a} of n={n}")
+            pairs_idx.append((a, b))
+        _, space = model_circle(L, n)
         vals[:, gi] = dtilde_pairs(spectral_decompose(space), t, pairs_idx)
     diffs = np.abs(np.diff(vals, axis=1))
     safe = np.maximum(diffs, 1e-300)

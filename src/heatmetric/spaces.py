@@ -211,11 +211,11 @@ def _edge_table(edges, lengths, cond):
     return table[np.lexsort(table.T[::-1])]
 
 
-def _checked_symmetry(g, n, edges, lengths, measure, cond):
+def _checked_symmetry(g, n, edges, lengths, measure, cond, table):
     """g as a read-only int permutation, once it is checked to map the
-    measure and the edge multiset (lengths and conductances included) onto
-    themselves exactly. The metric is the edges' shortest-path metric, so
-    it is preserved too."""
+    measure and the edge multiset (lengths and conductances included, table
+    its _edge_table) onto themselves exactly. The metric is the edges'
+    shortest-path metric, so it is preserved too."""
     if not isinstance(g, np.ndarray):
         g = list(g)
         _require_integers(f"each entry of a symmetry, a permutation of 0..{n - 1},",
@@ -226,8 +226,7 @@ def _checked_symmetry(g, n, edges, lengths, measure, cond):
         raise SpaceError(f"a symmetry must be a permutation of 0..{n - 1}")
     if not np.array_equal(measure[g], measure):
         raise SpaceError("a symmetry does not preserve the measure")
-    if not np.array_equal(_edge_table(g[edges], lengths, cond),
-                          _edge_table(edges, lengths, cond)):
+    if not np.array_equal(_edge_table(g[edges], lengths, cond), table):
         raise SpaceError("a symmetry does not map the edges, their lengths "
                          "and their conductances onto themselves")
     g = g.astype(int)
@@ -272,8 +271,9 @@ def build_space(points, edges, measure, K=None, conductances=None,
         translation_coords, the metric of a sparse graph (fewer than n^2 / 4
         adjacency entries) is the shortest-path row of point 0 carried over
         by the group (the all-pairs metric to the bit, from one single-source
-        Dijkstra), and spectral_decompose takes the group's characters. Reflections and the axis swap fix points and are left
-        out of the rule; every other space takes all-pairs shortest paths.
+        Dijkstra), and spectral_decompose takes the group's characters.
+        Reflections and the axis swap fix points and are left out of the
+        rule; every other space takes all-pairs shortest paths.
 
     Raises
     ------
@@ -323,7 +323,8 @@ def build_space(points, edges, measure, K=None, conductances=None,
             raise SpaceError("conductances must match the edge list")
         _reject(cond, cond >= 0, SpaceError, "conductances must be finite and >= 0")
 
-    symmetries = tuple(_checked_symmetry(g, n, edge_arr, lengths, measure, cond)
+    table = _edge_table(edge_arr, lengths, cond)
+    symmetries = tuple(_checked_symmetry(g, n, edge_arr, lengths, measure, cond, table)
                        for g in symmetries)
     coords = _translation_coords(n, symmetries)
     dist = _path_metric(adj, coords)
@@ -333,66 +334,57 @@ def build_space(points, edges, measure, K=None, conductances=None,
     )
 
 
-def model_circle(L, n):
-    """Equispaced circle grid of circumference L with n nodes.
+def _grid_space(geometry):
+    """The space of a periodic grid geometry (circle or torus), from its
+    axes (geometry.periodic_axes) and K. Nodes carry the cell measure
+    prod h_a (geometry.volume_weights()), h_a = L_a / n_a. A unit step along
+    axis a is an edge of length h_a and conductance cell / h_a^2; on two
+    axes the diagonals (1, 1) and (1, -1) are metric-only edges of length
+    hypot(h1, h2). Edges run point-major in that offset order, and the
+    symmetries are each axis's unit translation, then each axis's
+    reflection, then the swap of two equal axes: the character spectrum
+    reads both orders to the bit."""
+    axes = geometry.periodic_axes
+    h = [L / n for L, n in axes]
+    cell = math.prod(h)
+    # (offset, length, conductance) of each edge at a point, in edge order
+    stencil = [(tuple(e), s, cell / s**2) for e, s in zip(np.eye(len(h), dtype=int), h)]
+    if len(h) == 2:
+        stencil += [(diagonal, float(np.hypot(*h)), 0.0) for diagonal in ((1, 1), (1, -1))]
+    offsets, lengths, cond = zip(*stencil)
+    weights = geometry.volume_weights()
+    ids = np.arange(weights.size).reshape(weights.shape)
 
-    Returns (CircleGeometry, FiniteMetricMeasureSpace); the geometry checks
-    L and n. Nodes carry measure L/n, adjacent nodes are joined by edges of
-    length L/n with conductance mean(m)/h^2, so the spectral generator is the
-    standard second-order periodic Laplacian. K = 0, Ricci = 0. The space
-    declares its dihedral group by two generators: the one-step rotation
-    and the reflection i -> -i.
-    """
+    def moved(offset):  # moved(offset)[x] is the point x + offset
+        return np.roll(ids, [-s for s in offset], axis=tuple(range(ids.ndim))).ravel()
+
+    ends = np.stack([moved(o) for o in offsets], axis=1).ravel()
+    starts = np.repeat(np.arange(ids.size), len(offsets))
+    reflections = [np.take(ids, -np.arange(m) % m, axis=a).ravel() for a, m in enumerate(ids.shape)]
+    swap = [ids.T.ravel()] if len(axes) == 2 and axes[0] == axes[1] else []
+    return build_space(ids.size, zip(starts.tolist(), ends.tolist(), lengths * ids.size),
+                       weights.ravel(), K=geometry.K, conductances=np.tile(cond, ids.size),
+                       symmetries=[moved(o) for o in offsets[:len(axes)]] + reflections + swap)
+
+
+def model_circle(L, n):
+    """Equispaced circle grid of circumference L with n nodes: the
+    CircleGeometry, which checks L and n, and its one-axis periodic grid
+    (_grid_space), whose generator is the standard second-order periodic
+    Laplacian. K = 0. The space declares its dihedral group by two
+    generators: the one-step rotation and the reflection i -> -i."""
     geom = CircleGeometry(L, n)
-    h = L / n
-    edges = [(i, (i + 1) % n, h) for i in range(n)]
-    measure = np.full(n, h)
-    cond = np.full(n, h / h**2)  # mean-of-neighbors measure / h^2
-    i = np.arange(n)
-    space = build_space(n, edges, measure, K=0.0, conductances=cond,
-                        symmetries=[(i + 1) % n, -i % n])
-    return geom, space
+    return geom, _grid_space(geom)
 
 
 def model_torus(L1, L2, n1, n2):
-    """Flat torus grid, L1 x L2 with n1 x n2 nodes.
-
-    Returns (TorusGeometry, FiniteMetricMeasureSpace); the geometry checks
-    the sides and the grid. The metric graph uses 8-neighbour stencils (axis
-    edges of length h and diagonal edges of length sqrt(h1^2 + h2^2)); the
-    induced octile path metric overestimates the flat metric by at most 8.3%.
-    Heat conductances m/h^2 sit on the axis edges only; diagonal edges are
-    metric-only (conductance 0), because putting the grid rule on diagonals
-    as well would double the generator and break the second-order
-    consistency with the flat Laplacian. The space declares the unit
-    translations along both axes and both axis reflections, and the axis
-    swap when L1 == L2 and n1 == n2.
-    """
+    """Flat torus grid, L1 x L2 with n1 x n2 nodes: the TorusGeometry, which
+    checks the sides and the grid, and its two-axis periodic grid
+    (_grid_space). The 8-neighbour stencil gives an octile path metric that
+    overestimates the flat metric by at most 8.3%. The diagonals carry no
+    heat conductance: the grid rule on them would double the generator and
+    break the second-order consistency with the flat Laplacian. The space
+    declares the unit translations and reflections of both axes, and the
+    axis swap when L1 == L2 and n1 == n2."""
     geom = TorusGeometry(L1, L2, n1, n2)
-    h1, h2 = L1 / n1, L2 / n2
-    hd = float(np.hypot(h1, h2))
-    cell = h1 * h2
-
-    def idx(i, j):
-        return (i % n1) * n2 + (j % n2)
-
-    edges, cond = [], []
-    for i in range(n1):
-        for j in range(n2):
-            edges.append((idx(i, j), idx(i + 1, j), h1))
-            cond.append(cell / h1**2)
-            edges.append((idx(i, j), idx(i, j + 1), h2))
-            cond.append(cell / h2**2)
-            edges.append((idx(i, j), idx(i + 1, j + 1), hd))
-            cond.append(0.0)
-            edges.append((idx(i, j), idx(i + 1, j - 1), hd))
-            cond.append(0.0)
-    measure = np.full(n1 * n2, cell)
-    i, j = np.divmod(np.arange(n1 * n2), n2)
-    symmetries = [idx(i + 1, j), idx(i, j + 1), idx(-i, j), idx(i, -j)]
-    if L1 == L2 and n1 == n2:
-        symmetries.append(idx(j, i))
-    space = build_space(n1 * n2, edges, measure, K=0.0, conductances=np.asarray(cond),
-                        symmetries=symmetries)
-    return geom, space
-
+    return geom, _grid_space(geom)

@@ -52,7 +52,7 @@ from scipy.linalg import solve_banded
 from . import transport
 from .geometry import CircleGeometry, SphereGeometry, legendre_table_with_derivative
 from .heat import circle_kernel, sphere_kernel_coefficients
-from .spaces import model_circle
+from .spaces import _grid_space
 
 __all__ = [
     "TangentError",
@@ -523,7 +523,7 @@ def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
     if t < 4 * h_eff**2:
         raise UnresolvedTime(f"t={t} under-resolves the probe step {h_eff:.3e}")
 
-    _, space = model_circle(geometry.L, geometry.n)
+    space = _grid_space(geometry)
     y = geometry.nodes()
 
     def measure(center):
@@ -540,13 +540,13 @@ def tangency_experiment(geometry, v=1.0, *, t_grid) -> TangencyReport:
     """Small-time slopes of g_t(v, v) against the -2 Ric(v, v) = -2 K |v|^2
     target.
 
-    v must be finite; it is checked once, before any solve. t_grid must
-    decrease geometrically (each ratio within [0.25, 0.85]) to a t_min
-    resolved by the discretization. Slopes (g_t - |v|^2)/t are
-    Richardson-extrapolated to t = 0 from the two smallest times, with their
-    own ratio q: (s_min - q s_prev) / (1 - q). The report also records the
-    one-sided bound that every sufficiently small-t slope stays below
-    -2 Ric(v,v) (1 - 0.05) + 0.05 |v|^2.
+    v must be finite and nonzero (the deviation is relative to |v|^2); it is
+    checked once, before any solve. t_grid must decrease geometrically (each
+    ratio within [0.25, 0.85]) to a t_min resolved by the discretization.
+    Slopes (g_t - |v|^2)/t are Richardson-extrapolated to t = 0 from the two
+    smallest times, with their own ratio q: (s_min - q s_prev) / (1 - q).
+    The report also records the one-sided bound that every sufficiently
+    small-t slope stays below -2 Ric(v,v) (1 - 0.05) + 0.05 |v|^2.
     """
     ts = np.asarray(sorted(t_grid, reverse=True), dtype=float)
     if len(ts) < 2 or not np.all((0 < ts) & (ts < np.inf)):
@@ -555,11 +555,13 @@ def tangency_experiment(geometry, v=1.0, *, t_grid) -> TangencyReport:
     if np.any(ratios < 0.25) or np.any(ratios > 0.85):
         raise TangentError("t_grid should decrease geometrically (ratio about 1/2)")
     v = _tangent_vector(v)
+    sp2 = float(np.sum(np.square(v)))
+    if sp2 == 0:
+        raise TangentError("tangency needs a nonzero tangent vector v, not |v|^2 = 0")
     disc = _discretization(geometry)
     for t in ts:
         disc.check_resolution(t)
 
-    sp2 = float(np.sum(np.square(v)))
     gts, hms = np.zeros(ts.size), np.zeros(ts.size)
     for i, t in enumerate(ts):
         state = disc.evaluate(t, None, v)

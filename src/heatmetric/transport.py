@@ -688,8 +688,9 @@ def w2_sinkhorn(mu, nu, dist, eps_final, return_info=False):
     c-transforms of the final potential f for the cost d^2 on the support:
     a feasible dual, so it bounds W_2^2 from below. The bracket holds only
     up to rounding: where it closes on near point masses, either end can
-    cross the exact value by ~1e-15 relative. It is reported, not enforced. dist is checked as in w2_exact, without the
-    circle detection, which Sinkhorn does not use.
+    cross the exact value by ~1e-15 relative. It is reported, not enforced.
+    dist is checked as in w2_exact, without the circle detection, which
+    Sinkhorn does not use.
     """
     mu, nu = _validate_pair(mu, nu)
     if eps_final <= 0:

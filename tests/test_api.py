@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,14 @@ def test_top_level_exports_are_listed():
         if attr not in getattr(home, "__all__", ()):
             unlisted.append(f"{obj.__module__}.{attr}")
     assert not unlisted, f"exported from heatmetric but missing from __all__: {unlisted}"
+
+
+def test_source_lines_fit_in_100_columns():
+    package = Path(hm.__file__).parent
+    long = [f"{path.relative_to(package)}:{number} ({len(line)})"
+            for path in sorted(package.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert not long, f"source lines over 100 columns: {long}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -468,7 +468,7 @@ class TestTangencyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("tangency must not build a discrete space")
 
-        monkeypatch.setattr(cli, "model_torus", refuse)
+        monkeypatch.setattr(cli, "_grid_space", refuse)
         monkeypatch.setattr(spaces, "build_space", refuse)
         out = tmp_path / "tantor"
         code = cli.run(["tangency", "--geometry", "torus", "--n1", "64", "--n2", "64",
@@ -595,10 +595,10 @@ class TestInputBranches:
         (["continuity", "--t", "0.2", "--deltas", "0.1"], "continuity.csv"),
     ], ids=["flow", "contraction", "continuity"])
     def test_torus_geometry(self, tmp_path, capture, argv, table):
-        built = capture(cli, "model_torus")
+        built = capture(cli, "_grid_space")
         out = tmp_path / "run"
         assert cli.run(argv + self.TORUS8 + ["--out", str(out)]) == 0
-        assert [space.n for _, space in built] == [64]
+        assert [space.n for space in built] == [64]
         assert (out / table).exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -623,6 +623,30 @@ class TestInputBranches:
         out = tmp_path / "run"
         assert cli.run(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1",
+          "--pairs", "0:0"], "pair 0:0 is at W2 distance 0, so it has no contraction ratio"),
+        (["refine", "--grids", "64,128,256", "--probes", "0:0"],
+         "probe (0.0, 0.0) lands both ends on node 0 of n=64"),
+        (["tangency", "--geometry", "sphere", "--ntheta", "64", "--lmax", "80", "--v", "0"],
+         "tangency needs a nonzero tangent vector v, not |v|^2 = 0"),
+        (["tangency", "--geometry", "circle", "--n", "256", "--tmin", "0.05", "--v", "0"],
+         "tangency needs a nonzero tangent vector v, not |v|^2 = 0"),
+        (["tangency", "--geometry", "torus", "--n1", "64", "--n2", "64", "--tmin", "0.05",
+          "--v=0,0"], "tangency needs a nonzero tangent vector v, not |v|^2 = 0"),
+    ], ids=["contraction-pair-0:0", "refine-probe-0:0", "tangency-sphere-v0",
+            "tangency-circle-v0", "tangency-torus-v0"])
+    def test_degenerate_input_exits_2(self, tmp_path, capsys, monkeypatch, argv, message):
+        def refuse(*args):
+            raise AssertionError("solved on degenerate input")
+
+        monkeypatch.setattr(flow, "spectral_decompose", refuse)
+        monkeypatch.setattr(tangent, "solve_weighted_poisson", refuse)
+        out = tmp_path / "run"
+        assert cli.run(argv + ["--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [None, "points: 2"], ids=["missing", "not-json"])

@@ -206,6 +206,16 @@ class TestContraction:
         rep = hm.contraction_report(space, [0.1, 0.5], [(mu, nu)])
         assert rep.passed()
 
+    def test_pair_at_distance_zero_rejected_before_decomposition(self, circle16, monkeypatch):
+        def refuse(space):
+            raise AssertionError("decomposed before every initial distance was checked")
+
+        monkeypatch.setattr(flow, "spectral_decompose", refuse)
+        _, space, _ = circle16
+        with pytest.raises(hm.FlowError, match="pair 3:3 is at W2 distance 0, so it has no "
+                                               "contraction ratio"):
+            hm.contraction_report(space, [0.1], [(0, 4), (3, 3)])
+
     def test_missing_K(self):
         space = hm.build_space(3, [(0, 1, 1.0), (1, 2, 1.0)], np.ones(3))
         with pytest.raises(hm.FlowError):
@@ -303,6 +313,17 @@ class TestSphereContraction:
             with pytest.raises(hm.FlowError, match="needs at least one pair and one time"):
                 hm.sphere_contraction_report(sphere, times, pairs)
 
+    def test_equal_measures_rejected_before_evolving(self, sphere, monkeypatch):
+        mu = hm.ZonalMeasure.heat_kernel(sphere, 0.1)
+        nu = hm.ZonalMeasure.pole(sphere, south=True)
+
+        def refuse(self, t):
+            raise AssertionError("evolved before every initial distance was checked")
+
+        monkeypatch.setattr(hm.ZonalMeasure, "evolve", refuse)
+        with pytest.raises(hm.FlowError, match="pair zonal1a:zonal1b is at W2 distance 0"):
+            hm.sphere_contraction_report(sphere, [0.1], [(mu, nu), (mu, mu)])
+
     def test_ring_pair(self, sphere):
         mu = hm.ZonalMeasure.ring(sphere, 0.8)
         nu = hm.ZonalMeasure.ring(sphere, 2.1)
@@ -383,6 +404,15 @@ class TestRefinement:
         again = hm.refinement_stability(2 * np.pi, 0.1, sizes, probes)
         assert report.grid_sizes == sizes
         assert report.probe_values.tolist() == again.probe_values.tolist()
+
+    @pytest.mark.parametrize("probe, node", [((0.0, 0.0), 0), ((0.25, 0.25), 4)])
+    def test_probe_on_one_node(self, monkeypatch, probe, node):
+        def no_grid(*args):
+            raise AssertionError("a grid was built for a probe on one node")
+
+        monkeypatch.setattr(flow, "model_circle", no_grid)
+        with pytest.raises(hm.FlowError, match=f"lands both ends on node {node} of n=16"):
+            hm.refinement_stability(2 * np.pi, 0.1, [16, 32, 64], [(0.0, 0.5), probe])
 
     def test_unrepresentable_probe(self):
         with pytest.raises(hm.FlowError):

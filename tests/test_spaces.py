@@ -197,6 +197,66 @@ class TestModelTorus:
         assert_allclose(geom.volume_weights().sum(), 6.0, rtol=1e-10)
 
 
+def circle_oracle(L, n):
+    """The circle grid written out point by point: edges, measure,
+    conductances, declared symmetries and group coordinates."""
+    h = L / n
+    edges = [(i, (i + 1) % n, h) for i in range(n)]
+    symmetries = [[(i + 1) % n for i in range(n)], [-i % n for i in range(n)]]
+    return edges, [h] * n, [h / h**2] * n, symmetries, [[i] for i in range(n)]
+
+
+def torus_oracle(L1, L2, n1, n2):
+    """The torus grid written out point by point, as circle_oracle."""
+    h1, h2 = L1 / n1, L2 / n2
+    hd, cell = float(np.hypot(h1, h2)), h1 * h2
+
+    def idx(i, j):
+        return (i % n1) * n2 + j % n2
+
+    edges, cond = [], []
+    for i in range(n1):
+        for j in range(n2):
+            edges += [(idx(i, j), idx(i + 1, j), h1), (idx(i, j), idx(i, j + 1), h2),
+                      (idx(i, j), idx(i + 1, j + 1), hd), (idx(i, j), idx(i + 1, j - 1), hd)]
+            cond += [cell / h1**2, cell / h2**2, 0.0, 0.0]
+    points = [(i, j) for i in range(n1) for j in range(n2)]
+    symmetries = [[idx(i + 1, j) for i, j in points], [idx(i, j + 1) for i, j in points],
+                  [idx(-i, j) for i, j in points], [idx(i, -j) for i, j in points]]
+    if (L1, n1) == (L2, n2):
+        symmetries.append([idx(j, i) for i, j in points])
+    return edges, [cell] * len(points), cond, symmetries, [list(p) for p in points]
+
+
+GRIDS = {
+    **{f"circle{n}": (hm.model_circle, circle_oracle, (2 * np.pi, n)) for n in (8, 9, 255)},
+    **{f"torus{a}x{b}": (hm.model_torus, torus_oracle, (2 * np.pi, 2 * np.pi, a, b))
+       for a, b in ((8, 8), (8, 12), (9, 15))},
+    "torus8x8-sides1x2": (hm.model_torus, torus_oracle, (1.0, 2.0, 8, 8)),
+}
+
+
+class TestGridBuilder:
+    """model_circle and model_torus build one periodic-grid space each,
+    field for field and in order the one their edge lists describe."""
+
+    @pytest.mark.parametrize("model, oracle, args", GRIDS.values(), ids=GRIDS)
+    def test_every_field_against_an_edge_list(self, model, oracle, args):
+        geom, space = model(*args)
+        edges, measure, cond, symmetries, coords = oracle(*args)
+        assert space.n == len(measure) and space.K == 0.0
+        assert space.edges.tolist() == [[i, j] for i, j, _ in edges]
+        assert space.lengths.tolist() == [ell for _, _, ell in edges]
+        assert space.conductances.tolist() == cond
+        assert space.measure.tolist() == measure
+        assert np.array_equal(space.measure, geom.volume_weights().ravel())
+        assert [g.tolist() for g in space.symmetries] == symmetries
+        assert space.translation_coords.tolist() == coords
+        # the metric of the edge list from all pairs, with no group declared
+        plain = hm.build_space(space.n, edges, measure, conductances=cond)
+        assert np.array_equal(space.dist, plain.dist)
+
+
 class TestModelSphere:
     def test_unit_ricci(self):
         # Ric(v, v) = K |v|^2 with K = 1 / r^2

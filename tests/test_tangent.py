@@ -463,6 +463,19 @@ class TestTangencyExperiment:
         with pytest.raises(hm.TangentError, match=r"tangent vector v must be finite, not v=\[nan, 1.0\]"):
             hm.tangency_experiment(geom, v=(np.nan, 1.0), t_grid=[0.4, 0.2])
 
+    @pytest.mark.parametrize("geom, v", [
+        (CIRCLE, 0.0), (hm.SphereGeometry(1.0, 64, 80), 0.0),
+        (hm.TorusGeometry(L1=2 * np.pi, L2=2 * np.pi, n1=64, n2=64), (0.0, -0.0)),
+    ], ids=["circle", "sphere", "torus"])
+    def test_zero_tangent_vector(self, geom, v, monkeypatch):
+        # the relative slope deviation divides by |v|^2
+        def refuse(*args):
+            raise AssertionError("solved with a zero tangent vector")
+
+        monkeypatch.setattr(tangent, "solve_weighted_poisson", refuse)
+        with pytest.raises(hm.TangentError, match=r"nonzero tangent vector v, not \|v\|\^2 = 0"):
+            hm.tangency_experiment(geom, v=v, t_grid=[0.4, 0.2])
+
     def test_circle_slope_to_zero(self):
         rep = hm.tangency_experiment(CIRCLE, v=1.0, t_grid=[0.2, 0.1, 0.05, 0.025])
         assert abs(rep.extrapolated_slope) < 0.05
