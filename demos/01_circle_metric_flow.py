@@ -22,7 +22,7 @@ geom = hm.CircleGeometry(L=L, n=512)
 print("circle L = 2 pi, n = 512")
 print(f"{'t':>8} {'g_t (solver)':>14} {'g_t (oracle)':>14} {'rel diff':>10}")
 for t in (0.5, 0.25, 0.1, 0.05):
-    solved = hm.metric_gt(geom, t, x=0.0, v=1.0)
+    solved = hm.metric_gt(geom, t, v=1.0)
     I_t = quad(lambda s: 1.0 / circle_kernel(t, L, s), 0, L, limit=800)[0]
     oracle = 1 - L**2 / I_t
     print(f"{t:8.3f} {solved:14.10f} {oracle:14.10f} {abs(solved - oracle) / oracle:10.2e}")

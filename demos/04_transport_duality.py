@@ -32,7 +32,7 @@ print()
 print("entropic approximation with epsilon scaling:")
 for eps_rel in (1e-2, 1e-3):
     eps = eps_rel * space.dist.max() ** 2
-    approx, info = hm.w2_sinkhorn(mu, nu, space.dist, eps_final=eps, return_info=True)
+    approx, info = hm.w2_sinkhorn(mu, nu, space.dist, eps_final=eps)
     lower, upper = info["bracket"]
     print(f"  eps = {eps_rel:.0e} * max d^2: value {approx:.8f} "
           f"(rel error {abs(approx - res.value) / res.value:.2e}, {info['sweeps']} sweeps)")

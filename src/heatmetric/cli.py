@@ -170,7 +170,7 @@ def cmd_flow(args):
         tables[f"dt_{tag}.csv"] = (ids, fm.dt)
         viol = fm.max_axiom_violation()
         checks.append(check("flow_axioms", viol, AXIOM_TOL, viol <= AXIOM_TOL, t=t))
-        if t > 0:
+        if t > 0 and space.n > 1:
             # reported, never asserted: how far the arc distance has drifted
             off = ~np.eye(space.n, dtype=bool)
             distortion = float(np.max(space.dist[off] / fm.dt[off]))
@@ -189,15 +189,12 @@ def cmd_tangency(args):
     if args.geometry is None:
         raise InputError("tangency needs --geometry")
     geom = build_geometry(args)
-    if args.times:
-        t_grid = parse_times(args.times)
-    else:
-        if not 0 < args.tmin <= args.tmax < np.inf:
-            raise InputError(f"need 0 < tmin <= tmax < inf, not tmin={args.tmin} tmax={args.tmax}")
-        t_grid, t = [], args.tmax
-        while t >= args.tmin * (1 - 1e-12):
-            t_grid.append(t)
-            t /= 2
+    if not 0 < args.tmin <= args.tmax < np.inf:
+        raise InputError(f"need 0 < tmin <= tmax < inf, not tmin={args.tmin} tmax={args.tmax}")
+    t_grid, t = [], args.tmax
+    while t >= args.tmin * (1 - 1e-12):
+        t_grid.append(t)
+        t /= 2
     v = tuple(float(s) for s in args.v.split(",")) if "," in args.v else float(args.v)
     if isinstance(geom, TorusGeometry) and not isinstance(v, tuple):
         v = (float(v), 0.0)
@@ -318,7 +315,8 @@ def cmd_selftest(args):
     inv = float(np.abs(phi_cc - phi).max())
     checks.append(check("c_transform_involution", inv, 1e-9, inv <= 1e-9))
     try:
-        sink = transport_mod.w2_sinkhorn(mu, nu, sub.dist, eps_final=1e-3 * sub.dist.max() ** 2)
+        sink, _ = transport_mod.w2_sinkhorn(mu, nu, sub.dist,
+                                            eps_final=1e-3 * sub.dist.max() ** 2)
         rel = abs(sink - res.value) / res.value
     except transport_mod.SinkhornNonConvergence as exc:
         # a failed check, not a crash: the entropic solve has no value to compare
@@ -368,7 +366,6 @@ def build_parser():
     p.add_argument("--v", default="1.0")
     p.add_argument("--tmax", type=float, default=0.2)
     p.add_argument("--tmin", type=float, default=0.0125)
-    p.add_argument("--times")
 
     p = sub.add_parser("contraction", help="W2 contraction report")
     p.add_argument("--space")

@@ -444,8 +444,11 @@ def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
     probe_pairs are pairs of circle fractions in [0, 1); each must land on
     two distinct nodes of every grid. Reports dtilde_{n,t} at the matched
     nodes, successive differences, and the empirical convergence order
-    (expected >= 1). Grid sizes must be integers, checked before any grid is
-    built; both lists are read once, so they may be generators."""
+    (expected >= 1). t must be finite and > 0 (at t = 0 every difference is
+    rounding) and the grid sizes integers, checked before any grid is built;
+    both lists are read once, so they may be generators."""
+    if not 0 < t < np.inf:
+        raise FlowError(f"refinement needs a finite t > 0, not t={t}")
     grid_sizes, probe_pairs = tuple(grid_sizes), list(probe_pairs)
     _require_integers("each grid size", grid_sizes, FlowError)
     sizes = tuple(int(n) for n in grid_sizes)

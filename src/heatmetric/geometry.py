@@ -42,10 +42,11 @@ def _is_integer(value) -> bool:
 
 
 def _require_integers(what, values, error=GeometryError):
-    """Raise error naming the first of values that is not an integer."""
-    bad = [v for v in values if not _is_integer(v)]
-    if bad:
-        raise error(f"{what} must be an integer, got {bad[0]!r}")
+    """Raise error naming the first of values (a sequence) that is not an
+    integer; the values are searched only when one of their types fails."""
+    if not all(issubclass(k, (int, np.integer)) and k is not bool for k in set(map(type, values))):
+        bad = next(v for v in values if not _is_integer(v))
+        raise error(f"{what} must be an integer, got {bad!r}")
 
 
 def _require_lengths(what, *values):

@@ -35,10 +35,11 @@ Each discretization has three methods. check_resolution(t) raises when the
 grid or the kernel series cannot resolve t. solve(rho, eta) solves one
 weighted Poisson system and measures its residual; it is reached only
 through solve_weighted_poisson, which checks the input and certifies the
-residual. evaluate(t, x, v) builds the source of (t, x, v), solves it once
-through solve_weighted_poisson, and returns its TangentState: the potential,
-the tangent plan and the Hessian mass int |Hess phi|^2 rho dvol. That call is
-the public tangent_state; every other public quantity reads its fields.
+residual. evaluate(t, v) builds the source of (t, v) at the origin, solves
+it once through solve_weighted_poisson, and returns its TangentState: the
+potential, the tangent plan and the Hessian mass int |Hess phi|^2 rho dvol.
+That call is the public tangent_state; every other public quantity reads its
+fields.
 """
 from __future__ import annotations
 
@@ -131,8 +132,8 @@ class TangentPlan:
 
 
 class TangentState(NamedTuple):
-    """Everything at (t, x, v) from one Poisson solve: the potential
-    phi_{t,x,v}, its plan (y, grad(phi)(y)) pushed by rho dvol, and the
+    """Everything at (t, v) from one Poisson solve: the potential
+    phi_{t,v}, its plan (y, grad(phi)(y)) pushed by rho dvol, and the
     reported Hessian mass int |Hess(phi)|^2 rho dvol."""
 
     potential: VelocityPotential
@@ -237,19 +238,11 @@ class _PeriodicGrid:
         if t < 4 * hmax**2:
             raise UnresolvedTime(f"t={t} below 4 h^2 = {4 * hmax**2:.3e}")
 
-    def _point(self, x):
-        x0 = np.zeros(len(self.h)) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-        if x0.shape != (len(self.h),):
-            raise TangentError(f"points need one coordinate per grid axis ({len(self.h)})")
-        if not np.isfinite(x0).all():
-            raise TangentError(f"points need finite coordinates, not x={x0.tolist()}")
-        return x0
-
-    def _kernels(self, t, x0, deriv=0, shift=0.0):
-        """circle_kernel factor of each axis at the nodes shifted by
-        shift * h, relative to the kernel center x0."""
-        return [circle_kernel(t, L, y + shift * h - c, deriv=deriv)
-                for L, h, y, c in zip(self.lengths, self.h, self.coords, x0)]
+    def _kernels(self, t, deriv=0, shift=0.0):
+        """circle_kernel factor of each axis, centered at the origin, at the
+        nodes shifted by shift * h."""
+        return [circle_kernel(t, L, y + shift * h, deriv=deriv)
+                for L, h, y in zip(self.lengths, self.h, self.coords)]
 
     def flux(self, rho, phi):
         """div(rho grad phi) on the full grid without a matrix, faces as in solve."""
@@ -281,21 +274,20 @@ class _PeriodicGrid:
         residual = float(np.linalg.norm(res) / scale) if scale > 0 else 0.0
         return VelocityPotential(phi, rho_full, eta_full, residual)
 
-    def evaluate(self, t, x, v):
-        x0 = self._point(x)
+    def evaluate(self, t, v):
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        if v.shape != x0.shape:
+        if v.shape != (len(self.h),):
             raise TangentError(f"tangent vectors need one component per grid axis ({len(self.h)})")
         # eta = -grad_x rho . v: per axis, v_a times its factor's offset derivative
-        k = self._kernels(t, x0)
-        eta = [va * dk for va, dk in zip(v, self._kernels(t, x0, deriv=1))]
+        k = self._kernels(t)
+        eta = [va * dk for va, dk in zip(v, self._kernels(t, deriv=1))]
         vp = solve_weighted_poisson(self.geometry, [_floor_density(f) for f in k], eta)
         # staggered quadrature: each face family carries one gradient
         # component; splitting the kernel mass evenly between the d families
         # (and scaling the squared component by d) keeps the total weight at
         # 1 while reproducing the energy sum exactly
         phi, d, w = vp.phi, len(self.h), self.geometry.volume_weights()
-        kf = self._kernels(t, x0, shift=0.5)
+        kf = self._kernels(t, shift=0.5)
         weights, grads = [], []
         for a, h in enumerate(self.h):
             weights.append((_product(k[:a] + [kf[a]] + k[a + 1:]) * w / d).ravel())
@@ -328,9 +320,8 @@ def _solve_sphere_m1(geom, rho_profile, rhs):
 
 
 class _SphereMode:
-    """Round sphere: the first azimuthal mode on the colatitude grid. The
-    sphere is homogeneous, so every potential is computed at the north pole
-    and x is ignored."""
+    """Round sphere: the first azimuthal mode on the colatitude grid, with
+    the kernel centered at the north pole."""
 
     def __init__(self, geometry):
         self.geometry = geometry
@@ -346,7 +337,7 @@ class _SphereMode:
         u, residual = _solve_sphere_m1(geometry, rho, geometry.r**2 * eta)
         return VelocityPotential(u, rho, eta, residual)
 
-    def evaluate(self, t, x, v):
+    def evaluate(self, t, v):
         # G(theta) = |v| K'(theta) / r, sign fixed by finite-difference
         # validation of grad_x rho . v
         r, h = self.geometry.r, self.geometry.h
@@ -452,19 +443,19 @@ def solve_weighted_poisson(geometry, rho, eta) -> VelocityPotential:
     return vp
 
 
-def tangent_state(geometry, t, x=None, v=1.0) -> TangentState:
+def tangent_state(geometry, t, v=1.0) -> TangentState:
     """The velocity of s -> H_s(delta_x) at s = t in the direction v.
 
+    Every model geometry is homogeneous, so x is the origin: the first grid
+    node on the circle and the torus, the north pole on the sphere.
     eta(y) = -grad_x rho(t, x, y) . v is built analytically (circle/torus: v_a
     times the offset derivative of axis a's kernel factor; sphere: the first
-    azimuthal mode, G(theta) = |v| K'(theta)/r). x and v have one finite
-    component per axis on the periodic grids; the sphere is homogeneous, so x
-    is ignored there and the potential is computed at the north pole. Solver
-    densities are floored at max * 1e-13 for conditioning, per axis factor on
-    the grids. The Hessian mass is reported only; its limit as t -> 0 is left
-    open.
+    azimuthal mode, G(theta) = |v| K'(theta)/r). v has one finite component
+    per axis on the periodic grids. Solver densities are floored at max *
+    1e-13 for conditioning, per axis factor on the grids. The Hessian mass is
+    reported only; its limit as t -> 0 is left open.
     """
-    return _resolved(geometry, t).evaluate(t, x, _tangent_vector(v))
+    return _resolved(geometry, t).evaluate(t, _tangent_vector(v))
 
 
 def _tangent_vector(v):
@@ -475,7 +466,7 @@ def _tangent_vector(v):
     return v
 
 
-def metric_gt(geometry, t, x=None, v=1.0) -> float:
+def metric_gt(geometry, t, v=1.0) -> float:
     """The evolving metric g_t(v, v) = int |grad phi|^2 rho dvol.
 
     t = 0 returns |v|^2 (the continuity of g_t at zero), computed exactly.
@@ -486,17 +477,17 @@ def metric_gt(geometry, t, x=None, v=1.0) -> float:
     """
     if t == 0:
         return float(np.sum(np.square(_tangent_vector(v))))
-    return tangent_state(geometry, t, x, v).plan.second_moment()
+    return tangent_state(geometry, t, v).plan.second_moment()
 
 
-def gt_derivative_bochner(geometry, t, x=None, v=1.0) -> float:
+def gt_derivative_bochner(geometry, t, v=1.0) -> float:
     """Exact derivative d/dt (1/2) g_t(v, v) by quadrature of
     -(|Hess phi|^2 + Ric(grad phi, grad phi)) rho.
 
     Matches the centered finite difference of metric_gt within 1% in the
     resolved range and always lies below -K g_t (up to 1e-8).
     """
-    _, plan, hess = tangent_state(geometry, t, x, v)
+    _, plan, hess = tangent_state(geometry, t, v)
     return -hess - geometry.K * plan.second_moment()
 
 
@@ -531,7 +522,7 @@ def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
         return dens / dens.sum()
 
     w2 = transport.w2_exact(measure(0.0), measure(h_eff), space.dist).value
-    g = metric_gt(geometry, t, x=0.0, v=1.0)
+    g = metric_gt(geometry, t)
     return MetricSpeedReport(t=t, h_requested=float(h), h_effective=h_eff,
                              gt_value=g, w2_quotient_sq=(w2 / h_eff) ** 2)
 
@@ -564,7 +555,7 @@ def tangency_experiment(geometry, v=1.0, *, t_grid) -> TangencyReport:
 
     gts, hms = np.zeros(ts.size), np.zeros(ts.size)
     for i, t in enumerate(ts):
-        state = disc.evaluate(t, None, v)
+        state = disc.evaluate(t, v)
         gts[i], hms[i] = state.plan.second_moment(), state.hessian_mass
     slopes = (gts - sp2) / ts
 

@@ -65,6 +65,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linprog  # noqa: F401  only perfbench's tracer reads it
 from scipy.optimize._highspy import _core as highs
 
@@ -232,8 +233,10 @@ def _circle_spacing(dist):
     if n < 3 or not dist[0, 1] > 0:
         return None
     h = float(dist[0, 1])
-    off = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    dev = np.abs(dist - h * np.minimum(off, n - off)).max()
+    k = np.arange(n)
+    # row i of the circulant is the doubled row 0 from n - i on: a view, no n x n array
+    wide = sliding_window_view(np.tile(h * np.minimum(k, n - k), 2), n)
+    dev = np.abs(dist - wide[n:0:-1]).max()
     return h if dev <= 1e-12 * n * h else None
 
 
@@ -661,7 +664,7 @@ def _round_to_marginals(gamma, mu, nu):
     return gamma
 
 
-def w2_sinkhorn(mu, nu, dist, eps_final, return_info=False):
+def w2_sinkhorn(mu, nu, dist, eps_final):
     """Entropically regularized W_2 with epsilon scaling.
 
     The regularization is lowered geometrically (factor SINKHORN_SCHEDULE)
@@ -679,10 +682,10 @@ def w2_sinkhorn(mu, nu, dist, eps_final, return_info=False):
     were swapped), making w2_sinkhorn(mu, nu) == w2_sinkhorn(nu, mu)
     bit-exact.
 
-    With return_info=True also returns a dict with the plan's marginal
-    violation, the diagonal-feasibility bias bound sqrt(2 eps_final log n)
-    relevant for the mu == nu case, the total number of sweeps, and a
-    bracket (lower, upper) on W_2. upper is the value: the rounded plan is
+    Returns (value, info): info holds the plan's marginal violation, the
+    diagonal-feasibility bias bound sqrt(2 eps_final log n) relevant for
+    the mu == nu case, the plan, the total number of sweeps, and a bracket
+    (lower, upper) on W_2. upper is the value: the rounded plan is
     feasible, so its cost bounds W_2^2 from above. lower is
     sqrt(<phi, mu> + <psi, nu>) for psi = f^c and phi = psi^c, the
     c-transforms of the final potential f for the cost d^2 on the support:
@@ -706,8 +709,6 @@ def w2_sinkhorn(mu, nu, dist, eps_final, return_info=False):
     gamma = _round_to_marginals(gamma, a[sa], b[sb])
     value = float(np.sqrt(max((gamma * cost).sum(), 0.0)))
 
-    if not return_info:
-        return value
     psi = (cost - f[:, None]).min(axis=0)
     phi = (cost - psi[None, :]).min(axis=1)
     lower = float(np.sqrt(max(phi @ a[sa] + psi @ b[sb], 0.0)))

@@ -77,7 +77,7 @@ class TestOptionSurface:
                    for name, p in sub.choices.items()}
         expected = {
             "flow": ["--space", *self.GRID, "--times", "--pairs"],
-            "tangency": [*self.GRID, *self.SPHERE, "--v", "--tmax", "--tmin", "--times"],
+            "tangency": [*self.GRID, *self.SPHERE, "--v", "--tmax", "--tmin"],
             "contraction": ["--space", *self.GRID, *self.SPHERE, "--times", "--pairs",
                             "--widths"],
             "continuity": ["--space", *self.GRID, "--t", "--deltas"],
@@ -85,7 +85,22 @@ class TestOptionSurface:
             "selftest": ["--seed"],
         }
         assert options == {name: sorted(opts + ["--out"]) for name, opts in expected.items()}
-        assert sum(map(len, options.values())) == 59
+        assert sum(map(len, options.values())) == 58
+
+    @pytest.mark.parametrize("source", ["README.md", "cli.py"])
+    def test_documented_examples_parse(self, source):
+        # every example line of the README's CLI block and of the module
+        # docstring names only options the parser has
+        if source == "README.md":
+            text = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+            text = text.split("## CLI", 1)[1].split("```")[1]
+        else:
+            text = cli.__doc__
+        lines = [line.split() for line in text.splitlines()
+                 if line.strip().startswith("heatmetric ")]
+        assert sorted(argv[1] for argv in lines) == sorted(cli.COMMANDS)
+        for argv in lines:
+            cli.build_parser().parse_args(argv[1:])
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--geometry", "sphere", "--times", "0.1"],
@@ -147,7 +162,7 @@ class TestOptionSurface:
             (["tangency", "--geometry", "circle", "--n", "64", "--tmin", "nan"],
              "need 0 < tmin <= tmax < inf, not tmin=nan"),
             (["tangency", "--geometry", "circle", "--n", "64", "--times", "0.2,nan"],
-             "times must be finite and >= 0: '0.2,nan'"),
+             "unrecognized arguments: --times 0.2,nan"),
             (["flow", "--geometry", "circle", "--n", "16", "--times", "nan"],
              "times must be finite and >= 0: 'nan'"),
             (["contraction", "--geometry", "circle", "--n", "16", "--times", "0.1,inf"],
@@ -167,7 +182,7 @@ class TestOptionSurface:
             (["continuity", "--geometry", "circle", "--n", "16", "--t", "nan",
               "--deltas", "0.1"], "time must be finite and >= 0, not nan"),
             (["refine", "--t", "inf", "--grids", "16,32,64"],
-             "time must be finite and >= 0, not inf"),
+             "refinement needs a finite t > 0, not t=inf"),
         ]:
             assert cli.run(argv + ["--out", str(out)]) == 2
             assert message in capsys.readouterr().err
@@ -286,6 +301,19 @@ class TestFlowCommand:
     def test_requires_one_input(self, tmp_path):
         code = cli.run(["flow", "--times", "0.1", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_one_point_space(self, tmp_path):
+        # no pair of distinct points, so no distortion line to print
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"points": 1, "edges": [], "measure": [1.0], "K": 0.0}))
+        out = tmp_path / "run"
+        code = cli.run(["flow", "--space", str(path), "--times", "0,0.1", "--out", str(out)])
+        assert code == 0
+        for tag in ("0", "0p1"):
+            assert_table(out / f"dtilde_{tag}.csv", [0], [[0.0]])
+            assert_table(out / f"dt_{tag}.csv", [0], [[0.0]])
+        checks = json.loads((out / "flow_summary.json").read_text())["checks"]
+        assert len(checks) == 4 and all(c["pass"] for c in checks)
 
     def test_malformed_space_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -726,7 +754,8 @@ class TestRepeatedRuns:
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         runs = [["flow", "--geometry", "circle", "--times", "0.1", "--bogus"],
                 ["flow", "--geometry", "circle", "--n", "8", "--times", "0,0.1"],
-                ["tangency", "--geometry", "circle", "--n", "64", "--times", "0.05,0.1"]]
+                ["tangency", "--geometry", "circle", "--n", "64", "--tmax", "0.1",
+                 "--tmin", "0.05"]]
         cli.build_parser.cache_clear()
         for k, argv in enumerate(runs):
             here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"

@@ -414,6 +414,18 @@ class TestRefinement:
         with pytest.raises(hm.FlowError, match=f"lands both ends on node {node} of n=16"):
             hm.refinement_stability(2 * np.pi, 0.1, [16, 32, 64], [(0.0, 0.5), probe])
 
+    @pytest.mark.parametrize("t", [0.0, -0.1, np.inf, np.nan])
+    def test_time_is_finite_and_positive(self, monkeypatch, t):
+        # at t = 0 every value is the grid metric, so an order would be a
+        # log of rounding ratios
+        def refuse(*args):
+            raise AssertionError("a grid was built before the time was checked")
+
+        monkeypatch.setattr(flow, "model_circle", refuse)
+        monkeypatch.setattr(flow, "spectral_decompose", refuse)
+        with pytest.raises(hm.FlowError, match=f"refinement needs a finite t > 0, not t={t}"):
+            hm.refinement_stability(2 * np.pi, t, [64, 128, 256], [(0.0, 0.5)])
+
     def test_unrepresentable_probe(self):
         with pytest.raises(hm.FlowError):
             hm.refinement_stability(1.0, 0.1, [16, 32, 64], [(0.0, 1.0 / 3.0)])

@@ -283,7 +283,7 @@ class TestSinkhorn:
         nu = rng.random(16) + 0.05
         mu, nu = mu / mu.sum(), nu / nu.sum()
         exact = hm.w2_exact(mu, nu, space.dist).value
-        approx = hm.w2_sinkhorn(mu, nu, space.dist, eps_final=1e-3 * space.dist.max() ** 2)
+        approx, _ = hm.w2_sinkhorn(mu, nu, space.dist, eps_final=1e-3 * space.dist.max() ** 2)
         assert abs(approx - exact) / exact <= 0.01
 
     def test_symmetry_exact(self, rng):
@@ -292,7 +292,8 @@ class TestSinkhorn:
         nu = rng.random(12) + 0.05
         mu, nu = mu / mu.sum(), nu / nu.sum()
         eps = 1e-3 * space.dist.max() ** 2
-        assert hm.w2_sinkhorn(mu, nu, space.dist, eps) == hm.w2_sinkhorn(nu, mu, space.dist, eps)
+        assert (hm.w2_sinkhorn(mu, nu, space.dist, eps)[0]
+                == hm.w2_sinkhorn(nu, mu, space.dist, eps)[0])
 
     def test_swapped_arguments_transpose_the_plan(self):
         _, space = hm.model_circle(1.0, 12)
@@ -301,8 +302,8 @@ class TestSinkhorn:
         nu = 1 + 0.5 * np.cos(2 * np.pi * k / 12)
         mu, nu = mu / mu.sum(), nu / nu.sum()
         eps = 1e-3 * space.dist.max() ** 2
-        v1, info1 = hm.w2_sinkhorn(mu, nu, space.dist, eps, return_info=True)
-        v2, info2 = hm.w2_sinkhorn(nu, mu, space.dist, eps, return_info=True)
+        v1, info1 = hm.w2_sinkhorn(mu, nu, space.dist, eps)
+        v2, info2 = hm.w2_sinkhorn(nu, mu, space.dist, eps)
         assert v1 == v2
         assert np.array_equal(info2["plan"].gamma, info1["plan"].gamma.T)
         assert max(info1["marginal_violation"], info2["marginal_violation"]) <= 1e-8
@@ -311,8 +312,7 @@ class TestSinkhorn:
         _, space = hm.model_circle(1.0, 16)
         mu = rng.random(16) + 0.05
         mu /= mu.sum()
-        val, info = hm.w2_sinkhorn(mu, mu, space.dist, 1e-3 * space.dist.max() ** 2,
-                                   return_info=True)
+        val, info = hm.w2_sinkhorn(mu, mu, space.dist, 1e-3 * space.dist.max() ** 2)
         assert val <= info["bias_bound"]
         assert info["marginal_violation"] <= 1e-8
 
@@ -336,7 +336,7 @@ class TestSinkhorn:
         monkeypatch.setattr(transport, "_circle_spacing", refuse)
         _, space = hm.model_circle(1.0, 16)
         mu, nu = rng.random(16) + 0.05, rng.random(16) + 0.05
-        assert hm.w2_sinkhorn(mu / mu.sum(), nu / nu.sum(), space.dist, 1e-2) > 0
+        assert hm.w2_sinkhorn(mu / mu.sum(), nu / nu.sum(), space.dist, 1e-2)[0] > 0
 
     def test_nonconvergence_signalled(self, rng, monkeypatch):
         # the default cap and tolerance converge on this fixture even at tiny
@@ -355,7 +355,7 @@ class TestSinkhorn:
         for seed in range(40):
             mu, nu, dist, eps = selftest_sinkhorn_fixture(seed)
             try:
-                value = hm.w2_sinkhorn(mu, nu, dist, eps)
+                value, _ = hm.w2_sinkhorn(mu, nu, dist, eps)
             except hm.SinkhornNonConvergence:
                 raising.append(seed)
                 continue
@@ -364,14 +364,14 @@ class TestSinkhorn:
 
     def test_stages_stop_at_the_tolerance(self):
         # 400 sweeps at each of the ten stages above eps_final took 4,400
-        _, info = hm.w2_sinkhorn(*selftest_sinkhorn_fixture(0), return_info=True)
+        _, info = hm.w2_sinkhorn(*selftest_sinkhorn_fixture(0))
         assert info["sweeps"] <= 1600
 
     def test_bracket_holds_the_exact_value(self):
         for seed in sorted(SELFTEST_SINKHORN_VALUES)[:16]:
             mu, nu, dist, eps = selftest_sinkhorn_fixture(seed)
-            value, info = hm.w2_sinkhorn(mu, nu, dist, eps, return_info=True)
-            _, swapped = hm.w2_sinkhorn(nu, mu, dist, eps, return_info=True)
+            value, info = hm.w2_sinkhorn(mu, nu, dist, eps)
+            _, swapped = hm.w2_sinkhorn(nu, mu, dist, eps)
             lower, upper = info["bracket"]
             assert lower <= hm.w2_exact(mu, nu, dist).value <= upper == value
             assert upper - lower <= 0.03 * value
@@ -387,8 +387,7 @@ class TestSinkhorn:
             mu = 10.0 ** rng.uniform(-12, 0, 16)
             nu = 10.0 ** rng.uniform(-12, 0, 16)
             mu, nu = mu / mu.sum(), nu / nu.sum()
-            value, info = hm.w2_sinkhorn(mu, nu, space.dist, eps_rel * space.dist.max() ** 2,
-                                         return_info=True)
+            value, info = hm.w2_sinkhorn(mu, nu, space.dist, eps_rel * space.dist.max() ** 2)
             exact = hm.w2_exact(mu, nu, space.dist).value
             lower, upper = info["bracket"]
             assert np.isfinite([value, lower, upper]).all()
@@ -541,6 +540,24 @@ class TestCirclePath:
         mu, nu = mu / mu.sum(), nu / nu.sum()
         res = hm.w2_exact(mu, nu, dist)
         assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=1e-6)
+
+    @pytest.mark.parametrize("case", ["circle64", "circle256", "circle512", "circle1024",
+                                      "moved", "torus"])
+    def test_circle_spacing_against_the_dense_template(self, case):
+        # the decision the circulant view gives is the one the n x n
+        # template h min(|i - j|, n - |i - j|) gives
+        if case == "torus":
+            dist = hm.model_torus(2 * np.pi, 2 * np.pi, 8, 8)[1].dist
+        else:
+            dist = circle_dist(64 if case == "moved" else int(case[6:])).copy()
+        if case == "moved":
+            dist[5, 17] += 1e-6
+        n, h = len(dist), dist[0, 1]
+        off = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        dev = np.abs(dist - h * np.minimum(off, n - off)).max()
+        expected = h if dev <= 1e-12 * n * h else None
+        assert transport._circle_spacing(dist) == expected
+        assert (expected is None) == (case in ("moved", "torus"))
 
 
 def first_of_each_pair(edges):
