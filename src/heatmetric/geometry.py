@@ -24,7 +24,7 @@ __all__ = [
     "TorusGeometry",
     "SphereGeometry",
     "legendre_table",
-    "legendre_table_with_derivative",
+    "legendre_sums",
 ]
 
 
@@ -68,19 +68,30 @@ def legendre_table(l_max, x):
     return P
 
 
-def legendre_table_with_derivative(l_max, x):
-    """P_l(x) and dP_l/dx, using (1 - x^2) P_l' = l (P_{l-1} - x P_l).
+def legendre_sums(coeffs, x, derivative=False):
+    """sum_l c_l P_l(x) over l = 0..len(coeffs) - 1, accumulated along the
+    three-term recurrence, which holds only P_{l-1} and P_l: O(x.size)
+    memory whatever the number of coefficients.
 
-    Valid for |x| < 1; the colatitude grids used here are cell-centered and
-    never touch the poles.
+    With derivative=True, returns the pair (sum, sum_l c_l P_l'(x)); the
+    derivative comes from the accumulators sum l c_l P_{l-1} and
+    sum l c_l P_l through (1 - x^2) P_l' = l (P_{l-1} - x P_l). It is valid for
+    |x| < 1; the colatitude grids used here are cell-centered and never touch
+    the poles.
     """
     x = np.asarray(x, dtype=float)
-    P = legendre_table(l_max, x)
-    dP = np.zeros_like(P)
-    one = 1.0 - x**2
-    for l in range(1, l_max + 1):
-        dP[l] = l * (P[l - 1] - x * P[l]) / one
-    return P, dP
+    prev, cur = np.zeros_like(x), np.ones_like(x)  # P_{l-1}, P_l from l = 0
+    total = np.zeros_like(x)
+    lower, upper = np.zeros_like(x), np.zeros_like(x)
+    for l, c in enumerate(np.asarray(coeffs, dtype=float)):
+        total += c * cur
+        if derivative:
+            lower += (l * c) * prev
+            upper += (l * c) * cur
+        prev, cur = cur, ((2 * l + 1) * x * cur - l * prev) / (l + 1)
+    if not derivative:
+        return total
+    return total, (lower - x * upper) / (1.0 - x**2)
 
 
 @dataclass(frozen=True)
@@ -194,12 +205,20 @@ class SphereGeometry:
         return 2.0 * np.pi * self.r**2 * (cf[:-1] - cf[1:])
 
     def zone_integrals(self, coeffs) -> np.ndarray:
-        """Exact integrals of the zonal series sum_l c_l P_l(cos theta) over
-        the colatitude cells, from int P_l dx = (P_{l+1} - P_{l-1})/(2l+1)."""
-        xf = np.cos(self.faces())
-        Pf = legendre_table(self.l_max + 1, xf)
-        anti = np.empty_like(Pf[:-1])
-        anti[0] = xf
-        for l in range(1, self.l_max + 1):
-            anti[l] = (Pf[l + 1] - Pf[l - 1]) / (2 * l + 1)
-        return 2 * np.pi * self.r**2 * (coeffs @ (anti[:, :-1] - anti[:, 1:]))
+        """Exact integrals of the zonal series sum_l c_l P_l(cos theta),
+        l = 0..l_max, over the colatitude cells (GeometryError for any other
+        number of coefficients). int P_l dx = (P_{l+1} - P_{l-1})/(2l+1) and
+        int P_0 dx = P_1 make the antiderivative one Legendre series, summed
+        once at the faces."""
+        c = np.asarray(coeffs, dtype=float)
+        if c.shape != (self.l_max + 1,):
+            raise GeometryError(
+                f"zonal series needs l_max + 1 = {self.l_max + 1} coefficients, got shape {c.shape}"
+            )
+        step = c[1:] / (2 * np.arange(1, self.l_max + 1) + 1)
+        d = np.zeros(self.l_max + 2)
+        d[1] = c[0]
+        d[2:] += step
+        d[:-2] -= step
+        anti = legendre_sums(d, np.cos(self.faces()))
+        return 2 * np.pi * self.r**2 * (anti[:-1] - anti[1:])

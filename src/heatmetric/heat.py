@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .geometry import TruncationError, legendre_table
+from .geometry import TruncationError, legendre_sums
 from .spaces import FiniteMetricMeasureSpace, _adjacency
 
 __all__ = [
@@ -251,8 +251,7 @@ def sphere_kernel(t, theta, r, l_max):
     c = sphere_kernel_coefficients(t, r, l_max)
     scalar = np.isscalar(theta)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    P = legendre_table(l_max, np.cos(theta))
-    out = c @ P
+    out = legendre_sums(c, np.cos(theta))
     return float(out[0]) if scalar else out
 
 

@@ -51,7 +51,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import transport
-from .geometry import CircleGeometry, SphereGeometry, legendre_table_with_derivative
+from .geometry import CircleGeometry, SphereGeometry, legendre_sums
 from .heat import circle_kernel, sphere_kernel_coefficients
 from .spaces import _grid_space
 
@@ -369,18 +369,17 @@ class _SphereMode:
 @lru_cache(maxsize=32)
 def _sphere_profiles(geometry, t):
     """Kernel profile K(theta), its theta-derivative, and exact cell masses,
-    cached per (sphere, t) across calls: the Legendre table dominates a cold
+    cached per (sphere, t) across calls: the two Legendre sums dominate a cold
     evaluation. A tangency_experiment on sphere 4096/400 (t = 0.2 halved down
-    to 0.00625) takes 0.42-0.46 s cold and 0.006 s warm on a 2-core machine.
+    to 0.00625) takes 0.09-0.11 s cold and 0.003 s warm on a 2-core machine.
 
     At small t the kernel near the antipode sinks below the roundoff of the
     Legendre series, so the profile is floored like every solver density.
     """
     c = sphere_kernel_coefficients(t, geometry.r, geometry.l_max)
     theta = geometry.nodes()
-    P, dP = legendre_table_with_derivative(geometry.l_max, np.cos(theta))
-    K = _floor_density(c @ P)
-    dK = c @ (-np.sin(theta) * dP)
+    S, dS = legendre_sums(c, np.cos(theta), derivative=True)
+    K, dK = _floor_density(S), -np.sin(theta) * dS
     out = (K, dK, geometry.zone_integrals(c))
     for arr in out:  # shared by every caller at this (geometry, t)
         arr.flags.writeable = False

@@ -291,6 +291,14 @@ class TestSphereContraction:
         assert_allclose(hm.w2_zonal(uniform, ring), expected, rtol=1e-12)
         assert_allclose(hm.w2_zonal(ring, uniform), expected, rtol=1e-12)
 
+    def test_coefficients_of_wrong_length(self, sphere):
+        short = hm.ZonalMeasure(sphere, coeffs=np.full(sphere.l_max, 0.1))
+        message = rf"l_max \+ 1 = {sphere.l_max + 1} coefficients, .*\({sphere.l_max},\)"
+        with pytest.raises(hm.GeometryError, match=message):
+            short.cell_masses()
+        with pytest.raises(hm.GeometryError, match=message):
+            hm.w2_zonal(short, hm.ZonalMeasure.pole(sphere))
+
     def test_atoms_have_no_cell_masses(self, sphere):
         with pytest.raises(hm.FlowError, match="a ring has no density"):
             hm.ZonalMeasure.ring(sphere, 0.9).cell_masses()

@@ -473,15 +473,15 @@ class TestTangencyExperiment:
         assert rep.target == -2.0
 
     def test_sphere_profiles_once_per_time(self, monkeypatch):
-        # the potential, the plan and the Hessian share one Legendre table per t
+        # the potential, the plan and the Hessian share one Legendre sum per t
         calls = []
-        table = tangent.legendre_table_with_derivative
+        sums = tangent.legendre_sums
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[0])
-            return table(*args)
+            return sums(*args, **kwargs)
 
-        monkeypatch.setattr(tangent, "legendre_table_with_derivative", counted)
+        monkeypatch.setattr(tangent, "legendre_sums", counted)
         sph = hm.SphereGeometry(1.0, 128, 60)
         grid = [0.4, 0.2, 0.1]
         tangent._sphere_profiles.cache_clear()
