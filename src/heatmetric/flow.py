@@ -22,8 +22,9 @@ from functools import cache
 from typing import ClassVar
 
 import numpy as np
+from numpy.polynomial import legendre
 
-from .geometry import SphereGeometry, _is_integer, _require_integers, legendre_table
+from .geometry import SphereGeometry, _is_integer, _require_integers
 from .heat import _sphere_decay, heat_apply, spectral_decompose
 from .spaces import _adjacency, _path_metric, model_circle
 from .transport import _monotone_segments, _w2_exact_batch, w2_exact
@@ -178,7 +179,8 @@ def dt_arc_matrix(space, dtilde) -> np.ndarray:
     file has no grid scale to take longer jumps from, so d_t stays on it."""
     dtilde = np.asarray(dtilde)
     return _path_metric(_adjacency(space.n, space.edges,
-                                   dtilde[space.edges[:, 0], space.edges[:, 1]]))
+                                   dtilde[space.edges[:, 0], space.edges[:, 1]]),
+                        space.translation_coords)
 
 
 def flow_matrices(hs, t) -> FlowDistanceMatrix:
@@ -281,23 +283,31 @@ def contraction_report(space, times, pairs) -> ContractionReport:
 class ZonalMeasure:
     """Rotation-invariant probability measure on the sphere.
 
-    Either the unit ring at one colatitude (a pole at 0 or pi) or a density
-    given by Legendre coefficients of its profile with respect to the volume
-    measure. Heat evolution multiplies the coefficients by e^{-l(l+1)t/r^2}
-    under the sphere kernel's truncation rule (a tail above 1e-12 raises
-    TruncationError); a ring is expanded with the exact coefficients
-    (2l+1) P_l(cos theta0) / (4 pi r^2) when evolved.
+    Either the unit ring at one colatitude in [0, pi] (a pole at 0 or pi) or
+    a density given by its l_max + 1 Legendre coefficients of its profile
+    with respect to the volume measure; exactly one of the two is set
+    (FlowError otherwise). Heat evolution multiplies the coefficients by
+    e^{-l(l+1)t/r^2} under the sphere kernel's truncation rule (a tail above
+    1e-12 raises TruncationError); a ring is expanded with the exact
+    coefficients (2l+1) P_l(cos theta0) / (4 pi r^2) when evolved.
     """
 
     geometry: SphereGeometry
     coeffs: np.ndarray | None = None
     colatitude: float | None = None
 
+    def __post_init__(self):
+        if (self.coeffs is None) == (self.colatitude is None):
+            raise FlowError("a zonal measure needs exactly one of coeffs and colatitude")
+        if self.colatitude is not None and not 0 <= self.colatitude <= np.pi:
+            raise FlowError(f"a ring's colatitude must lie in [0, pi], not {self.colatitude}")
+        if self.coeffs is not None and np.shape(self.coeffs) != (self.geometry.l_max + 1,):
+            raise FlowError(f"a zonal density needs l_max + 1 = {self.geometry.l_max + 1} "
+                            f"coefficients, got shape {np.shape(self.coeffs)}")
+
     @staticmethod
     def ring(geometry, colatitude):
-        """The unit ring at a colatitude in [0, pi] (FlowError otherwise)."""
-        if not 0 <= colatitude <= np.pi:
-            raise FlowError(f"a ring's colatitude must lie in [0, pi], not {colatitude}")
+        """The unit ring at a colatitude in [0, pi]."""
         return ZonalMeasure(geometry, colatitude=float(colatitude))
 
     @staticmethod
@@ -315,7 +325,7 @@ class ZonalMeasure:
         r, l_max = self.geometry.r, self.geometry.l_max
         c = self.coeffs
         if c is None:
-            P = legendre_table(l_max, np.array([np.cos(self.colatitude)]))[:, 0]
+            P = legendre.legvander(np.cos(self.colatitude), l_max)[0]
             c = (2 * np.arange(l_max + 1) + 1) * P / (4 * np.pi * r**2)
         return ZonalMeasure(self.geometry, coeffs=c * _sphere_decay(t, r, l_max))
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.polynomial import legendre
 
 __all__ = [
     "GeometryError",
@@ -23,8 +24,6 @@ __all__ = [
     "CircleGeometry",
     "TorusGeometry",
     "SphereGeometry",
-    "legendre_table",
-    "legendre_sums",
 ]
 
 
@@ -53,45 +52,6 @@ def _require_lengths(what, *values):
     for value in values:
         if not 0 < value < np.inf:
             raise GeometryError(f"{what} must be > 0 and finite, not {value}")
-
-
-def legendre_table(l_max, x):
-    """Legendre polynomials P_0..P_{l_max} at points x, via the three-term
-    recurrence. Returns an array of shape (l_max + 1,) + x.shape."""
-    x = np.asarray(x, dtype=float)
-    P = np.zeros((l_max + 1,) + x.shape)
-    P[0] = 1.0
-    if l_max >= 1:
-        P[1] = x
-    for l in range(1, l_max):
-        P[l + 1] = ((2 * l + 1) * x * P[l] - l * P[l - 1]) / (l + 1)
-    return P
-
-
-def legendre_sums(coeffs, x, derivative=False):
-    """sum_l c_l P_l(x) over l = 0..len(coeffs) - 1, accumulated along the
-    three-term recurrence, which holds only P_{l-1} and P_l: O(x.size)
-    memory whatever the number of coefficients.
-
-    With derivative=True, returns the pair (sum, sum_l c_l P_l'(x)); the
-    derivative comes from the accumulators sum l c_l P_{l-1} and
-    sum l c_l P_l through (1 - x^2) P_l' = l (P_{l-1} - x P_l). It is valid for
-    |x| < 1; the colatitude grids used here are cell-centered and never touch
-    the poles.
-    """
-    x = np.asarray(x, dtype=float)
-    prev, cur = np.zeros_like(x), np.ones_like(x)  # P_{l-1}, P_l from l = 0
-    total = np.zeros_like(x)
-    lower, upper = np.zeros_like(x), np.zeros_like(x)
-    for l, c in enumerate(np.asarray(coeffs, dtype=float)):
-        total += c * cur
-        if derivative:
-            lower += (l * c) * prev
-            upper += (l * c) * cur
-        prev, cur = cur, ((2 * l + 1) * x * cur - l * prev) / (l + 1)
-    if not derivative:
-        return total
-    return total, (lower - x * upper) / (1.0 - x**2)
 
 
 @dataclass(frozen=True)
@@ -207,18 +167,12 @@ class SphereGeometry:
     def zone_integrals(self, coeffs) -> np.ndarray:
         """Exact integrals of the zonal series sum_l c_l P_l(cos theta),
         l = 0..l_max, over the colatitude cells (GeometryError for any other
-        number of coefficients). int P_l dx = (P_{l+1} - P_{l-1})/(2l+1) and
-        int P_0 dx = P_1 make the antiderivative one Legendre series, summed
-        once at the faces."""
+        number of coefficients): its antiderivative in x = cos theta is one
+        Legendre series, summed once at the faces."""
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (self.l_max + 1,):
             raise GeometryError(
                 f"zonal series needs l_max + 1 = {self.l_max + 1} coefficients, got shape {c.shape}"
             )
-        step = c[1:] / (2 * np.arange(1, self.l_max + 1) + 1)
-        d = np.zeros(self.l_max + 2)
-        d[1] = c[0]
-        d[2:] += step
-        d[:-2] -= step
-        anti = legendre_sums(d, np.cos(self.faces()))
+        anti = legendre.legval(np.cos(self.faces()), legendre.legint(c))
         return 2 * np.pi * self.r**2 * (anti[:-1] - anti[1:])

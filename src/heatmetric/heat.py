@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial import legendre
 
-from .geometry import TruncationError, legendre_sums
+from .geometry import TruncationError
 from .spaces import FiniteMetricMeasureSpace, _adjacency
 
 __all__ = [
@@ -247,12 +248,11 @@ def sphere_kernel_coefficients(t, r, l_max):
 
 
 def sphere_kernel(t, theta, r, l_max):
-    """Heat kernel on the round sphere at angular separation theta."""
+    """Heat kernel on the round sphere at angular separation theta: the
+    series sum_l c_l P_l(cos theta), by numpy's Clenshaw sum."""
     c = sphere_kernel_coefficients(t, r, l_max)
-    scalar = np.isscalar(theta)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = legendre_sums(c, np.cos(theta))
-    return float(out[0]) if scalar else out
+    out = legendre.legval(np.cos(np.asarray(theta, dtype=float)), c)
+    return float(out) if np.isscalar(theta) else out
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,11 @@ from functools import lru_cache, reduce
 from typing import ClassVar, NamedTuple
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy.linalg import solve_banded
 
 from . import transport
-from .geometry import CircleGeometry, SphereGeometry, legendre_sums
+from .geometry import CircleGeometry, SphereGeometry
 from .heat import circle_kernel, sphere_kernel_coefficients
 from .spaces import _grid_space
 
@@ -369,17 +370,20 @@ class _SphereMode:
 @lru_cache(maxsize=32)
 def _sphere_profiles(geometry, t):
     """Kernel profile K(theta), its theta-derivative, and exact cell masses,
-    cached per (sphere, t) across calls: the two Legendre sums dominate a cold
-    evaluation. A tangency_experiment on sphere 4096/400 (t = 0.2 halved down
-    to 0.00625) takes 0.09-0.11 s cold and 0.003 s warm on a 2-core machine.
+    cached per (sphere, t) across calls: its three Legendre series (numpy's
+    legval of the coefficients, of their legder and, in zone_integrals, of
+    their legint) dominate a cold evaluation. A tangency_experiment on sphere
+    4096/400 (t = 0.2 halved down to 0.00625) takes 0.085-0.090 s cold and
+    0.003 s warm on a 2-core machine; at 16384/1000, 0.57-0.58 s and 0.010 s.
 
     At small t the kernel near the antipode sinks below the roundoff of the
     Legendre series, so the profile is floored like every solver density.
     """
     c = sphere_kernel_coefficients(t, geometry.r, geometry.l_max)
     theta = geometry.nodes()
-    S, dS = legendre_sums(c, np.cos(theta), derivative=True)
-    K, dK = _floor_density(S), -np.sin(theta) * dS
+    x = np.cos(theta)
+    K = _floor_density(legendre.legval(x, c))
+    dK = -np.sin(theta) * legendre.legval(x, legendre.legder(c))
     out = (K, dK, geometry.zone_integrals(c))
     for arr in out:  # shared by every caller at this (geometry, t)
         arr.flags.writeable = False

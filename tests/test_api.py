@@ -1,6 +1,8 @@
 import ast
+import builtins
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,22 @@ def test_source_lines_fit_in_100_columns():
             for path in sorted(package.rglob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
     assert not long, f"source lines over 100 columns: {long}"
+
+
+def test_readme_library_map_calls_exist():
+    # every `name(` in the README's heatmetric.* rows is a builtin or is
+    # defined (def or class) somewhere in the package
+    package = Path(hm.__file__).parent
+    text = (package.parents[1] / "README.md").read_text().split("## Library map", 1)[1]
+    rows = [line for line in text.splitlines() if line.startswith("| `heatmetric.")]
+    called = {name.rsplit(".", 1)[-1] for row in rows
+              for name in re.findall(r"`([A-Za-z_][\w.]*)\(", row)}
+    defined = {node.name for path in package.rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert rows and called
+    unknown = sorted(called - defined - set(dir(builtins)))
+    assert not unknown, f"README library map calls undefined names: {unknown}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -382,6 +382,27 @@ class TestFlowCommand:
         assert code == 0
         assert (out / "dtilde_pairs_0p1.csv").exists()
 
+    def test_pair_mode_checks_its_values(self, tmp_path):
+        out = tmp_path / "pairs"
+        assert cli.run(["flow", "--geometry", "torus", "--n1", "8", "--n2", "8",
+                        "--times", "0,0.25", "--pairs", "0:9,3:30,1:2",
+                        "--out", str(out)]) == 0
+        checks = json.loads((out / "flow_summary.json").read_text())["checks"]
+        assert [(c["name"], c["t"], c["pass"]) for c in checks] == [
+            ("dtilde0_equals_d", 0.0, True), ("dtilde_below_scaled_original", 0.25, True)]
+        assert_checks_table(out, "flow")
+
+    def test_pair_mode_fails_an_overstated_curvature_bound(self, tmp_path):
+        # the two-point flow is dtilde_t = e^{-t} d, above a declared e^{-5t} d
+        path, out = tmp_path / "two_point_k5.json", tmp_path / "pairs"
+        path.write_text(json.dumps({"points": 2, "edges": [[0, 1, 1.0]], "measure": [1.0, 1.0],
+                                    "K": 5.0, "conductances": [1.0]}))
+        assert cli.run(["flow", "--space", str(path), "--times", "0.5", "--pairs", "0:1",
+                        "--out", str(out)]) == 1
+        check, = json.loads((out / "flow_summary.json").read_text())["checks"]
+        assert check["name"] == "dtilde_below_scaled_original" and not check["pass"]
+        assert check["value"] == pytest.approx(np.exp(-0.5) - np.exp(-2.5), rel=1e-9)
+
 
 class TestSpaceFileSymmetries:
     """A space file may declare symmetries; build_space checks them."""

@@ -292,12 +292,18 @@ class TestSphereContraction:
         assert_allclose(hm.w2_zonal(ring, uniform), expected, rtol=1e-12)
 
     def test_coefficients_of_wrong_length(self, sphere):
-        short = hm.ZonalMeasure(sphere, coeffs=np.full(sphere.l_max, 0.1))
-        message = rf"l_max \+ 1 = {sphere.l_max + 1} coefficients, .*\({sphere.l_max},\)"
-        with pytest.raises(hm.GeometryError, match=message):
-            short.cell_masses()
-        with pytest.raises(hm.GeometryError, match=message):
-            hm.w2_zonal(short, hm.ZonalMeasure.pole(sphere))
+        # refused when built, before evolve, a cell mass or W_2 could read
+        # them; a length-1 vector used to evolve into l_max + 1 coefficients
+        for length in (sphere.l_max, sphere.l_max + 2, 1):
+            message = rf"l_max \+ 1 = {sphere.l_max + 1} coefficients, .*\({length},\)"
+            with pytest.raises(hm.FlowError, match=message):
+                hm.ZonalMeasure(sphere, coeffs=[1 / (4 * np.pi)] * length)
+
+    @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+    def test_exactly_one_of_density_and_ring(self, sphere, both):
+        fields = {"coeffs": np.zeros(sphere.l_max + 1), "colatitude": 0.5} if both else {}
+        with pytest.raises(hm.FlowError, match="exactly one of coeffs and colatitude"):
+            hm.ZonalMeasure(sphere, **fields)
 
     def test_atoms_have_no_cell_masses(self, sphere):
         with pytest.raises(hm.FlowError, match="a ring has no density"):
@@ -305,8 +311,9 @@ class TestSphereContraction:
 
     @pytest.mark.parametrize("theta", [5.0, -0.1, np.nan, np.inf])
     def test_ring_colatitude_in_range(self, sphere, theta):
-        with pytest.raises(hm.FlowError, match=r"colatitude must lie in \[0, pi\], not"):
-            hm.ZonalMeasure.ring(sphere, theta)
+        for build in (hm.ZonalMeasure.ring, lambda g, c: hm.ZonalMeasure(g, colatitude=c)):
+            with pytest.raises(hm.FlowError, match=r"colatitude must lie in \[0, pi\], not"):
+                build(sphere, theta)
 
     def test_ring_fields(self, sphere):
         ring = hm.ZonalMeasure.ring(sphere, np.pi)

@@ -2,18 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import eval_legendre, legendre_p_all
 
 import heatmetric as hm
 from heatmetric import tangent
-from heatmetric.geometry import legendre_sums, legendre_table
 from heatmetric.heat import sphere_kernel_coefficients
 
 
 def _table_masses(geom, c):
-    """Cell masses from the table of antiderivatives
-    int P_l dx = (P_{l+1} - P_{l-1}) / (2l + 1), int P_0 dx = x, at the faces."""
+    """Cell masses from scipy's table of P_0..P_{l_max+1} at the faces and
+    the antiderivatives int P_l dx = (P_{l+1} - P_{l-1}) / (2l + 1),
+    int P_0 dx = x."""
     xf = np.cos(geom.faces())
-    Pf = legendre_table(geom.l_max + 1, xf)
+    Pf = legendre_p_all(geom.l_max + 1, xf)[0]
     anti = np.empty_like(Pf[:-1])
     anti[0] = xf
     for l in range(1, geom.l_max + 1):
@@ -26,6 +27,9 @@ def _max_relative(a, b):
 
 
 class TestLegendreSums:
+    """The sphere's Legendre series (numpy's Clenshaw sums) against scipy's
+    independent tables of P_l and P_l'."""
+
     @pytest.mark.parametrize("l_max, n_theta", [(60, 128), (400, 4096)])
     @pytest.mark.parametrize("t", [0.05, 0.2])
     def test_matches_tables(self, l_max, n_theta, t):
@@ -35,24 +39,25 @@ class TestLegendreSums:
         x = np.cos(theta)
         # the nodes nearest the poles sit half a cell off them
         assert 1 - np.abs(x).max() < 2 / n_theta**2
-        P = legendre_table(l_max, x)
-        ls = np.arange(1, l_max + 1)[:, None]
-        dP = np.zeros_like(P)
-        dP[1:] = ls * (P[:-1] - x * P[1:]) / (1 - x**2)
-        K, dS = legendre_sums(c, x, derivative=True)
-        assert _max_relative(K, c @ P) < 1e-14
-        assert _max_relative(legendre_sums(c, x), c @ P) < 1e-14
-        assert _max_relative(-np.sin(theta) * dS, c @ (-np.sin(theta) * dP)) < 1e-10
-        masses = geom.zone_integrals(c)
+        P, dP = legendre_p_all(l_max, x, diff_n=1)
+        tangent._sphere_profiles.cache_clear()
+        K, dK, masses = tangent._sphere_profiles(geom, t)
+        assert _max_relative(K, tangent._floor_density(c @ P)) < 1e-14
+        assert _max_relative(dK, -np.sin(theta) * (c @ dP)) < 1e-14
+        assert _max_relative(hm.sphere_kernel(t, theta, geom.r, l_max), c @ P) < 1e-14
         assert _max_relative(masses, _table_masses(geom, c)) < 1e-11
         assert masses.sum() == pytest.approx(c[0] * 4 * np.pi * geom.r**2, rel=1e-13)
 
-    def test_scalar_and_short_series(self):
-        # P_0 = 1, P_1 = x, P_2 = (3x^2 - 1) / 2
-        x = 0.3
-        assert legendre_sums([2.0, -1.0, 4.0], x) == pytest.approx(2 - x + 2 * (3 * x**2 - 1))
-        total, deriv = legendre_sums([2.0, -1.0, 4.0], np.array([x]), derivative=True)
-        assert deriv[0] == pytest.approx(-1 + 12 * x)
+    def test_ring_coefficients(self):
+        geom = hm.SphereGeometry(1.3, 128, 60)
+        t, ls = 0.1, np.arange(geom.l_max + 1)
+        kernel = sphere_kernel_coefficients(t, geom.r, geom.l_max)
+        assert np.array_equal(hm.ZonalMeasure.heat_kernel(geom, t).coeffs, kernel)
+        south = hm.ZonalMeasure.heat_kernel(geom, t, south=True).coeffs
+        assert np.array_equal(south, (-1.0) ** ls * kernel)
+        ring = hm.ZonalMeasure.ring(geom, 0.8).evolve(t).coeffs
+        oracle = kernel * eval_legendre(ls, np.cos(0.8))
+        assert _max_relative(ring, oracle) < 1e-14
 
     @pytest.mark.parametrize("length", [60, 62, 1])
     def test_zone_integrals_reject_wrong_length(self, length):

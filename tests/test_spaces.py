@@ -437,15 +437,23 @@ class TestTranslationGroup:
         adj = spaces._adjacency(space.n, space.edges, space.lengths)
         assert np.array_equal(space.dist, spaces._path_metric(adj))
 
-    @pytest.mark.parametrize("build", [lambda: hm.model_circle(2 * np.pi, 24),
-                                       lambda: hm.model_torus(2 * np.pi, 2 * np.pi, 16, 12)],
-                             ids=["circle24", "torus16x12"])
-    def test_sparse_grid_takes_one_source(self, build, monkeypatch):
+    # the torus flows at t = 0 only, where dtilde_0 = d needs no transport
+    @pytest.mark.parametrize("build, t", [
+        pytest.param(lambda: hm.model_circle(2 * np.pi, 24), 0.25, id="circle24"),
+        pytest.param(lambda: hm.model_torus(2 * np.pi, 2 * np.pi, 16, 12), 0.0, id="torus16x12"),
+    ])
+    def test_sparse_grid_takes_one_source(self, build, t, monkeypatch):
+        # both d and d_t: the flow chains dtilde_t by the space's own rule
         def refuse(*args, **kwargs):
             raise AssertionError("all-pairs shortest paths on a translation grid")
 
         monkeypatch.setattr(spaces, "shortest_path", refuse)
-        build()
+        _, space = build()
+        fm = hm.flow_matrices(hm.spectral_decompose(space), t)
+        monkeypatch.undo()
+        weights = fm.dtilde[space.edges[:, 0], space.edges[:, 1]]
+        adj = spaces._adjacency(space.n, space.edges, weights)
+        assert np.array_equal(fm.dt, spaces._path_metric(adj))
 
     def test_dense_circulant_keeps_floyd_warshall_bits(self):
         # every chord of the 12-cycle, with a random length per offset: scipy's
