@@ -18,7 +18,7 @@ the colatitude lower bound for product-with-uniform-azimuth measures).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import ClassVar
 
 import numpy as np
@@ -27,7 +27,7 @@ from numpy.polynomial import legendre
 from .geometry import SphereGeometry, _is_integer, _require_integers
 from .heat import _sphere_decay, heat_apply, spectral_decompose
 from .spaces import _adjacency, _path_metric, model_circle
-from .transport import _monotone_segments, _w2_exact_batch, w2_exact
+from .transport import _monotone_segments, _w2_exact_batch
 
 __all__ = [
     "FlowError",
@@ -220,12 +220,8 @@ class ContractionReport:
     def max_excess(self) -> float:
         return max(r.excess for r in self.records)
 
-    @property
-    def violations(self) -> list:
-        return [r for r in self.records if r.excess > self.rel_tol]
-
     def passed(self) -> bool:
-        return not self.violations
+        return self.max_excess <= self.rel_tol
 
 
 def _as_measure_pair(space, pair):
@@ -236,28 +232,23 @@ def _as_measure_pair(space, pair):
     return np.asarray(a, float), np.asarray(b, float), ("mu", "nu")
 
 
-def _contraction(K, times, labelled_pairs, w2, evolve) -> ContractionReport:
-    """Ratios W_2(evolve(t, mu), evolve(t, nu)) / W_2(mu, nu) against e^{-Kt}
-    for each (mu, nu, label), at least one pair and one time. Every pair's
-    W_2(mu, nu) is taken, and must be > 0, before the first evolve."""
+def _contraction(K, times, labels, w2_at) -> ContractionReport:
+    """Ratios w2_at(t) / w2_at(0) against e^{-Kt}, pair-major; w2_at(t) returns
+    every labelled pair's W_2 after time t, each checked > 0 at t = 0 first."""
     bad = [t for t in times if not 0 <= t < np.inf]
     if bad:
         raise FlowError(f"time must be finite and >= 0, not {bad[0]}")
-    if len(times) == 0 or not labelled_pairs:
+    if len(times) == 0 or not labels:
         raise FlowError("contraction needs at least one pair and one time")
-    initial = [w2(mu, nu) for mu, nu, _ in labelled_pairs]
-    for (_, _, (a, b)), w0 in zip(labelled_pairs, initial):
+    initial = w2_at(0.0)
+    for (a, b), w0 in zip(labels, initial):
         if w0 == 0:
             raise FlowError(f"pair {a}:{b} is at W2 distance 0, so it has no contraction ratio")
-    records = []
-    for (mu, nu, label), w0 in zip(labelled_pairs, initial):
-        for t in times:
-            wt = w2(evolve(t, mu), evolve(t, nu))
-            records.append(ContractionRecord(
-                t=float(t), pair=label, w2_initial=w0, w2_evolved=wt,
-                bound=float(np.exp(-K * t)),
-            ))
-    return ContractionReport(K=float(K), records=records)
+    evolved = [w2_at(t) for t in times]
+    return ContractionReport(K=float(K), records=[
+        ContractionRecord(t=float(t), pair=label, w2_initial=float(w0), w2_evolved=float(wt[k]),
+                          bound=float(np.exp(-K * t)))
+        for k, (label, w0) in enumerate(zip(labels, initial)) for t, wt in zip(times, evolved)])
 
 
 def contraction_report(space, times, pairs) -> ContractionReport:
@@ -266,14 +257,18 @@ def contraction_report(space, times, pairs) -> ContractionReport:
     pairs may list point-index pairs (delta measures) or explicit measure
     pairs. K is the space's declared bound and is required. K, the pair
     indices and the times are all checked before the space is decomposed.
-    """
+    Each time, 0 included, is one transport batch of every pair, as in
+    dtilde_pairs."""
     if space.K is None:
         raise FlowError("contraction needs a declared curvature bound K")
     labelled = [_as_measure_pair(space, p) for p in pairs]
-    decompose = cache(lambda: spectral_decompose(space))  # first called after the time check
-    return _contraction(space.K, times, labelled,
-                        lambda mu, nu: w2_exact(mu, nu, space.dist).value,
-                        lambda t, mu: heat_apply(decompose(), t, mu))
+    decompose = cache(lambda: spectral_decompose(space))  # first called at the first t > 0
+
+    def w2_at(t):
+        evolve = (lambda mu: mu) if t == 0 else partial(heat_apply, decompose(), t)
+        return _w2_exact_batch([(evolve(mu), evolve(nu)) for mu, nu, _ in labelled], space.dist)
+
+    return _contraction(space.K, times, [label for *_, label in labelled], w2_at)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +370,13 @@ def _quantile(pieces, k, u):
 
 def sphere_contraction_report(geometry, times, pairs) -> ContractionReport:
     """Contraction ratios on the sphere (K = 1/r^2) for zonal measure pairs."""
-    labelled = [(mu, nu, (f"zonal{idx}a", f"zonal{idx}b")) for idx, (mu, nu) in enumerate(pairs)]
-    return _contraction(geometry.K, times, labelled, w2_zonal, lambda t, mu: mu.evolve(t))
+    pairs = list(pairs)
+
+    def w2_at(t):  # evolves nothing at t = 0, where every pair is checked
+        return [w2_zonal(*(m.evolve(t) if t else m for m in pair)) for pair in pairs]
+
+    labels = [(f"zonal{idx}a", f"zonal{idx}b") for idx in range(len(pairs))]
+    return _contraction(geometry.K, times, labels, w2_at)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +455,9 @@ def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
     two distinct nodes of every grid. Reports dtilde_{n,t} at the matched
     nodes, successive differences, and the empirical convergence order
     (expected >= 1). t must be finite and > 0 (at t = 0 every difference is
-    rounding) and the grid sizes integers, checked before any grid is built;
-    both lists are read once, so they may be generators."""
+    rounding), the grid sizes integers and the fractions in [0, 1), checked
+    before any grid is built; both lists are read once, so they may be
+    generators."""
     if not 0 < t < np.inf:
         raise FlowError(f"refinement needs a finite t > 0, not t={t}")
     grid_sizes, probe_pairs = tuple(grid_sizes), list(probe_pairs)
@@ -466,6 +467,9 @@ def refinement_stability(L, t, grid_sizes, probe_pairs) -> RefinementReport:
         raise FlowError("refinement needs at least three grid sizes")
     if len(probe_pairs) == 0:
         raise FlowError("refinement needs at least one probe pair")
+    for fa, fb in probe_pairs:
+        if not (0 <= fa < 1 and 0 <= fb < 1):
+            raise FlowError(f"probe ({fa}, {fb}) needs circle fractions in [0, 1)")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise FlowError("grid sizes must be strictly increasing")
     vals = np.zeros((len(probe_pairs), len(sizes)))

@@ -342,7 +342,11 @@ class _SphereMode:
         # G(theta) = |v| K'(theta) / r, sign fixed by finite-difference
         # validation of grad_x rho . v
         r, h = self.geometry.r, self.geometry.h
-        speed = float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        if v.ndim != 1 or v.size > 2:
+            raise TangentError(f"tangent vectors on the sphere have at most two components, "
+                               f"not shape {v.shape}")
+        speed = float(np.linalg.norm(v))
         K, dK, masses = _sphere_profiles(self.geometry, t)
         vp = solve_weighted_poisson(self.geometry, K, speed * dK / r)
         theta = self.geometry.nodes()
@@ -454,9 +458,10 @@ def tangent_state(geometry, t, v=1.0) -> TangentState:
     eta(y) = -grad_x rho(t, x, y) . v is built analytically (circle/torus: v_a
     times the offset derivative of axis a's kernel factor; sphere: the first
     azimuthal mode, G(theta) = |v| K'(theta)/r). v has one finite component
-    per axis on the periodic grids. Solver densities are floored at max *
-    1e-13 for conditioning, per axis factor on the grids. The Hessian mass is
-    reported only; its limit as t -> 0 is left open.
+    per axis on the periodic grids, and is a scalar or at most two finite
+    components on the sphere's tangent plane. Solver densities are floored
+    at max * 1e-13 for conditioning, per axis factor on the grids. The
+    Hessian mass is reported only; its limit as t -> 0 is left open.
     """
     return _resolved(geometry, t).evaluate(t, _tangent_vector(v))
 

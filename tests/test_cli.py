@@ -102,6 +102,32 @@ class TestOptionSurface:
         for argv in lines:
             cli.build_parser().parse_args(argv[1:])
 
+    def test_readme_check_table_names_every_check(self, tmp_path):
+        # the names come from the checks tables that small runs write
+        runs = [
+            ["flow", "--geometry", "circle", "--n", "8", "--times", "0,0.1"],
+            ["flow", "--geometry", "circle", "--n", "8", "--times", "0,0.1", "--pairs", "0:3"],
+            ["tangency", "--geometry", "circle", "--n", "64", "--tmax", "0.4", "--tmin", "0.1"],
+            ["contraction", "--geometry", "circle", "--n", "8", "--times", "0.1",
+             "--pairs", "0:4"],
+            ["continuity", "--geometry", "circle", "--n", "8", "--t", "0.1",
+             "--deltas", "0.1,0.05"],
+            ["refine", "--grids", "16,32,64"],
+            ["selftest"],
+        ]
+        written = set()
+        for k, argv in enumerate(runs):
+            out = tmp_path / str(k)
+            assert cli.run(argv + ["--out", str(out)]) == 0
+            with open(out / f"{argv[0]}_checks.csv", newline="") as fh:
+                written |= {row["name"] for row in csv.DictReader(fh)}
+        text = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+        table = text.split("| subcommand | check | bound |", 1)[1].split("\n\n", 1)[0]
+        documented = {name for row in table.splitlines()[2:]
+                      for name in row.split(" | ")[1].split("`")[1::2]}
+        assert {argv[0] for argv in runs} == set(cli.COMMANDS)
+        assert written <= documented, f"checks missing from README: {written - documented}"
+
     @pytest.mark.parametrize("argv", [
         ["flow", "--geometry", "sphere", "--times", "0.1"],
         ["continuity", "--geometry", "sphere", "--t", "0.1", "--deltas", "0.05"],
@@ -601,9 +627,14 @@ class TestOtherCommands:
     @pytest.mark.parametrize("grids, probes, message", [
         ("64,128", "0:0.5", "refinement needs at least three grid sizes"),
         ("16,32,64", "0:0.3333333", "not representable on n=16"),
+        ("16,32,64", "0:inf", "probe (0.0, inf) needs circle fractions in [0, 1)"),
+        ("16,32,64", "0:nan", "probe (0.0, nan) needs circle fractions in [0, 1)"),
+        ("16,32,64", "0:1.5", "probe (0.0, 1.5) needs circle fractions in [0, 1)"),
+        ("16,32,64", "-0.25:0.5", "probe (-0.25, 0.5) needs circle fractions in [0, 1)"),
     ])
     def test_refine_input_errors(self, tmp_path, capsys, grids, probes, message):
-        code = cli.run(["refine", "--grids", grids, "--probes", probes,
+        # --probes=... so that a probe starting with "-" is not read as an option
+        code = cli.run(["refine", "--grids", grids, f"--probes={probes}",
                         "--out", str(tmp_path)])
         assert code == 2
         assert message in capsys.readouterr().err
@@ -663,11 +694,13 @@ class TestInputBranches:
          "radius must be > 0 and finite, not inf"),
         (["tangency", "--geometry", "circle", "--L", "nan"], "L must be > 0 and finite, not nan"),
         (["tangency", "--geometry", "sphere", "--r", "nan"], "radius must be > 0 and finite"),
+        (["tangency", "--geometry", "sphere", "--v", "1,2,3"],
+         "tangent vectors on the sphere have at most two components, not shape (3,)"),
         (["flow", "--geometry", "torus", "--L1", "inf", "--n1", "8", "--n2", "8",
           "--times", "0.1"], "torus side lengths must be > 0 and finite, not inf"),
     ], ids=["tangency-no-geometry", "bad-time", "bad-pair", "empty-pairs",
             "contraction-sphere-r-nan", "contraction-sphere-r-inf", "tangency-circle-L-nan",
-            "tangency-sphere-r-nan", "flow-torus-L1-inf"])
+            "tangency-sphere-r-nan", "tangency-sphere-v-3d", "flow-torus-L1-inf"])
     def test_bad_arguments_exit_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "run"
         assert cli.run(argv + ["--out", str(out)]) == 2

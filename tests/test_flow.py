@@ -250,6 +250,42 @@ class TestContraction:
             rep = hm.contraction_report(space, [0.1, 0.5], [(0, space.n - 1)])
             assert rep.passed()
 
+    def test_point_pairs_are_dtilde_pairs_bits(self):
+        # a random graph declares no symmetries, so each time's batch is the
+        # one dtilde_pairs solves for the same point pairs
+        rng = np.random.default_rng(7)
+        edges = {(int(rng.integers(k)), k): rng.uniform(0.5, 2.0) for k in range(1, 24)}
+        for i, j in rng.integers(24, size=(24, 2)):
+            if i != j:
+                edges.setdefault((min(i, j), max(i, j)), rng.uniform(0.5, 2.0))
+        space = hm.build_space(24, [(i, j, ell) for (i, j), ell in edges.items()], np.ones(24),
+                               K=0.0)
+        hs = hm.spectral_decompose(space)
+        pairs, times = [(0, 13), (5, 2), (7, 20), (11, 3)], [0.1, 0.5]
+        rep = hm.contraction_report(space, times, pairs)
+        dtilde = {t: hm.dtilde_pairs(hs, t, pairs) for t in times}
+        assert [(r.pair, r.t) for r in rep.records] == [(p, t) for p in pairs for t in times]
+        for r in rep.records:
+            assert r.w2_initial == space.dist[r.pair]
+            assert r.w2_evolved == dtilde[r.t][pairs.index(r.pair)]
+
+    def test_one_batch_per_time(self, circle16, monkeypatch, rng):
+        counts = counted_batch(monkeypatch)
+        _, space, _ = circle16
+        mu, nu = rng.random(space.n) + 0.05, rng.random(space.n) + 0.05
+        pairs, times = [(0, 4), (mu / mu.sum(), nu / nu.sum()), (3, 9)], [0.0, 0.1, 0.5]
+        hm.contraction_report(space, times, pairs)
+        assert counts == [len(pairs)] * (len(times) + 1)
+        assert not hasattr(flow, "w2_exact")
+
+    def test_torus_point_pairs_match_dtilde_pairs(self, torus8):
+        _, space, hs = torus8
+        pairs, times = [(0, 36), (3, 30), (0, 9), (1, 2)], [0.1, 0.3]
+        rep = hm.contraction_report(space, times, pairs)
+        for r in rep.records:
+            assert r.w2_initial == space.dist[r.pair]
+            assert_allclose(r.w2_evolved, hm.dtilde_pairs(hs, r.t, [r.pair])[0], rtol=1e-9)
+
 
 @pytest.fixture(scope="module")
 def sphere():

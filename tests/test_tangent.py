@@ -201,6 +201,15 @@ class TestMetricGt:
                            match=r"tangent vectors need one component per grid axis \(2\)"):
             hm.tangent_state(TORUS, 0.2, v=v)
 
+    @pytest.mark.parametrize("v", [(1.0, 2.0, 3.0), [[1.0, 2.0]]], ids=["three", "matrix"])
+    def test_sphere_component_count(self, v, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved with a tangent vector off the tangent plane")
+
+        monkeypatch.setattr(tangent, "solve_weighted_poisson", refuse)
+        with pytest.raises(hm.TangentError, match="on the sphere have at most two components"):
+            hm.tangent_state(hm.SphereGeometry(1.0, 64, 40), 0.2, v=v)
+
     @pytest.mark.parametrize("geom, v", [
         (hm.CircleGeometry(2 * np.pi, 64), np.nan),
         (hm.CircleGeometry(2 * np.pi, 64), np.inf),
