@@ -208,8 +208,7 @@ def cmd_tangency(args):
     rows.append(["extrapolated", report.extrapolated_slope, "", "", report.target,
                  report.deviation, report.passed()])
     checks = [
-        check("tangency_slope", report.extrapolated_slope, report.target,
-              report.deviation <= report.tol),
+        check("tangency_slope", report.deviation, report.tol, report.deviation <= report.tol),
         check("tangency_one_sided", 1.0 if report.one_sided_ok else 0.0, 1.0,
               report.one_sided_ok),
     ]

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 from numpy.polynomial import legendre
 
 from .geometry import TruncationError

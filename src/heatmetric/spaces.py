@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 from .geometry import CircleGeometry, TorusGeometry, _require_integers
 
@@ -122,7 +121,7 @@ class FiniteMetricMeasureSpace:
 
 
 def _adjacency(n, edges, values):
-    m = sp.coo_matrix(
+    m = scipy.sparse.coo_matrix(
         (np.concatenate([values, values]),
          (np.concatenate([edges[:, 0], edges[:, 1]]),
           np.concatenate([edges[:, 1], edges[:, 0]]))),
@@ -143,7 +142,7 @@ def _path_metric(adj, coords=None):
     n = adj.shape[0]
     if coords is not None and adj.nnz < n * n / 4:
         return _translation_metric(adj, coords)
-    dist = shortest_path(adj, directed=False)
+    dist = scipy.sparse.csgraph.shortest_path(adj, directed=False)
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0.0)
     return dist
@@ -196,7 +195,7 @@ def _translation_metric(adj, coords):
     """
     orders = tuple(int(o) for o in coords.max(axis=0) + 1)
     row = np.empty(orders)
-    row[tuple(coords.T)] = dijkstra(adj, directed=False, indices=0)
+    row[tuple(coords.T)] = scipy.sparse.csgraph.dijkstra(adj, directed=False, indices=0)
     row = np.minimum(row, row[np.ix_(*[-np.arange(o) % o for o in orders])])
     # row[c' - c] is wide[o - c, c'] = tiled[o - c + c'], with o - c + c' in [1, 2o)
     wide = sliding_window_view(np.tile(row, (2,) * len(orders)), orders)
@@ -311,7 +310,7 @@ def build_space(points, edges, measure, K=None, conductances=None,
         raise SpaceError(f"the edge ({i}, {j}) is given twice")
 
     adj = _adjacency(n, edge_arr, lengths)
-    ncomp, _ = connected_components(adj, directed=False)
+    ncomp, _ = scipy.sparse.csgraph.connected_components(adj, directed=False)
     if ncomp != 1:
         raise DisconnectedGraph(f"edge graph has {ncomp} components")
 

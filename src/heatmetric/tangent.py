@@ -48,8 +48,8 @@ from functools import lru_cache, reduce
 from typing import ClassVar, NamedTuple
 
 import numpy as np
+import scipy
 from numpy.polynomial import legendre
-from scipy.linalg import solve_banded
 
 from . import transport
 from .geometry import CircleGeometry, SphereGeometry
@@ -196,7 +196,7 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     ab[0, 1:] = upper[:-1]
     ab[1] = diag
     ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
 
 def _per_axis(arrays, shapes):
@@ -239,6 +239,12 @@ class _PeriodicGrid:
         if t < 4 * hmax**2:
             raise UnresolvedTime(f"t={t} below 4 h^2 = {4 * hmax**2:.3e}")
 
+    def check_vector(self, v):
+        v = np.atleast_1d(v)
+        if v.shape != (len(self.h),):
+            raise TangentError(f"tangent vectors need one component per grid axis ({len(self.h)})")
+        return v
+
     def _kernels(self, t, deriv=0, shift=0.0):
         """circle_kernel factor of each axis, centered at the origin, at the
         nodes shifted by shift * h."""
@@ -276,9 +282,6 @@ class _PeriodicGrid:
         return VelocityPotential(phi, rho_full, eta_full, residual)
 
     def evaluate(self, t, v):
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        if v.shape != (len(self.h),):
-            raise TangentError(f"tangent vectors need one component per grid axis ({len(self.h)})")
         # eta = -grad_x rho . v: per axis, v_a times its factor's offset derivative
         k = self._kernels(t)
         eta = [va * dk for va, dk in zip(v, self._kernels(t, deriv=1))]
@@ -332,6 +335,13 @@ class _SphereMode:
         # the one truncation rule: the kernel series raises on its tail
         sphere_kernel_coefficients(t, self.geometry.r, self.geometry.l_max)
 
+    def check_vector(self, v):
+        v = np.atleast_1d(v)
+        if v.ndim != 1 or v.size > 2:
+            raise TangentError(f"tangent vectors on the sphere have at most two components, "
+                               f"not shape {v.shape}")
+        return v
+
     def solve(self, rho, eta):
         geometry, rho, eta = self.geometry, rho[0], eta[0]
         # reduced ODE: (sin F u')'/sin - F u / sin^2 = r^2 G
@@ -342,10 +352,6 @@ class _SphereMode:
         # G(theta) = |v| K'(theta) / r, sign fixed by finite-difference
         # validation of grad_x rho . v
         r, h = self.geometry.r, self.geometry.h
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        if v.ndim != 1 or v.size > 2:
-            raise TangentError(f"tangent vectors on the sphere have at most two components, "
-                               f"not shape {v.shape}")
         speed = float(np.linalg.norm(v))
         K, dK, masses = _sphere_profiles(self.geometry, t)
         vp = solve_weighted_poisson(self.geometry, K, speed * dK / r)
@@ -463,15 +469,17 @@ def tangent_state(geometry, t, v=1.0) -> TangentState:
     at max * 1e-13 for conditioning, per axis factor on the grids. The
     Hessian mass is reported only; its limit as t -> 0 is left open.
     """
-    return _resolved(geometry, t).evaluate(t, _tangent_vector(v))
+    disc = _resolved(geometry, t)
+    return disc.evaluate(t, _tangent_vector(disc, v))
 
 
-def _tangent_vector(v):
-    """v as a float array, once it is checked to be finite."""
+def _tangent_vector(disc, v):
+    """v as a float array, once it is checked to be finite and to have the
+    components the discretization disc takes."""
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
         raise TangentError(f"tangent vector v must be finite, not v={v.tolist()}")
-    return v
+    return disc.check_vector(v)
 
 
 def metric_gt(geometry, t, v=1.0) -> float:
@@ -484,7 +492,7 @@ def metric_gt(geometry, t, v=1.0) -> float:
     every model geometry has Ric = K |w|^2.
     """
     if t == 0:
-        return float(np.sum(np.square(_tangent_vector(v))))
+        return float(np.sum(np.square(_tangent_vector(_discretization(geometry), v))))
     return tangent_state(geometry, t, v).plan.second_moment()
 
 
@@ -553,11 +561,11 @@ def tangency_experiment(geometry, v=1.0, *, t_grid) -> TangencyReport:
     ratios = ts[1:] / ts[:-1]
     if np.any(ratios < 0.25) or np.any(ratios > 0.85):
         raise TangentError("t_grid should decrease geometrically (ratio about 1/2)")
-    v = _tangent_vector(v)
+    disc = _discretization(geometry)
+    v = _tangent_vector(disc, v)
     sp2 = float(np.sum(np.square(v)))
     if sp2 == 0:
         raise TangentError("tangency needs a nonzero tangent vector v, not |v|^2 = 0")
-    disc = _discretization(geometry)
     for t in ts:
         disc.check_resolution(t)
 
@@ -571,7 +579,7 @@ def tangency_experiment(geometry, v=1.0, *, t_grid) -> TangencyReport:
     # this is 2 s_min - s_prev to the last bit
     q = ts[-1] / ts[-2]
     extrapolated = float((slopes[-1] - q * slopes[-2]) / (1 - q))
-    target = -2.0 * geometry.K * sp2
+    target = -2.0 * geometry.K * sp2 + 0.0  # +0.0, not -0.0, where K = 0
     deviation = abs(extrapolated - target) / max(abs(target), sp2)
     bound = target * (1 - 0.05) + 0.05 * sp2
     one_sided = bool(np.all(slopes[-2:] <= bound + 1e-9))

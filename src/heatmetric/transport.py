@@ -18,7 +18,8 @@ in the same way.
   (scipy.optimize._highspy, a private module, so scipy is held to the
   checked 1.17 series) and runs the dual simplex with presolve off and
   primal and dual feasibility tolerances of 1e-10, far inside the
-  certificate window.
+  certificate window. The binding, and with it scipy.optimize, is loaded
+  on the first LP, so a command that solves none never imports it.
 
 Both scale the second measure of the solve's orientation (below) to the
 first's total: MASS_TOL admits totals 1e-9 apart, which the LP's equality
@@ -66,8 +67,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import linprog  # noqa: F401  only perfbench's tracer reads it
-from scipy.optimize._highspy import _core as highs
 
 __all__ = [
     "TransportError",
@@ -101,6 +100,13 @@ _LEVEL_TOL = 1e-13
 # contiguous chunks of a batch, each with its own cold-started LP model; a
 # constant, so the values never depend on the core count
 _BATCH_CHUNKS = 4
+
+
+def __getattr__(name):  # only perfbench's tracer reads transport.linprog
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TransportError(ValueError):
@@ -185,6 +191,7 @@ class _CouplingLP:
     """
 
     def __init__(self, cost):
+        from scipy.optimize._highspy import _core as highs
         n, m = cost.shape
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = n * m, n + m
@@ -204,6 +211,7 @@ class _CouplingLP:
         for key, value in _HIGHS_OPTIONS.items():
             self.model.setOptionValue(key, value)
         self.model.passModel(lp)
+        self.optimal = highs.HighsModelStatus.kOptimal
         self.shape = (n, m)
         self.bounds = np.zeros(n + m)
 
@@ -217,7 +225,7 @@ class _CouplingLP:
         self.bounds = bounds
         model.run()
         status = model.getModelStatus()
-        if status != highs.HighsModelStatus.kOptimal:
+        if status != self.optimal:
             raise SolverFailure(f"LP solver failed: {model.modelStatusToString(status)}")
         solution = model.getSolution()
         gamma = np.array(solution.col_value, dtype=float).reshape(self.shape)
@@ -444,6 +452,8 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
             except Exception as exc:  # re-raised by the caller
                 errors[k] = exc
 
+    if h is None:  # load the HiGHS binding here, so that no helper thread imports it
+        from scipy.optimize._highspy import _core  # noqa: F401
     helpers = [threading.Thread(target=drain)
                for _ in range(min(chunks, _cores()) - 1)]
     for helper in helpers:

@@ -2,7 +2,11 @@ import ast
 import builtins
 import importlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +85,43 @@ def test_exit_1_failures_are_exported(tmp_path, monkeypatch):
 
         monkeypatch.setitem(cli.COMMANDS, "selftest", fail)
         assert cli.run(["selftest", "--out", str(tmp_path)]) == 1
+
+
+# a fresh interpreter runs cli.run(argv), or only the import for no argv, and
+# prints its exit code and which of scipy's larger subpackages it loaded
+LOADS = """
+import json, sys
+import heatmetric, heatmetric.cli
+argv = json.loads(sys.argv[1])
+code = heatmetric.cli.run(argv) if argv else None
+print(json.dumps([code, [m for m in ("scipy.linalg", "scipy.sparse", "scipy.optimize")
+                         if m in sys.modules]]))
+"""
+
+
+def _fresh_loads(argv, cwd):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LOADS, json.dumps(argv)], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    ([], None, []),
+    (["tangency", "--geometry", "sphere", "--ntheta", "256", "--lmax", "80"], 0,
+     ["scipy.linalg"]),
+    (["flow", "--geometry", "circle", "--n", "16", "--times", "0.1", "--pairs", "0:5"], 0,
+     ["scipy.linalg", "scipy.sparse"]),
+    (["flow", "--space", "path.json", "--times", "0.1"], 0,
+     ["scipy.linalg", "scipy.sparse", "scipy.optimize"]),
+], ids=["import", "tangency-sphere", "flow-circle-pairs", "flow-space-lp"])
+def test_each_path_loads_only_the_scipy_it_uses(tmp_path, argv, code, loaded):
+    # scipy's subpackages load at their first use, and only the LP loads scipy.optimize
+    (tmp_path / "path.json").write_text(json.dumps(
+        {"points": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]],
+         "measure": [1.0] * 4, "K": 0.0}))
+    if argv:
+        argv = argv + ["--out", "out"]
+    assert _fresh_loads(argv, tmp_path) == [code, loaded]

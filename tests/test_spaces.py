@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
 
 import heatmetric as hm
@@ -447,7 +448,7 @@ class TestTranslationGroup:
         def refuse(*args, **kwargs):
             raise AssertionError("all-pairs shortest paths on a translation grid")
 
-        monkeypatch.setattr(spaces, "shortest_path", refuse)
+        monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", refuse)
         _, space = build()
         fm = hm.flow_matrices(hm.spectral_decompose(space), t)
         monkeypatch.undo()

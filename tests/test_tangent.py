@@ -237,6 +237,15 @@ class TestMetricGt:
         assert hm.metric_gt(TORUS, 0.0, v=(0.6, 0.8)) == pytest.approx(1.0, abs=1e-15)
         assert hm.metric_gt(hm.SphereGeometry(1.0, 64, 40), 0.0, v=1.0) == 1.0
 
+    @pytest.mark.parametrize("geom, message", [
+        (hm.TorusGeometry(2 * np.pi, 2 * np.pi, 64, 64), "one component per grid axis"),
+        (hm.SphereGeometry(1.0, 64, 40), "at most two components"),
+    ], ids=["torus", "sphere"])
+    def test_zero_time_checks_the_components(self, geom, message):
+        for t in (0.0, 0.1):
+            with pytest.raises(hm.TangentError, match=message):
+                hm.metric_gt(geom, t, v=(1.0, 2.0, 3.0))
+
     def test_circle_closed_form(self):
         for t in (0.2, 0.3):
             got = hm.metric_gt(CIRCLE, t, v=1.0)

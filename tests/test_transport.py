@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 import heatmetric as hm
 from heatmetric import transport
@@ -705,7 +706,7 @@ class TestLPPath:
         pairs = list(itertools.combinations(measures, 2))
         log = []
 
-        class Recording(transport.highs._Highs):
+        class Recording(highs._Highs):
             def changeRowBounds(self, row, lower, upper):
                 log.append((self, row))  # holds the model, so its id stays its own
                 return super().changeRowBounds(row, lower, upper)
@@ -715,7 +716,7 @@ class TestLPPath:
                 return super().run()
 
         monkeypatch.setattr(transport, "_cores", lambda: 1)
-        monkeypatch.setattr(transport.highs, "_Highs", Recording)
+        monkeypatch.setattr(highs, "_Highs", Recording)
         transport._w2_exact_batch(pairs, dist)
         solves = {}
         for model, row in log:
