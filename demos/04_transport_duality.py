@@ -17,7 +17,7 @@ mu = rng.random(16) + 0.05
 nu = rng.random(16) + 0.05
 mu, nu = mu / mu.sum(), nu / nu.sum()
 
-res = hm.w2_exact(mu, nu, space.dist)
+res = hm.w2_exact(mu, nu, space)
 gap = hm.dual_gap(mu, nu, res.value, res.potentials, dist=space.dist)
 print(f"exact W2 = {res.value:.8f}")
 print(f"duality gap = {gap:.2e} (certified <= 1e-8)")
@@ -49,5 +49,5 @@ print(f"  |phi^cc - phi| = {np.abs(phi_cc - phi).max():.2e}")
 print()
 print("delta-to-delta transport recovers the ground metric:")
 for x, y in ((0, 8), (3, 5)):
-    val = hm.w2_exact(space.delta(x), space.delta(y), space.dist).value
+    val = hm.w2_exact(space.delta(x), space.delta(y), space).value
     print(f"  W2(delta_{x}, delta_{y}) = {val:.6f}   d({x},{y}) = {space.dist[x, y]:.6f}")

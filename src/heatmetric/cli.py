@@ -202,7 +202,10 @@ def cmd_tangency(args):
     v = tuple(float(s) for s in args.v.split(",")) if "," in args.v else float(args.v)
     if isinstance(geom, TorusGeometry) and not isinstance(v, tuple):
         v = (float(v), 0.0)
-    report = tangent_mod.tangency_experiment(geom, v=v, t_grid=t_grid)
+    try:
+        report = tangent_mod.tangency_experiment(geom, v=v, t_grid=t_grid)
+    except tangent_mod.UnresolvedTime as exc:
+        raise InputError(f"{exc}; {_resolving_options(geom, t_grid[-1], args.tmax)}") from exc
     columns = ("t", "g_t", "slope", "hessian_mass", "target", "deviation")
     rows = [[row[k] for k in columns] + [""] for row in report.rows()]
     rows.append(["extrapolated", report.extrapolated_slope, "", "", report.target,
@@ -213,6 +216,18 @@ def cmd_tangency(args):
               report.one_sided_ok),
     ]
     return checks, {"tangency.csv": (columns + ("pass",), rows)}
+
+
+def _resolving_options(geom, t, tmax):
+    """The least options that resolve a periodic grid's smallest time t under
+    the 4 h^2 rule: --n (--n1, --n2) of each coarse axis, or --tmin, with
+    --tmax at least twice it."""
+    flags = ["--n"] if isinstance(geom, CircleGeometry) else ["--n1", "--n2"]
+    grids = [f"{flag} to at least {int(2 * L / np.sqrt(t)) + 1}"  # 4 (L / n)^2 < t
+             for flag, (L, n) in zip(flags, geom.periodic_axes) if 4 * (L / n) ** 2 > t]
+    floor = 4 * max(L / n for L, n in geom.periodic_axes) ** 2  # its repr reads back exactly
+    tail = " and --tmax to at least twice that" if tmax < 2 * floor else ""
+    return f"raise {' and '.join(grids)}, or --tmin to at least {floor!r}{tail}"
 
 
 def _zonal_pairs(geom, widths):
@@ -310,7 +325,7 @@ def cmd_selftest(args):
     nu = rng.random(16) + 0.05
     mu, nu = mu / mu.sum(), nu / nu.sum()
     _, sub = model_circle(1.0, 16)
-    res = transport_mod.w2_exact(mu, nu, sub.dist)
+    res = transport_mod.w2_exact(mu, nu, sub)
     gap = transport_mod.dual_gap(mu, nu, res.value, res.potentials, dist=sub.dist)
     checks.append(check("duality_gap", gap, 1e-8, -1e-10 <= gap <= 1e-8))
     phi = 1e-3 * np.sin(2 * np.pi * np.arange(16) / 16)

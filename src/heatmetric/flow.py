@@ -140,7 +140,7 @@ def dtilde_pairs(hs, t, pairs) -> np.ndarray:
     reps, which = _orbit_representatives(pairs, space.symmetries)
     points = dict.fromkeys(x for pair in reps for x in pair)
     measures = {x: heat_apply(hs, t, space.delta(x)) for x in points}
-    values = _w2_exact_batch([(measures[x], measures[y]) for x, y in reps], space.dist)
+    values = _w2_exact_batch([(measures[x], measures[y]) for x, y in reps], space)
     return values[np.array(which, dtype=int)]
 
 
@@ -266,7 +266,7 @@ def contraction_report(space, times, pairs) -> ContractionReport:
 
     def w2_at(t):
         evolve = (lambda mu: mu) if t == 0 else partial(heat_apply, decompose(), t)
-        return _w2_exact_batch([(evolve(mu), evolve(nu)) for mu, nu, _ in labelled], space.dist)
+        return _w2_exact_batch([(evolve(mu), evolve(nu)) for mu, nu, _ in labelled], space)
 
     return _contraction(space.K, times, [label for *_, label in labelled], w2_at)
 

@@ -22,7 +22,7 @@ the group's characters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -93,6 +93,9 @@ class FiniteMetricMeasureSpace:
         g_1^{c_1} ... g_k^{c_k}(0) for c = translation_coords[x], so point 0
         has coordinates 0 and each order o_j is one more than the column's
         maximum. None when the declared symmetries form no translation group.
+    periodic_axes : tuple of (L, n)
+        (circumference, point count) of each periodic axis of a model grid;
+        () from build_space. One axis takes transport's circle path.
     """
 
     n: int
@@ -104,6 +107,7 @@ class FiniteMetricMeasureSpace:
     K: float | None = None
     symmetries: tuple = ()
     translation_coords: np.ndarray | None = None
+    periodic_axes: tuple = ()
 
     @property
     def total_mass(self) -> float:
@@ -342,7 +346,7 @@ def _grid_space(geometry):
     hypot(h1, h2). Edges run point-major in that offset order, and the
     symmetries are each axis's unit translation, then each axis's
     reflection, then the swap of two equal axes: the character spectrum
-    reads both orders to the bit."""
+    reads both orders to the bit. The space keeps the axes."""
     axes = geometry.periodic_axes
     h = [L / n for L, n in axes]
     cell = math.prod(h)
@@ -361,9 +365,10 @@ def _grid_space(geometry):
     starts = np.repeat(np.arange(ids.size), len(offsets))
     reflections = [np.take(ids, -np.arange(m) % m, axis=a).ravel() for a, m in enumerate(ids.shape)]
     swap = [ids.T.ravel()] if len(axes) == 2 and axes[0] == axes[1] else []
-    return build_space(ids.size, zip(starts.tolist(), ends.tolist(), lengths * ids.size),
-                       weights.ravel(), K=geometry.K, conductances=np.tile(cond, ids.size),
-                       symmetries=[moved(o) for o in offsets[:len(axes)]] + reflections + swap)
+    space = build_space(ids.size, zip(starts.tolist(), ends.tolist(), lengths * ids.size),
+                        weights.ravel(), K=geometry.K, conductances=np.tile(cond, ids.size),
+                        symmetries=[moved(o) for o in offsets[:len(axes)]] + reflections + swap)
+    return replace(space, periodic_axes=axes)
 
 
 def model_circle(L, n):

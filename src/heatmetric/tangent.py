@@ -537,7 +537,7 @@ def metric_speed_check(geometry, t, h) -> MetricSpeedReport:
         dens = circle_kernel(t, geometry.L, y - center) * grid_h
         return dens / dens.sum()
 
-    w2 = transport.w2_exact(measure(0.0), measure(h_eff), space.dist).value
+    w2 = transport.w2_exact(measure(0.0), measure(h_eff), space).value
     g = metric_gt(geometry, t)
     return MetricSpeedReport(t=t, h_requested=float(h), h_effective=h_eff,
                              gt_value=g, w2_quotient_sq=(w2 / h_eff) ** 2)

@@ -3,40 +3,34 @@
 w2_exact takes its optimal plan from one of two sources and certifies both
 in the same way.
 
-* On the metric of an equispaced circle, dist[i, j] = h min(|i - j|,
-  n - |i - j|) within 1e-12 n h for n >= 3 (a model_circle grid, or any
-  space that happens to be such a cycle), transport is a 1-D problem over
-  one mass shift theta between the unrolled quantile functions (Delon,
-  Salomon & Sobolevski 2010; Rabin, Delon & Gousseau 2011). Bisection on
-  the sign of the lifted cost's slope finds the optimal shift, and one walk
-  over the masses builds the periodic quantile coupling and its potentials,
-  instead of an LP with n^2 variables. flow.w2_zonal runs the same walk
-  (_monotone_segments) on the sphere's colatitude profiles.
-* Every other metric goes to HiGHS as a linear program over the complete
-  bipartite coupling polytope, whose equality-constraint duals become the
-  potentials. The model is built through scipy's bundled HiGHS binding
-  (scipy.optimize._highspy, a private module, so scipy is held to the
-  checked 1.17 series) and runs the dual simplex with presolve off and
-  primal and dual feasibility tolerances of 1e-10, far inside the
-  certificate window. The binding, and with it scipy.optimize, is loaded
-  on the first LP, so a command that solves none never imports it.
+* On a space with exactly one periodic axis (L, n), as model_circle
+  declares it, the metric is that of the equispaced circle of step
+  h = L / n, and transport is a 1-D problem over one mass shift theta
+  between the unrolled quantile functions (Delon, Salomon & Sobolevski
+  2010; Rabin, Delon & Gousseau 2011). Bisection on the sign of the lifted
+  cost's slope finds the optimal shift, and one walk over the masses builds
+  the periodic quantile coupling and its potentials, instead of an LP with
+  n^2 variables. flow.w2_zonal runs the same walk (_monotone_segments) on
+  the sphere's colatitude profiles.
+* Every other space, and every bare matrix, goes to HiGHS as a linear
+  program over the complete bipartite coupling polytope, whose
+  equality-constraint duals become the potentials. The model is built
+  through scipy's bundled HiGHS binding (scipy.optimize._highspy, a private
+  module, so scipy is held to the checked 1.17 series) and runs the dual
+  simplex with presolve off and primal and dual feasibility tolerances of
+  1e-10, far inside the certificate window. The binding, and with it
+  scipy.optimize, is loaded on the first LP, so a command that solves none
+  never imports it.
 
-Both scale the second measure of the solve's orientation (below) to the
-first's total: MASS_TOL admits totals 1e-9 apart, which the LP's equality
-rows and the circle's common period do not.
+The path is read from the space's declared axes, never from the values of
+its metric. Both paths scale the second measure of the solve's orientation
+(below) to the first's total: MASS_TOL admits totals 1e-9 apart, which the
+LP's equality rows and the circle's common period do not.
 
-_w2_exact_batch solves a list of pairs on one metric as one batch, and
+_w2_exact_batch solves a list of pairs on one space or metric as one batch.
 _solve_order alone decides the order of its solves and their orientation
-(which measure is on the rows). A circle batch keeps the given order, each
-pair with the lexicographically smaller measure on the rows. An LP batch
-walks its heat measures along a nearest-neighbour tour, so that
-consecutive solves share the measure on the rows and each warm start
-changes one marginal. The solve order is cut into _BATCH_CHUNKS contiguous
-chunks that run on the process's cores. Within a chunk one LP model serves
-every solve on the same support pair. A later solve changes only the row
-bounds (the marginals) that moved, so the last optimal basis stays dual
-feasible and the dual simplex restarts from it. A new support pair
-rebuilds the model, and every chunk starts cold. Nothing is kept between
+(which measure is on the rows), and each chunk of that order keeps one
+warm-started LP model per support pair (see both); nothing is kept between
 batches.
 
 Either way, the value comes from the plan on the given dist, and the
@@ -46,17 +40,14 @@ Every solve returns a duality-gap certificate; a solve whose gap leaves the
 window raises SolverFailure. Primal objective uses d^2 (so value = W_2),
 duals use d^2/2.
 
-Values are unique; plans need not be. The LP pivot order is HiGHS's
-deterministic default (not lowest-index), and within a chunk it depends on
-the solves before, so a batched value may differ from a lone w2_exact in its
-last bits. A circle solve keeps no state, and an LP batch's order and
-chunking depend only on its set of pairs, so the values depend neither on
-the order of the pairs nor on the order within a pair, and the same batch
-gives the same bits on any machine and with any number of cores. A
-lone w2_exact is a batch of one: it puts the lexicographically smaller
-measure on the rows and swaps the plan and potentials back, so
-w2_exact(mu, nu) == w2_exact(nu, mu) exactly. w2_sinkhorn orders its pair by
-the same rule.
+Values are unique; plans need not be. HiGHS pivots in its deterministic
+default order, and within a chunk after the solves before, so a batched
+value may differ from a lone w2_exact in its last bits. The values depend
+neither on the order of the pairs nor on the order within a pair, and the
+same batch gives the same bits on any machine and with any number of cores
+(see _w2_exact_batch). A lone w2_exact is a batch of one in canonical order,
+so w2_exact(mu, nu) == w2_exact(nu, mu) exactly; w2_sinkhorn orders its pair
+by the same rule.
 """
 from __future__ import annotations
 
@@ -66,7 +57,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+
+from .spaces import FiniteMetricMeasureSpace
 
 __all__ = [
     "TransportError",
@@ -233,21 +225,6 @@ class _CouplingLP:
         return gamma, 0.5 * np.array(solution.row_dual[:self.shape[0]])
 
 
-def _circle_spacing(dist):
-    """Grid step h when dist is the metric of an equispaced circle,
-    dist[i, j] = h min(|i - j|, n - |i - j|) within 1e-12 n h for n >= 3;
-    otherwise None."""
-    n = len(dist)
-    if n < 3 or not dist[0, 1] > 0:
-        return None
-    h = float(dist[0, 1])
-    k = np.arange(n)
-    # row i of the circulant is the doubled row 0 from n - i on: a view, no n x n array
-    wide = sliding_window_view(np.tile(h * np.minimum(k, n - k), 2), n)
-    dev = np.abs(dist - wide[n:0:-1]).max()
-    return h if dev <= 1e-12 * n * h else None
-
-
 def _monotone_segments(a, b):
     """Monotone coupling of ordered masses a and b with equal totals: mass
     seg_m[k] of a[seg_i[k]] goes to b[seg_j[k]], both indices nondecreasing.
@@ -381,8 +358,8 @@ def w2_exact(mu, nu, dist) -> W2Result:
     mu, nu : array_like
         Probability vectors (finite, equal masses within 1e-9) on the same
         space.
-    dist : ndarray
-        Symmetric metric matrix.
+    dist : ndarray or FiniteMetricMeasureSpace
+        Symmetric metric matrix, or a space: its metric and periodic axes.
 
     Returns
     -------
@@ -396,13 +373,12 @@ def w2_exact(mu, nu, dist) -> W2Result:
     (the lexicographically larger one) is scaled to the first's total, so
     when the totals differ the plan and potentials are those of the scaled
     pair, and dual_gap on the unscaled pair can exceed 1e-8 by MASS_TOL
-    times the largest potential. On the metric of an equispaced circle the
-    plan comes from the periodic quantile coupling, otherwise from the LP,
-    which starts cold: this is a batch of one (see _w2_exact_batch).
+    times the largest potential. On a space with one periodic axis the plan
+    comes from the periodic quantile coupling, otherwise from the LP, which
+    starts cold: this is a batch of one (see _w2_exact_batch).
     """
     mu, nu = _validate_pair(mu, nu)
-    dist = _square_metric(dist, len(mu))
-    h = _circle_spacing(dist)
+    dist, h = _metric_and_step(dist, len(mu))
     [(_, swapped)], _ = _solve_order([(mu, nu)], h is not None)
     if not swapped:
         return _Batch(dist, h).solve(mu, nu)
@@ -413,9 +389,9 @@ def w2_exact(mu, nu, dist) -> W2Result:
 
 def _w2_exact_batch(pairs, dist) -> np.ndarray:
     """Values of w2_exact(mu, nu, dist) for each (mu, nu) in pairs, each
-    solve certified in the same way, as one batch on the metric dist.
+    solve certified in the same way, as one batch on dist (a matrix or a space).
 
-    The batch checks dist, with its circle check, once for all its chunks,
+    The batch reads dist's matrix and circle step once for all its chunks,
     and validates every pair first. _solve_order fixes the order and the
     orientation of the solves. The batch then cuts that order into
     min(solves, _BATCH_CHUNKS) contiguous chunks. Each chunk keeps one LP
@@ -428,11 +404,10 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
     cores. An error in a chunk ends that chunk, and the first failing
     chunk's exception is raised in the caller.
     """
-    dist = _square_metric(dist)
-    h = _circle_spacing(dist)
+    dist, h = _metric_and_step(dist)
     pairs = [_validate_pair(mu, nu) for mu, nu in pairs]
     for mu, _ in pairs:
-        _square_metric(dist, len(mu))
+        _metric_and_step(dist, len(mu))
     order, slot = _solve_order(pairs, h is not None)
     count = len(order)
     chunks = min(count, _BATCH_CHUNKS)
@@ -521,16 +496,20 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _square_metric(dist, n=None):
-    """dist as a square float matrix, on n points when n is given."""
-    dist = np.asarray(dist, dtype=float)
+def _metric_and_step(dist, n=None):
+    """The metric of dist, a matrix or a space, as a square float matrix (on n
+    points when n is given), and the circle step L / n of a space with one
+    periodic axis (L, n), else None."""
+    space = isinstance(dist, FiniteMetricMeasureSpace)
+    axes = dist.periodic_axes if space else ()
+    dist = np.asarray(dist.dist if space else dist, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or (n is not None and n != len(dist)):
         raise TransportError("dist must be square on the marginals' space")
-    return dist
+    return dist, (axes[0][0] / axes[0][1] if len(axes) == 1 else None)
 
 
 class _Batch:
-    """Solves on one square metric dist and its circle spacing h (or None),
+    """Solves on one square metric dist and its circle step h (or None),
     keeping the LP model of the last support pair; each batch starts cold."""
 
     def __init__(self, dist, h):
@@ -596,7 +575,7 @@ def dual_gap(mu, nu, value, potentials: DualPotentials, dist) -> float:
     nothing; so does a dist that is not square on the marginals' space.
     """
     mu, nu = _validate_pair(mu, nu)
-    viol = potentials.feasibility_violation(_square_metric(dist, len(mu)))
+    viol = potentials.feasibility_violation(_metric_and_step(np.asarray(dist, float), len(mu))[0])
     if viol > 1e-10:
         raise TransportError(f"infeasible potentials (violation {viol:.2e})")
     return float(0.5 * value**2 - (potentials.phi @ mu + potentials.phi_c @ nu))
@@ -702,13 +681,12 @@ def w2_sinkhorn(mu, nu, dist, eps_final):
     a feasible dual, so it bounds W_2^2 from below. The bracket holds only
     up to rounding: where it closes on near point masses, either end can
     cross the exact value by ~1e-15 relative. It is reported, not enforced.
-    dist is checked as in w2_exact, without the circle detection, which
-    Sinkhorn does not use.
+    dist is a square matrix on the marginals' space, checked as in w2_exact.
     """
     mu, nu = _validate_pair(mu, nu)
     if eps_final <= 0:
         raise TransportError("eps_final must be > 0")
-    dist = _square_metric(dist, len(mu))
+    dist = _metric_and_step(np.asarray(dist, float), len(mu))[0]
 
     swapped = _canonical_swap(mu, nu)
     a, b = (nu, mu) if swapped else (mu, nu)

@@ -190,7 +190,7 @@ def test_criterion_7_duality():
             nu = rng.random(n) + 0.01
             mu[rng.integers(0, n)] = 0.0  # exercise the degenerate path
             mu, nu = mu / mu.sum(), nu / nu.sum()
-            res = hm.w2_exact(mu, nu, space.dist)
+            res = hm.w2_exact(mu, nu, space)
             worst_gap = max(worst_gap, hm.dual_gap(mu, nu, res.value, res.potentials,
                                                    dist=space.dist))
     _, c32 = hm.model_circle(L2PI, 32)
@@ -203,7 +203,7 @@ def test_criterion_7_duality():
     nu = rng16.random(16) + 0.05
     mu, nu = mu / mu.sum(), nu / nu.sum()
     _, c16 = hm.model_circle(1.0, 16)
-    exact = hm.w2_exact(mu, nu, c16.dist).value
+    exact = hm.w2_exact(mu, nu, c16).value
     sink, _ = hm.w2_sinkhorn(mu, nu, c16.dist, eps_final=1e-3 * c16.dist.max() ** 2)
     sink_err = abs(sink - exact) / exact
 

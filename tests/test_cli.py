@@ -559,6 +559,26 @@ class TestTangencyCommand:
         assert "linear solve residual 1.00e-03 above 1e-08" in capsys.readouterr().err
         assert not (out / "tangency.csv").exists()
 
+    @pytest.mark.parametrize("geometry, hint, grid, times", [
+        ("circle", "t=0.025 below 4 h^2 = 3.855e-02; raise --n to at least 113, "
+         "or --tmin to at least 0.038553142191755305", ["--n", "113"],
+         ["--tmin", "0.038553142191755305"]),
+        ("torus", "t=0.2 below 4 h^2 = 6.169e-01; raise --n1 to at least 113 and --n2 to at "
+         "least 113, or --tmin to at least 0.6168502750680849 and --tmax to at least twice that",
+         ["--n1", "113", "--n2", "113"], ["--tmin", "0.6168502750680849", "--tmax",
+                                          repr(2 * 0.6168502750680849)]),
+    ], ids=["circle", "torus"])
+    def test_defaults_name_the_options_that_resolve_the_grid(self, tmp_path, capsys, geometry,
+                                                             hint, grid, times):
+        out = tmp_path / "run"
+        assert cli.run(["tangency", "--geometry", geometry, "--out", str(out)]) == 2
+        assert hint in capsys.readouterr().err
+        assert not out.exists()
+        # each named change resolves every time; the slope is then judged, not refused
+        for change in (grid, times):
+            assert cli.run(["tangency", "--geometry", geometry, *change, "--out", str(out)]) != 2
+            assert "below 4 h^2" not in capsys.readouterr().err
+
     def test_invalid_grid_exits_2(self, tmp_path, capsys):
         code = cli.run(["tangency", "--geometry", "circle", "--n", "4",
                         "--out", str(tmp_path)])

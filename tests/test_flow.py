@@ -112,7 +112,7 @@ class TestOrbits:
         # every orbit holds a pair (0, y); add pairs away from the origin
         pairs = [(0, y) for y in range(1, space.n)] + [(9, 20), (space.n - 1, 5), (7, 3)]
         heat = {x: hm.heat_apply(hs, 0.25, space.delta(x)) for x in {x for p in pairs for x in p}}
-        lone = [hm.w2_exact(heat[x], heat[y], space.dist).value for x, y in pairs]
+        lone = [hm.w2_exact(heat[x], heat[y], space).value for x, y in pairs]
         assert_allclose([full[p] for p in pairs], lone, rtol=1e-12)
 
     @pytest.mark.parametrize("fixture", ["circle24", "torus8"])

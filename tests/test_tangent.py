@@ -417,9 +417,9 @@ class TestMetricSpeed:
             d = circle_kernel(t, CIRCLE.L, y - c) * CIRCLE.h
             return d / d.sum()
 
-        w_a = hm.w2_exact(measure(0.0), measure(k * CIRCLE.h), space.dist).value
+        w_a = hm.w2_exact(measure(0.0), measure(k * CIRCLE.h), space).value
         s0 = 5 * CIRCLE.h
-        w_b = hm.w2_exact(measure(s0), measure(s0 + k * CIRCLE.h), space.dist).value
+        w_b = hm.w2_exact(measure(s0), measure(s0 + k * CIRCLE.h), space).value
         assert abs(w_a - w_b) < 1e-10
 
     @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0])

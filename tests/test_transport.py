@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
 
 import heatmetric as hm
+from conftest import uniform_ring
 from heatmetric import transport
 
 
@@ -54,14 +55,14 @@ def assert_certified(res, mu, nu, dist, gap_tol=1e-10, marginal_tol=1e-12):
     assert res.plan.gamma.min() >= 0
 
 
-def circle_dist(n, L=1.0):
-    return hm.model_circle(L, n)[1].dist
+def circle_space(n, L=1.0):
+    return hm.model_circle(L, n)[1]
 
 
 def heat_rows(n, t, offsets):
     _, space = hm.model_circle(2 * np.pi, n)
     hs = hm.spectral_decompose(space)
-    return space.dist, [hm.heat_apply(hs, t, space.delta(k)) for k in offsets]
+    return space, [hm.heat_apply(hs, t, space.delta(k)) for k in offsets]
 
 
 class TestW2Exact:
@@ -98,7 +99,7 @@ class TestW2Exact:
         _, space = hm.model_circle(2 * np.pi, 64)
         for x in range(0, 64, 7):
             for y in range(64):
-                val = hm.w2_exact(space.delta(x), space.delta(y), space.dist).value
+                val = hm.w2_exact(space.delta(x), space.delta(y), space).value
                 assert abs(val - space.dist[x, y]) < 1e-12
 
     def test_three_point_path(self):
@@ -128,9 +129,9 @@ class TestW2Exact:
         with pytest.raises(hm.TransportError):
             hm.w2_exact(np.array([-0.1, 1.1]), np.array([0.5, 0.5]), PATH3[:2, :2])
 
-    @pytest.mark.parametrize("dist", [PATH3, circle_dist(8)], ids=["lp", "circle"])
-    def test_zero_mass(self, dist):
-        zero = np.zeros(len(dist))
+    @pytest.mark.parametrize("dist, n", [(PATH3, 3), (circle_space(8), 8)], ids=["lp", "circle"])
+    def test_zero_mass(self, dist, n):
+        zero = np.zeros(n)
         with pytest.raises(hm.TransportError):
             hm.w2_exact(zero, zero, dist)
 
@@ -139,7 +140,7 @@ class TestW2Exact:
         mu = rng.random(12) + 0.05
         nu = rng.random(12) + 0.05
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        res = hm.w2_exact(mu, nu, space.dist)
+        res = hm.w2_exact(mu, nu, space)
         assert res.plan.marginal_violation() < 1e-9
         assert res.plan.gamma.min() >= 0
 
@@ -149,7 +150,7 @@ class TestW2Exact:
         mu[[0, 4]] = 0.5
         nu = np.zeros(10)
         nu[[2, 7]] = 0.5
-        res = hm.w2_exact(mu, nu, space.dist)
+        res = hm.w2_exact(mu, nu, space)
         assert res.plan.gamma.shape == (10, 10)
         assert res.plan.marginal_violation() < 1e-12
         assert np.all(res.plan.gamma[1] == 0)
@@ -159,16 +160,16 @@ class TestW2Exact:
         mu = rng.random(9) + 0.02
         nu = rng.random(9) + 0.02
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        assert hm.w2_exact(mu, nu, space.dist).value == hm.w2_exact(nu, mu, space.dist).value
+        assert hm.w2_exact(mu, nu, space).value == hm.w2_exact(nu, mu, space).value
 
     def test_triangle_inequality(self, rng):
         _, space = hm.model_circle(1.0, 8)
         for _ in range(6):
             a, b, c = (rng.random(8) + 0.05 for _ in range(3))
             a, b, c = a / a.sum(), b / b.sum(), c / c.sum()
-            dab = hm.w2_exact(a, b, space.dist).value
-            dbc = hm.w2_exact(b, c, space.dist).value
-            dac = hm.w2_exact(a, c, space.dist).value
+            dab = hm.w2_exact(a, b, space).value
+            dbc = hm.w2_exact(b, c, space).value
+            dac = hm.w2_exact(a, c, space).value
             assert dac <= dab + dbc + 1e-8
 
 
@@ -179,7 +180,7 @@ class TestDuality:
             mu = rng.random(16) + 0.01
             nu = rng.random(16) + 0.01
             mu, nu = mu / mu.sum(), nu / nu.sum()
-            res = hm.w2_exact(mu, nu, space.dist)
+            res = hm.w2_exact(mu, nu, space)
             gap = hm.dual_gap(mu, nu, res.value, res.potentials, dist=space.dist)
             assert -1e-10 <= gap <= 1e-8
             assert res.potentials.feasibility_violation(space.dist) <= 1e-10
@@ -189,7 +190,7 @@ class TestDuality:
         mu = rng.random(12) + 0.01
         nu = rng.random(12) + 0.01
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        pot = hm.w2_exact(mu, nu, space.dist).potentials
+        pot = hm.w2_exact(mu, nu, space).potentials
         back = hm.c_transform(pot.phi_c, space.dist)
         assert np.abs(back - pot.phi).max() < 1e-12
 
@@ -207,7 +208,7 @@ class TestDuality:
         mu = rng.random(10) + 0.01
         nu = rng.random(10) + 0.01
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        res = hm.w2_exact(mu, nu, space.dist)
+        res = hm.w2_exact(mu, nu, space)
         shifted = hm.DualPotentials(res.potentials.phi + 0.37, res.potentials.phi_c - 0.37)
         g0 = hm.dual_gap(mu, nu, res.value, res.potentials, dist=space.dist)
         g1 = hm.dual_gap(mu, nu, res.value, shifted, dist=space.dist)
@@ -223,7 +224,7 @@ class TestDuality:
                              ids=["wrong-size", "non-square", "vector"])
     def test_dist_shape_checked(self, dist):
         _, space = hm.model_circle(1.0, 8)
-        res = hm.w2_exact(space.delta(0), space.delta(1), space.dist)
+        res = hm.w2_exact(space.delta(0), space.delta(1), space)
         with pytest.raises(hm.TransportError, match="dist must be square on the marginals' space"):
             hm.dual_gap(space.delta(0), space.delta(1), res.value, res.potentials, dist=dist)
 
@@ -283,7 +284,7 @@ class TestSinkhorn:
         mu = rng.random(16) + 0.05
         nu = rng.random(16) + 0.05
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        exact = hm.w2_exact(mu, nu, space.dist).value
+        exact = hm.w2_exact(mu, nu, space).value
         approx, _ = hm.w2_sinkhorn(mu, nu, space.dist, eps_final=1e-3 * space.dist.max() ** 2)
         assert abs(approx - exact) / exact <= 0.01
 
@@ -330,15 +331,6 @@ class TestSinkhorn:
         with pytest.raises(hm.TransportError, match="dist must be square on the marginals' space"):
             hm.w2_sinkhorn(mu, mu, dist, 0.1)
 
-    def test_no_circle_detection(self, rng, monkeypatch):
-        def refuse(dist):
-            raise AssertionError("Sinkhorn ran the circle detection")
-
-        monkeypatch.setattr(transport, "_circle_spacing", refuse)
-        _, space = hm.model_circle(1.0, 16)
-        mu, nu = rng.random(16) + 0.05, rng.random(16) + 0.05
-        assert hm.w2_sinkhorn(mu / mu.sum(), nu / nu.sum(), space.dist, 1e-2)[0] > 0
-
     def test_nonconvergence_signalled(self, rng, monkeypatch):
         # the default cap and tolerance converge on this fixture even at tiny
         # epsilon, so the raise is reached by starving the final stage
@@ -369,12 +361,13 @@ class TestSinkhorn:
         assert info["sweeps"] <= 1600
 
     def test_bracket_holds_the_exact_value(self):
+        circle = circle_space(16)
         for seed in sorted(SELFTEST_SINKHORN_VALUES)[:16]:
             mu, nu, dist, eps = selftest_sinkhorn_fixture(seed)
             value, info = hm.w2_sinkhorn(mu, nu, dist, eps)
             _, swapped = hm.w2_sinkhorn(nu, mu, dist, eps)
             lower, upper = info["bracket"]
-            assert lower <= hm.w2_exact(mu, nu, dist).value <= upper == value
+            assert lower <= hm.w2_exact(mu, nu, circle).value <= upper == value
             assert upper - lower <= 0.03 * value
             assert swapped["bracket"] == info["bracket"]
 
@@ -389,11 +382,25 @@ class TestSinkhorn:
             nu = 10.0 ** rng.uniform(-12, 0, 16)
             mu, nu = mu / mu.sum(), nu / nu.sum()
             value, info = hm.w2_sinkhorn(mu, nu, space.dist, eps_rel * space.dist.max() ** 2)
-            exact = hm.w2_exact(mu, nu, space.dist).value
+            exact = hm.w2_exact(mu, nu, space).value
             lower, upper = info["bracket"]
             assert np.isfinite([value, lower, upper]).all()
             assert lower <= exact * (1 + 1e-12) and exact <= upper * (1 + 1e-12)
             assert info["marginal_violation"] <= 1e-8
+
+
+# the dist argument of each transport path case: only a space with one
+# periodic axis takes the circle path, whatever the values of its metric
+PATH_CASES = {
+    "model_circle": lambda: circle_space(16, 2 * np.pi),
+    "bare_dist": lambda: circle_space(16, 2 * np.pi).dist,
+    "uniform_ring": lambda: uniform_ring(16),
+    "triangle": lambda: np.ones((3, 3)) - np.eye(3),
+    "sub_circle": lambda: circle_space(8).dist[:6, :6].copy(),
+    "uneven_cycle": lambda: hm.build_space(
+        6, [(i, (i + 1) % 6, 1.5 if i == 5 else 1.0) for i in range(6)], np.ones(6)),
+    "torus": lambda: hm.model_torus(2 * np.pi, 2 * np.pi, 8, 8)[1],
+}
 
 
 class TestCirclePath:
@@ -403,7 +410,7 @@ class TestCirclePath:
     @pytest.mark.parametrize("n", [8, 16, 33])
     def test_random_against_lp_oracle(self, n):
         rng = np.random.default_rng(n)
-        dist = circle_dist(n)
+        space = circle_space(n)
         for trial in range(6):
             mu, nu = rng.random(n), rng.random(n)
             if trial % 2:
@@ -412,22 +419,22 @@ class TestCirclePath:
                 mu[0] += 0.1
                 nu[n // 2] += 0.1
             mu, nu = mu / mu.sum(), nu / nu.sum()
-            res = hm.w2_exact(mu, nu, dist)
-            assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=1e-9)
-            assert_certified(res, mu, nu, dist)
+            res = hm.w2_exact(mu, nu, space)
+            assert_allclose(res.value, lp_oracle(mu, nu, space.dist), rtol=1e-9)
+            assert_certified(res, mu, nu, space.dist)
 
     @pytest.mark.parametrize("n", [8, 16, 33])
     def test_translate(self, n):
         rng = np.random.default_rng(100 + n)
-        dist = circle_dist(n)
+        space = circle_space(n)
         mu = rng.random(n)
         mu /= mu.sum()
         for shift in (1, n // 2, n - 1):
             nu = np.roll(mu, shift)
-            res = hm.w2_exact(mu, nu, dist)
-            assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=1e-9)
-            assert_certified(res, mu, nu, dist)
-        res = hm.w2_exact(mu, mu, dist)
+            res = hm.w2_exact(mu, nu, space)
+            assert_allclose(res.value, lp_oracle(mu, nu, space.dist), rtol=1e-9)
+            assert_certified(res, mu, nu, space.dist)
+        res = hm.w2_exact(mu, mu, space)
         assert res.value == 0.0
         assert np.abs(res.plan.gamma[~np.eye(n, dtype=bool)]).max() == 0.0
 
@@ -447,10 +454,10 @@ class TestCirclePath:
             mu[rng.integers(n)] += 0.5
             nu[rng.integers(n)] += 0.5
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        dist = circle_dist(n)
-        res = hm.w2_exact(mu, nu, dist)
-        assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=2e-8)
-        assert_certified(res, mu, nu, dist)
+        space = circle_space(n)
+        res = hm.w2_exact(mu, nu, space)
+        assert_allclose(res.value, lp_oracle(mu, nu, space.dist), rtol=2e-8)
+        assert_certified(res, mu, nu, space.dist)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(na=st.integers(1, 20), nb=st.integers(1, 20),
@@ -474,91 +481,72 @@ class TestCirclePath:
         # totals may differ by MASS_TOL; both level sets must share one period
         rng = np.random.default_rng(11)
         for n in (8, 16, 33):
-            dist = circle_dist(n)
+            space = circle_space(n)
             for excess in (9e-10, -9e-10):
                 mu, nu = rng.random(n), rng.random(n)
                 mu, nu = mu / mu.sum(), nu / nu.sum() * (1 + excess)
-                res = hm.w2_exact(mu, nu, dist)
-                assert_certified(res, mu, nu, dist, marginal_tol=1e-9)
+                res = hm.w2_exact(mu, nu, space)
+                assert_certified(res, mu, nu, space.dist, marginal_tol=1e-9)
                 same_total = nu * (mu.sum() / nu.sum())
-                assert_allclose(res.value, lp_oracle(mu, same_total, dist), rtol=1e-8)
+                assert_allclose(res.value, lp_oracle(mu, same_total, space.dist), rtol=1e-8)
 
     def test_heat_offsets_n64_against_oracle(self):
-        dist, rows = heat_rows(64, 0.1, range(33))
+        space, rows = heat_rows(64, 0.1, range(33))
         for k in range(1, 33):
-            res = hm.w2_exact(rows[0], rows[k], dist)
-            assert_allclose(res.value, lp_oracle(rows[0], rows[k], dist), rtol=1e-9)
-            assert_certified(res, rows[0], rows[k], dist)
+            res = hm.w2_exact(rows[0], rows[k], space)
+            assert_allclose(res.value, lp_oracle(rows[0], rows[k], space.dist), rtol=1e-9)
+            assert_certified(res, rows[0], rows[k], space.dist)
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_heat_offsets_certified(self, n):
-        dist, rows = heat_rows(n, 0.1, range(n // 2 + 1))
+        space, rows = heat_rows(n, 0.1, range(n // 2 + 1))
         for k in range(1, n // 2 + 1):
-            res = hm.w2_exact(rows[0], rows[k], dist)
-            assert_certified(res, rows[0], rows[k], dist)
+            res = hm.w2_exact(rows[0], rows[k], space)
+            assert_certified(res, rows[0], rows[k], space.dist)
             if n == 128 and k in (3, 40, 64):
-                assert_allclose(res.value, lp_oracle(rows[0], rows[k], dist), rtol=1e-9)
+                assert_allclose(res.value, lp_oracle(rows[0], rows[k], space.dist), rtol=1e-9)
 
     def test_value_symmetry_exact(self):
-        dist, rows = heat_rows(64, 0.1, [0, 5, 32])
+        space, rows = heat_rows(64, 0.1, [0, 5, 32])
         rng = np.random.default_rng(7)
         pairs = [(rows[0], rows[1]), (rows[1], rows[2])]
         for _ in range(4):
             a, b = rng.random(64), rng.random(64)
             pairs.append((a / a.sum(), b / b.sum()))
         for mu, nu in pairs:
-            assert hm.w2_exact(mu, nu, dist).value == hm.w2_exact(nu, mu, dist).value
+            assert hm.w2_exact(mu, nu, space).value == hm.w2_exact(nu, mu, space).value
+
+    @staticmethod
+    def _check_path(case, monkeypatch):
+        # the path's value matches the oracle, lone and batched; on the circle
+        # cases it also matches the other path's value on the same measures
+        model = circle_space(16, 2 * np.pi)
+        dist = PATH_CASES[case]()
+        matrix = getattr(dist, "dist", dist)
+        rng = np.random.default_rng(3)
+        mu, nu = rng.random(len(matrix)) + 0.05, rng.random(len(matrix)) + 0.05
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        circle = case == "model_circle"
+        other = {"model_circle": model.dist, "bare_dist": model, "uniform_ring": model}.get(case)
+        reference = None if other is None else hm.w2_exact(mu, nu, other).value
+
+        def refuse(*args):
+            raise AssertionError(f"{'LP' if circle else 'circle path'} reached on {case}")
+
+        monkeypatch.setattr(transport, "_CouplingLP" if circle else "_solve_circle", refuse)
+        res = hm.w2_exact(mu, nu, dist)
+        assert_allclose(transport._w2_exact_batch([(mu, nu), (nu, mu)], dist), res.value,
+                        rtol=1e-12)
+        assert_allclose(res.value, lp_oracle(mu, nu, matrix), rtol=1e-6)
+        if reference is not None:
+            assert_allclose(res.value, reference, rtol=1e-9)
 
     def test_circle_metric_never_reaches_the_lp(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("LP called on a circle metric")
+        self._check_path("model_circle", monkeypatch)
 
-        monkeypatch.setattr(transport, "_CouplingLP", refuse)
-        dist, rows = heat_rows(64, 0.1, [0, 9])
-        hm.w2_exact(rows[0], rows[1], dist)
-        triangle = np.ones((3, 3)) - np.eye(3)  # the 3-point circle
-        res = hm.w2_exact(np.full(3, 1 / 3), np.array([0.5, 0.5, 0.0]), triangle)
-        assert_allclose(res.value, np.sqrt(1 / 3), rtol=1e-12)
-
-    @pytest.mark.parametrize("case", ["sub_circle", "uneven_cycle", "torus"])
+    @pytest.mark.parametrize("case", [case for case in PATH_CASES if case != "model_circle"])
     def test_other_metrics_take_the_lp(self, case, monkeypatch):
-        if case == "sub_circle":
-            dist = circle_dist(8)[:6, :6].copy()
-        elif case == "uneven_cycle":
-            lengths = [1.0, 1.0, 1.0, 1.0, 1.0, 1.5]
-            edges = [(i, (i + 1) % 6, ell) for i, ell in enumerate(lengths)]
-            dist = hm.build_space(6, edges, np.ones(6)).dist
-        else:
-            dist = hm.model_torus(2 * np.pi, 2 * np.pi, 8, 8)[1].dist
-
-        def refuse(*args):
-            raise AssertionError("circle path taken on a metric that is not a circle")
-
-        monkeypatch.setattr(transport, "_solve_circle", refuse)
-        rng = np.random.default_rng(3)
-        n = len(dist)
-        mu, nu = rng.random(n) + 0.05, rng.random(n) + 0.05
-        mu, nu = mu / mu.sum(), nu / nu.sum()
-        res = hm.w2_exact(mu, nu, dist)
-        assert_allclose(res.value, lp_oracle(mu, nu, dist), rtol=1e-6)
-
-    @pytest.mark.parametrize("case", ["circle64", "circle256", "circle512", "circle1024",
-                                      "moved", "torus"])
-    def test_circle_spacing_against_the_dense_template(self, case):
-        # the decision the circulant view gives is the one the n x n
-        # template h min(|i - j|, n - |i - j|) gives
-        if case == "torus":
-            dist = hm.model_torus(2 * np.pi, 2 * np.pi, 8, 8)[1].dist
-        else:
-            dist = circle_dist(64 if case == "moved" else int(case[6:])).copy()
-        if case == "moved":
-            dist[5, 17] += 1e-6
-        n, h = len(dist), dist[0, 1]
-        off = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        dev = np.abs(dist - h * np.minimum(off, n - off)).max()
-        expected = h if dev <= 1e-12 * n * h else None
-        assert transport._circle_spacing(dist) == expected
-        assert (expected is None) == (case in ("moved", "torus"))
+        self._check_path(case, monkeypatch)
 
 
 def first_of_each_pair(edges):
