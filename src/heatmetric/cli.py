@@ -227,7 +227,8 @@ def _resolving_options(geom, t, tmax):
              for flag, (L, n) in zip(flags, geom.periodic_axes) if 4 * (L / n) ** 2 > t]
     floor = 4 * max(L / n for L, n in geom.periodic_axes) ** 2  # its repr reads back exactly
     tail = " and --tmax to at least twice that" if tmax < 2 * floor else ""
-    return f"raise {' and '.join(grids)}, or --tmin to at least {floor!r}{tail}"
+    return (f"raise {' and '.join(grids)}, or --tmin to at least {floor!r}{tail}, to resolve "
+            "every time (the slope check may still need a finer grid)")
 
 
 def _zonal_pairs(geom, widths):
@@ -381,6 +382,7 @@ def build_parser():
 
     p = sub.add_parser("tangency", help="small-time Ricci tangency experiment")
     _add_geometry_args(p, sphere=True)
+    p.set_defaults(n=256, n1=256, n2=256)  # grids fine enough for the default times
     p.add_argument("--v", default="1.0")
     p.add_argument("--tmax", type=float, default=0.2)
     p.add_argument("--tmin", type=float, default=0.0125)

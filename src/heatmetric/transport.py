@@ -31,7 +31,9 @@ _w2_exact_batch solves a list of pairs on one space or metric as one batch.
 _solve_order alone decides the order of its solves and their orientation
 (which measure is on the rows), and each chunk of that order keeps one
 warm-started LP model per support pair (see both); nothing is kept between
-batches.
+batches. A batch squares the metric once, and its chunks share d^2 and
+d^2/2 read-only. Only an LP batch runs its chunks on worker threads, since
+HiGHS releases the GIL; a circle batch runs them in the calling thread.
 
 Either way, the value comes from the plan on the given dist, and the
 potentials, for the halved-cost convention phi(x) + phi^c(y) <= d^2(x, y)/2,
@@ -52,7 +54,6 @@ by the same rule.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -319,35 +320,32 @@ def _solve_circle(p, a, q, b, n):
     gamma = np.zeros((A, B))
     gamma[(s0 + seg_i) % A, (t0 + seg_j) % B] = seg_m
 
-    # Potentials along the staircase of segments wider than the level
-    # tolerance, closed by the wrap to the first segment one lap on. A step
-    # that changes one atom fixes the next potential. A corner, where both
-    # change (the cut, and every level pair that coincides within rounding),
-    # admits a slack in [0, dx dy]; the slacks absorb the closure, which lies
-    # in [0, sum dx dy] exactly when theta is optimal.
+    # the potentials along the staircase of segments wider than the level
+    # tolerance, closed by the wrap to the first segment one lap on
     main = np.flatnonzero(seg_m > tol)
     mi = np.append(seg_i[main], seg_i[main[0]] + A)
     mj = np.append(seg_j[main], seg_j[main[0]] + B)
-    X = (p[(s0 + mi) % A] + n * ((s0 + mi) // A)).tolist()
-    Y = (q[(t0 + mj) % B] + n * ((t0 + mj) // B)).tolist()
-    phi = [0.0] * len(X)
-    psi = 0.5 * (X[0] - Y[0]) ** 2
-    corner = [0.0] * len(X)
-    for k in range(1, len(X)):
-        if Y[k] == Y[k - 1]:
-            phi[k] = 0.5 * (X[k] - Y[k]) ** 2 - psi
-        elif X[k] == X[k - 1]:
-            phi[k] = phi[k - 1]
-            psi = 0.5 * (X[k] - Y[k]) ** 2 - phi[k]
-        else:
-            phi[k] = 0.5 * (X[k] - Y[k - 1]) ** 2 - psi
-            psi = 0.5 * (X[k] - Y[k]) ** 2 - phi[k]
-            corner[k] = (X[k] - X[k - 1]) * (Y[k] - Y[k - 1])
-    slack = np.cumsum(corner)
-    phi = np.array(phi) - slack * min(max(phi[-1] / slack[-1], 0.0), 1.0)
+    phi = _staircase_potentials(p[(s0 + mi) % A] + n * ((s0 + mi) // A),
+                                q[(t0 + mj) % B] + n * ((t0 + mj) // B))
     phi_atoms = np.full(A, -np.inf)
     phi_atoms[(s0 + mi[:-1]) % A] = phi[:-1]
     return gamma, phi_atoms
+
+
+def _staircase_potentials(X, Y):
+    """Potentials at the steps (X_k, Y_k) of a closed monotone staircase in
+    grid units, its last step the first one lap on.
+
+    Each step fixes the next potential, phi_k = phi_{k-1} + (X_k - Y_{k-1})^2
+    / 2 - (X_{k-1} - Y_{k-1})^2 / 2, a sum of exact half-integers. A corner,
+    where both atoms change (the cut, and every level pair that coincides
+    within rounding), admits a slack in [0, dX dY]; the slacks absorb the
+    closure phi_last, which lies in [0, sum dX dY] exactly when the shift is
+    optimal.
+    """
+    phi = np.cumsum(np.append(0.0, 0.5 * (X[1:] - Y[:-1]) ** 2 - 0.5 * (X[:-1] - Y[:-1]) ** 2))
+    slack = np.cumsum(np.append(0, np.diff(X) * np.diff(Y)))
+    return phi - slack * min(max(phi[-1] / slack[-1], 0.0), 1.0)
 
 
 def w2_exact(mu, nu, dist) -> W2Result:
@@ -379,10 +377,11 @@ def w2_exact(mu, nu, dist) -> W2Result:
     """
     mu, nu = _validate_pair(mu, nu)
     dist, h = _metric_and_step(dist, len(mu))
-    [(_, swapped)], _ = _solve_order([(mu, nu)], h is not None)
-    if not swapped:
-        return _Batch(dist, h).solve(mu, nu)
-    value, plan, potentials = _Batch(dist, h).solve(nu, mu)
+    cost = dist**2
+    batch = _Batch(cost, 0.5 * cost, h)
+    if not _canonical_swap(mu, nu):
+        return batch.solve(mu, nu)
+    value, plan, potentials = batch.solve(nu, mu)
     return W2Result(value, TransportPlan(plan.gamma.T.copy(), mu, nu),
                     DualPotentials(phi=potentials.phi_c, phi_c=potentials.phi))
 
@@ -391,18 +390,20 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
     """Values of w2_exact(mu, nu, dist) for each (mu, nu) in pairs, each
     solve certified in the same way, as one batch on dist (a matrix or a space).
 
-    The batch reads dist's matrix and circle step once for all its chunks,
-    and validates every pair first. _solve_order fixes the order and the
+    The batch reads dist's matrix and circle step once, squares the metric
+    once (d^2 and d^2/2, which every chunk reads and none writes), and
+    validates every pair first. _solve_order fixes the order and the
     orientation of the solves. The batch then cuts that order into
     min(solves, _BATCH_CHUNKS) contiguous chunks. Each chunk keeps one LP
     model while the support pair stays the same, so each solve after the
     chunk's first restarts from the last optimal basis. A value can
-    therefore differ from a lone w2_exact call in its last bits. The calling
-    thread and up to one helper thread per further core pull chunks from one
-    shared iterator (HiGHS releases the GIL); the values depend on the
-    chunking only, so the same batch gives the same bits with any number of
-    cores. An error in a chunk ends that chunk, and the first failing
-    chunk's exception is raised in the caller.
+    therefore differ from a lone w2_exact call in its last bits. An LP batch
+    runs its chunks on min(chunks, _cores()) worker threads when that is
+    more than one, since HiGHS releases the GIL; a circle batch, which holds
+    the GIL throughout, and a batch with one worker run them in the calling
+    thread. The values depend on the chunking only, so the same batch gives
+    the same bits with any number of cores. An error ends its chunk, and
+    the first failing chunk's exception is raised in the caller.
     """
     dist, h = _metric_and_step(dist)
     pairs = [_validate_pair(mu, nu) for mu, nu in pairs]
@@ -412,34 +413,23 @@ def _w2_exact_batch(pairs, dist) -> np.ndarray:
     count = len(order)
     chunks = min(count, _BATCH_CHUNKS)
     bounds = [count * k // max(chunks, 1) for k in range(chunks + 1)]
-    values = np.empty(count)
-    errors = [None] * chunks
-    todo = iter(range(chunks))  # next() on a range iterator is atomic under the GIL
+    cost = dist**2
+    half = 0.5 * cost  # the cost of the potentials
 
-    def drain():
-        for k in todo:
-            batch = _Batch(dist, h)
-            try:
-                for s in range(bounds[k], bounds[k + 1]):
-                    i, swapped = order[s]
-                    mu, nu = pairs[i]
-                    values[s] = (batch.solve(nu, mu) if swapped else batch.solve(mu, nu)).value
-            except Exception as exc:  # re-raised by the caller
-                errors[k] = exc
+    def chunk(k):
+        batch = _Batch(cost, half, h)
+        return [batch.solve(*(pairs[i][::-1] if swapped else pairs[i])).value
+                for i, swapped in order[bounds[k]:bounds[k + 1]]]
 
-    if h is None:  # load the HiGHS binding here, so that no helper thread imports it
+    workers = min(chunks, _cores()) if h is None else 1
+    if workers > 1:  # load the HiGHS binding here, so that no worker imports it
+        from concurrent.futures import ThreadPoolExecutor
         from scipy.optimize._highspy import _core  # noqa: F401
-    helpers = [threading.Thread(target=drain)
-               for _ in range(min(chunks, _cores()) - 1)]
-    for helper in helpers:
-        helper.start()
-    drain()
-    for helper in helpers:
-        helper.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return values[slot]
+        with ThreadPoolExecutor(workers) as pool:
+            values = list(pool.map(chunk, range(chunks)))
+    else:
+        values = [chunk(k) for k in range(chunks)]
+    return np.array([value for part in values for value in part])[slot]
 
 
 def _solve_order(pairs, circle):
@@ -509,13 +499,12 @@ def _metric_and_step(dist, n=None):
 
 
 class _Batch:
-    """Solves on one square metric dist and its circle step h (or None),
-    keeping the LP model of the last support pair; each batch starts cold."""
+    """Solves on one squared metric cost = d^2, with half = d^2/2, and the
+    circle step h (or None), keeping the LP model of the last support pair;
+    each batch starts cold. It only reads cost and half."""
 
-    def __init__(self, dist, h):
-        self.h = h
-        self.cost = dist**2
-        self.half = 0.5 * self.cost  # the cost of the potentials
+    def __init__(self, cost, half, h):
+        self.cost, self.half, self.h = cost, half, h
         self.lp = self.support = None
 
     def solve(self, mu, nu) -> W2Result:

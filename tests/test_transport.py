@@ -1,7 +1,7 @@
+import concurrent.futures
 import itertools
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -57,6 +57,27 @@ def assert_certified(res, mu, nu, dist, gap_tol=1e-10, marginal_tol=1e-12):
 
 def circle_space(n, L=1.0):
     return hm.model_circle(L, n)[1]
+
+
+def staircase_loop(X, Y):
+    """Oracle: the potentials along a closed circle staircase, one branch per
+    kind of step (the loop transport._staircase_potentials replaced)."""
+    X, Y = X.tolist(), Y.tolist()
+    phi = [0.0] * len(X)
+    psi = 0.5 * (X[0] - Y[0]) ** 2
+    corner = [0.0] * len(X)
+    for k in range(1, len(X)):
+        if Y[k] == Y[k - 1]:
+            phi[k] = 0.5 * (X[k] - Y[k]) ** 2 - psi
+        elif X[k] == X[k - 1]:
+            phi[k] = phi[k - 1]
+            psi = 0.5 * (X[k] - Y[k]) ** 2 - phi[k]
+        else:
+            phi[k] = 0.5 * (X[k] - Y[k - 1]) ** 2 - psi
+            psi = 0.5 * (X[k] - Y[k]) ** 2 - phi[k]
+            corner[k] = (X[k] - X[k - 1]) * (Y[k] - Y[k - 1])
+    slack = np.cumsum(corner)
+    return np.array(phi) - slack * min(max(phi[-1] / slack[-1], 0.0), 1.0)
 
 
 def heat_rows(n, t, offsets):
@@ -460,6 +481,42 @@ class TestCirclePath:
         assert_certified(res, mu, nu, space.dist)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([8, 16, 33, 256]), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["decades", "zeros", "ties"]))
+    def test_potentials_match_the_staircase_loop(self, n, seed, kind):
+        # the telescoping sum gives the loop's potentials bit for bit, and so
+        # the same plan, value and c-transforms
+        rng = np.random.default_rng(seed)
+        mu = 10.0 ** rng.uniform(-12, 0, n)
+        nu = 10.0 ** rng.uniform(-12, 0, n)
+        if kind == "zeros":
+            mu[rng.random(n) < 0.3] = 0.0
+            nu[rng.random(n) < 0.3] = 0.0
+            mu[rng.integers(n)] += 0.5
+            nu[rng.integers(n)] += 0.5
+        elif kind == "ties":  # quantile levels of the two measures coincide
+            mu = np.ones(n)
+            nu = np.roll(np.where(rng.random(n) < 0.5, 1.0, 3.0), rng.integers(n))
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        space = circle_space(n)
+        summed = hm.w2_exact(mu, nu, space)
+        staircases = []
+
+        def loop(X, Y):
+            staircases.append(len(X))
+            return staircase_loop(X, Y)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transport, "_staircase_potentials", loop)
+            looped = hm.w2_exact(mu, nu, space)
+        assert staircases
+        assert summed.value == looped.value
+        for got, want in ((summed.plan.gamma, looped.plan.gamma),
+                          (summed.potentials.phi, looped.potentials.phi),
+                          (summed.potentials.phi_c, looped.potentials.phi_c)):
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(na=st.integers(1, 20), nb=st.integers(1, 20),
            seed=st.integers(0, 2**32 - 1), ties=st.booleans())
     def test_monotone_segments(self, na, nb, seed, ties):
@@ -741,21 +798,80 @@ class TestLPPath:
         oracle = [lp_oracle(mu, nu, dist) for mu, nu in pairs]
         assert_allclose(values[0], oracle, rtol=1e-9)
 
-    @pytest.mark.parametrize("count, helpers", [(0, 0), (1, 0), (3, 2), (11, 3)])
-    def test_batch_helper_threads(self, monkeypatch, count, helpers):
-        # one thread per chunk beyond the caller's, at most one per core
-        started = []
-        thread = transport.threading.Thread
+    @staticmethod
+    def _count_workers(monkeypatch, cores):
+        """Record the worker count of every thread pool a batch opens, and the
+        threads its solves run on."""
+        pools, threads = [], set()
+        solve = transport._Batch.solve
 
-        def counted(*args, **kwargs):
-            started.append(1)
-            return thread(*args, **kwargs)
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
 
-        monkeypatch.setattr(transport, "_cores", lambda: 8)
-        monkeypatch.setattr(transport.threading, "Thread", counted)
+        def recorded(batch, mu, nu):
+            threads.add(threading.current_thread())
+            return solve(batch, mu, nu)
+
+        monkeypatch.setattr(transport, "_cores", lambda: cores)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(transport._Batch, "solve", recorded)
+        return pools, threads
+
+    @pytest.mark.parametrize("count, workers", [(0, 0), (1, 0), (3, 3), (11, 4)])
+    def test_batch_helper_threads(self, monkeypatch, count, workers):
+        # an LP batch of c chunks on k cores runs min(c, k) workers when that
+        # is above one, and otherwise runs its chunks in the calling thread
+        self._check_workers(monkeypatch, count, 8, workers)
+
+    @pytest.mark.parametrize("cores, workers", [(1, 0), (2, 2), (3, 3)])
+    def test_batch_workers_at_most_the_cores(self, monkeypatch, cores, workers):
+        self._check_workers(monkeypatch, 11, cores, workers)
+
+    def _check_workers(self, monkeypatch, count, cores, workers):
+        pools, threads = self._count_workers(monkeypatch, cores)
         pairs, dist = self._graph_batch(count)
         assert transport._w2_exact_batch(pairs, dist).shape == (count,)
-        assert len(started) == helpers
+        assert pools == ([workers] if workers else [])
+        if count and not workers:
+            assert threads == {threading.current_thread()}
+        elif workers:
+            assert threading.current_thread() not in threads
+
+    def test_circle_batch_starts_no_worker(self, monkeypatch):
+        pools, threads = self._count_workers(monkeypatch, 8)
+        space, rows = heat_rows(32, 0.1, range(12))
+        pairs = [(rows[0], rows[k]) for k in range(1, 12)]
+        values = transport._w2_exact_batch(pairs, space)
+        assert pools == [] and threads == {threading.current_thread()}
+        assert values.tolist() == [hm.w2_exact(mu, nu, space).value for mu, nu in pairs]
+
+    @pytest.mark.parametrize("circle", [False, True], ids=["lp", "circle"])
+    def test_batch_squares_the_metric_once(self, monkeypatch, circle):
+        # every chunk shares one d^2 and one d^2/2, which none writes
+        shared, init = [], transport._Batch.__init__
+
+        def recorded(batch, cost, half, h):
+            init(batch, cost, half, h)
+            shared.append((batch.cost, batch.half))
+
+        monkeypatch.setattr(transport._Batch, "__init__", recorded)
+        if circle:
+            dist, rows = heat_rows(32, 0.1, range(9))
+            pairs = [(rows[0], rows[k]) for k in range(1, 9)]
+            matrix = dist.dist
+        else:
+            pairs, dist = self._graph_batch(8)
+            matrix = dist
+        before = matrix.copy()
+        transport._w2_exact_batch(pairs, dist)
+        assert len(shared) == transport._BATCH_CHUNKS
+        cost, half = shared[0]
+        assert all(c is cost and hh is half for c, hh in shared)
+        assert cost.tobytes() == (matrix**2).tobytes()
+        assert half.tobytes() == (0.5 * matrix**2).tobytes()
+        assert matrix.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_bad_pair_in_the_last_chunk(self, monkeypatch, cores):
@@ -774,9 +890,9 @@ class TestLPPath:
         serial = transport._w2_exact_batch(pairs, dist).tolist()
         init, taken = transport._Batch.__init__, []
 
-        def counted(batch, dist, h):
+        def counted(batch, cost, half, h):
             taken.append(1)
-            init(batch, dist, h)
+            init(batch, cost, half, h)
 
         monkeypatch.setattr(transport, "_cores", lambda: 4)
         monkeypatch.setattr(transport._Batch, "__init__", counted)
@@ -796,7 +912,6 @@ class TestLPPath:
         def solve_or_fail(batch, mu, nu):
             if threading.current_thread() is not threading.main_thread():
                 raise hm.SolverFailure("failed in a helper thread")
-            time.sleep(0.05)  # leaves chunks to the helper
             return solve(batch, mu, nu)
 
         monkeypatch.setattr(transport, "_cores", lambda: 2)
